@@ -12,7 +12,7 @@ import json
 import sys
 import tempfile
 
-from .errors import AuditFailure, ConfigError, KolmsimError
+from .errors import ConfigError, KolmsimError
 from .experiments import load_config, run_experiment
 
 EXIT_OK = 0
@@ -80,9 +80,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         _error_record("config", str(exc))
         return EXIT_CONFIG
-    except AuditFailure as exc:
-        _error_record("audit", str(exc))
-        return EXIT_AUDIT
     except KolmsimError as exc:
         _error_record("numerical", str(exc))
         return EXIT_NUMERICAL

@@ -23,7 +23,3 @@ class DriftError(KolmsimError):
 
 class NumericalError(KolmsimError):
     """Integrator or Monte Carlo failure (stiffness, blow-up, non-convergence)."""
-
-
-class AuditFailure(KolmsimError):
-    """A bound audit applicable to the configured system did not pass."""

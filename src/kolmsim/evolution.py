@@ -18,7 +18,7 @@ import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from .errors import NumericalError
+from .errors import BasisError, NumericalError
 from .multiindex import BasisSet, RegularizationScheme, enumerate_basis
 from .operators import (
     SparseOperator,
@@ -280,7 +280,9 @@ def regularization_gap(spec, u0, t: float, r_small: float, r_large: float,
                                   spec.rates)
     ops_big = assemble_all(basis_big, spec)
     # the small-basis operator is the restriction of the large-basis one
-    idx = np.array([basis_big.position(row) for row in basis_small.orders])
+    idx = basis_big.positions(basis_small.orders)
+    if np.any(idx < 0):
+        raise BasisError("the small weight-cutoff basis is not nested in the large one")
     small_gen = sp.csr_matrix(ops_big.generator()[np.ix_(idx, idx)])
 
     psi0_big = initial_state(u0, basis_big)

@@ -534,6 +534,7 @@ def run_bqp_circuit(cfg: dict, out_dir: str, seed: int, threads: int) -> dict:
         "bound_satisfied": all(r[6] <= 0.1 + 1e-12 for r in rows),
         "circuits": len(rows),
     }
+    audit["passed"] = audit["passed"] and audit["bqp"]["bound_satisfied"]
     write_json(os.path.join(out_dir, "audit.json"), audit)
     return audit
 
@@ -585,6 +586,8 @@ def run_ou_sanity(cfg: dict, out_dir: str, seed: int, threads: int) -> dict:
             rep_mean.times * 0 + run_mean.se, 1e-12))),
         "second_moment_within_3se": bool(np.all(rep_sq.gap <= 3 * run_sq.se)),
     }
+    audit["passed"] = (audit["passed"] and audit["ou_sanity"]["mean_within_3se"]
+                       and audit["ou_sanity"]["second_moment_within_3se"])
     write_json(os.path.join(out_dir, "audit.json"), audit)
     return audit
 

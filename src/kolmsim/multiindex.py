@@ -6,6 +6,21 @@ coefficient spaces used by the solver contain only zero-mean functions.
 Bases are enumerated in a fixed graded order (ascending total degree,
 ties broken by the multiset order of the variables) so that operator
 block structure by total degree is visible and runs are reproducible.
+
+Graded order gives every multi-index a closed-form rank, so
+`BasisSet.positions` maps a whole array of rows to basis positions with
+array arithmetic and no lookup table.  Among all multi-indices of degree
+1..K, a row m of degree d = |m| sits at
+
+    offset[d] + sum_{v < N-1} C(d - S_v + N-2-v, N-1-v),
+
+where S_v = m_0 + ... + m_v is the prefix sum of the row and
+offset[d] = C(N+d-1, d-1) - 1 counts the rows of degree 1..d-1.  The sum
+is the combinatorial-number-system rank of m within its degree (Knuth,
+TAOCP 4A, 7.2.1.3): term v counts the degree-d rows that agree with m
+before variable v and hold more of variable v.  An order-rule basis holds
+every multi-index of degree 1..K, so this rank is the position; a
+weight-rule basis looks the rank up among the sorted ranks of its rows.
 """
 
 from __future__ import annotations
@@ -115,7 +130,7 @@ class BasisSet:
         self.scheme = scheme
         self.degrees = self.orders.sum(axis=1)
         self.weights = self.orders @ self.rates
-        self._lookup = {row.tobytes(): i for i, row in enumerate(self.orders)}
+        self._rank_tables = None  # built on the first lookup
 
     def __len__(self) -> int:
         return self.orders.shape[0]
@@ -129,20 +144,56 @@ class BasisSet:
         """K, the largest total Hermite degree present."""
         return int(self.degrees.max()) if len(self) else 0
 
-    def _key(self, orders) -> bytes:
-        arr = np.asarray(orders, dtype=np.int32)
-        if arr.shape != (self.n_vars,):
+    def _tables(self):
+        """(binom, offset, sorted ranks or None) for the graded rank formula.
+
+        binom[v, s] = C(s + N-2-v, N-1-v) for a remaining degree s = d - S_v;
+        sorted ranks (weight rule only) end in a sentinel above every rank,
+        so a search never runs off the end.
+        """
+        if self._rank_tables is None:
+            n, k = self.n_vars, self.max_degree
+            total = math.comb(n + k, k)
+            if total > np.iinfo(np.int64).max:
+                raise ResourceLimitError(
+                    f"ranks of {total} multi-indices overflow 64-bit integers")
+            binom = np.array([[math.comb(s + n - 2 - v, n - 1 - v) for s in range(k + 1)]
+                              for v in range(n - 1)], dtype=np.int64).reshape(n - 1, k + 1)
+            offset = np.array([0] + [math.comb(n + d - 1, d - 1) - 1
+                                     for d in range(1, k + 1)], dtype=np.int64)
+            sorted_ranks = None
+            if self.scheme.rule == WEIGHT_RULE:
+                ranks = _graded_ranks(self.orders, binom, offset)[0]
+                sorted_ranks = np.append(ranks, total)
+            self._rank_tables = (binom, offset, sorted_ranks)
+        return self._rank_tables
+
+    def positions(self, rows) -> np.ndarray:
+        """Basis position of each row of an (M, N) integer array; -1 where absent.
+
+        Rows of degree 0, of degree above K, with a negative entry, or (weight
+        rule) above the weight cutoff are absent.
+        """
+        rows = np.asarray(rows)
+        if rows.ndim != 2 or rows.shape[1] != self.n_vars:
             raise BasisError("multi-index dimension mismatch")
-        return arr.tobytes()
+        binom, offset, sorted_ranks = self._tables()
+        ranks, valid = _graded_ranks(rows, binom, offset)
+        if sorted_ranks is not None:
+            pos = np.searchsorted(sorted_ranks, ranks)
+            valid &= sorted_ranks[pos] == ranks
+            ranks = pos
+        return np.where(valid, ranks, -1)
 
     def position(self, orders) -> int:
-        try:
-            return self._lookup[self._key(orders)]
-        except KeyError:
-            raise BasisError(f"multi-index {tuple(orders)} not in basis") from None
+        pos = int(self.positions(np.asarray(orders)[None])[0])
+        if pos < 0:
+            raise BasisError(f"multi-index {tuple(orders)} not in basis")
+        return pos
 
     def get(self, orders, default: int = -1) -> int:
-        return self._lookup.get(self._key(orders), default)
+        pos = int(self.positions(np.asarray(orders)[None])[0])
+        return pos if pos >= 0 else default
 
     def __contains__(self, orders) -> bool:
         return self.get(orders) >= 0
@@ -154,6 +205,17 @@ class BasisSet:
 
     def __iter__(self):
         return (self.entry(i) for i in range(len(self)))
+
+
+def _graded_ranks(rows, binom, offset):
+    """Closed-form graded ranks of `rows`, and which rows have degree 1..K."""
+    prefix = np.cumsum(rows, axis=1, dtype=np.int64)
+    degree = prefix[:, -1]
+    valid = (degree >= 1) & (degree < len(offset)) & (rows >= 0).all(axis=1)
+    rest = np.where(valid[:, None], degree[:, None] - prefix[:, :-1], 0)
+    ranks = offset[np.where(valid, degree, 0)] \
+        + binom[np.arange(binom.shape[0]), rest].sum(axis=1)
+    return ranks, valid
 
 
 def _orders_by_degree(n_vars: int, degree: int):

@@ -120,9 +120,6 @@ class SparseOperator:
     def shape(self):
         return self.matrix.shape
 
-    def matvec(self, v):
-        return self.matrix @ v
-
     def max_column_nonzeros(self) -> int:
         if self.matrix.nnz == 0:
             return 0
@@ -204,7 +201,7 @@ class CoefficientTableDrift:
 
     def assemble(self, basis: BasisSet, spec) -> sp.csr_matrix:
         rates, q = spec.rates, spec.noise
-        rows, cols, vals = [], [], []
+        targets, cols, vals = [], [], []
         triple = {}
 
         def g(a, b, c):
@@ -236,12 +233,14 @@ class CoefficientTableDrift:
                         for (v, _), (n_v, w) in zip(zip(sup, p), combo):
                             n[v] = n_v
                             val *= w
-                        row = basis.get(n)
-                        if row >= 0 and val != 0.0:
-                            rows.append(row)
+                        if val != 0.0:
+                            targets.append(n)
                             cols.append(col)
                             vals.append(val)
-        mat = sp.coo_matrix((vals, (rows, cols)), shape=(len(basis),) * 2)
+        rows = basis.positions(np.array(targets, dtype=np.int32).reshape(-1, basis.n_vars))
+        hit = rows >= 0
+        cols, vals = np.array(cols, dtype=np.intp)[hit], np.array(vals)[hit]
+        mat = sp.coo_matrix((vals, (rows[hit], cols)), shape=(len(basis),) * 2)
         return mat.tocsr()
 
 
@@ -305,8 +304,6 @@ class QuadratureDrift:
 
         # evaluation table for every index of degree <= K, zero included
         ext = [np.zeros(n_vars, dtype=np.int32)] + list(basis.orders)
-        ext_lookup = {arr.tobytes(): k for k, arr in
-                      enumerate(np.asarray(a, dtype=np.int32) for a in ext)}
         max_deg = basis.max_degree
         per_var = [he_table(max_deg, pts[:, v] * self.ctx.scalings[v]) for v in range(n_vars)]
         V = np.empty((pts.shape[0], len(ext)))
@@ -322,15 +319,12 @@ class QuadratureDrift:
         for i, f in self.funcs.items():
             cvals = np.asarray(f(pts), dtype=float)
             W = V.T @ (cvals[:, None] * V)
-            for col in range(len(basis)):
-                m = basis.orders[col]
-                if m[i] == 0:
-                    continue
-                factor0 = math.sqrt(2.0 * m[i] * rates[i] / q)
-                base = m.copy()
-                base[i] -= 1
-                k = ext_lookup[np.asarray(base, dtype=np.int32).tobytes()]
-                dense[:, col] += factor0 * W[1:, k]
+            cols = np.nonzero(basis.orders[:, i])[0]
+            base = basis.orders[cols]
+            factor0 = np.sqrt(2.0 * base[:, i] * rates[i] / q)
+            base[:, i] -= 1
+            # ext index = basis position + 1; the zero row (position -1) is 0
+            dense[:, cols] += factor0 * W[1:, basis.positions(base) + 1]
         return sp.csr_matrix(dense)
 
 
@@ -364,25 +358,32 @@ def assemble_linear_drift(basis: BasisSet, spec) -> SparseOperator:
     beta = b.multiply(np.sqrt(rates)[:, None]).multiply(1.0 / np.sqrt(rates)[None, :])
     beta = ((beta - beta.T) * 0.5).tocoo()  # exact skewness of the float data
 
-    entries = list(zip(beta.row, beta.col, beta.data))
-    rows, cols, vals = [], [], []
-    for col in range(n):
-        m = basis.orders[col]
-        for i, j, bij in entries:
-            if m[i] == 0 or bij == 0.0:
-                continue
-            target = m.copy()
-            target[i] -= 1
-            target[j] += 1
-            row = basis.get(target)
-            if row < 0:
-                continue
-            rows.append(row)
-            cols.append(col)
-            # i == j never occurs: beta is exactly skew, so its diagonal is 0
-            vals.append(bij * math.sqrt(m[i] * (m[j] + 1)))
+    live = beta.data != 0.0
+    i_e, j_e, b_e = beta.row[live], beta.col[live], beta.data[live]
+    # (column, b-entry) candidates in column-major order; i == j never
+    # occurs: beta is exactly skew, so its diagonal is 0
+    cols, e = np.nonzero(basis.orders[:, i_e] > 0)
+    rows, hit = _ladder_hits(basis, cols, [(i_e[e], -1), (j_e[e], 1)])
+    cols, e = cols[hit], e[hit]
+    vals = b_e[e] * np.sqrt(basis.orders[cols, i_e[e]] * (basis.orders[cols, j_e[e]] + 1))
     mat = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
     return SparseOperator(mat, SKEW, "linear", basis)
+
+
+def _ladder_hits(basis: BasisSet, cols, moves):
+    """Apply ladder moves to basis rows and rank the targets that land.
+
+    Candidate e starts from row cols[e] and adds delta to variable var[e]
+    for each (var, delta) in `moves`.  Returns the basis positions of the
+    targets that lie in the basis, and the indices of those candidates.
+    """
+    targets = basis.orders[cols]
+    e = np.arange(len(cols))
+    for var, delta in moves:
+        targets[e, var] += delta
+    rows = basis.positions(targets)
+    hit = np.nonzero(rows >= 0)[0]
+    return rows[hit], hit
 
 
 def assemble_nonlinear_drift(basis: BasisSet, spec,

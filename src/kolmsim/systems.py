@@ -21,9 +21,8 @@ from .multiindex import BasisSet
 from .operators import (
     CoefficientTableDrift,
     QuadratureDrift,
-    SparseOperator,
     SystemSpec,
-    assemble_nonlinear_drift,
+    _ladder_hits,
 )
 
 # ---------------------------------------------------------------------------
@@ -144,14 +143,6 @@ def oscillator_coefficient_tables(lam: float, q: float) -> CoefficientTableDrift
                                  {0: terms1, 1: terms2}, ctx)
 
 
-def oscillator_closed_form(basis: BasisSet, spec: SystemSpec) -> SparseOperator:
-    """Ladder-algebra nonlinear operator for the cubic-profile oscillator."""
-    if not isinstance(spec.nonlinear, OscillatorLadderDrift):
-        raise DriftError("closed form only applies to the cubic profile; "
-                         "bounded profiles assemble by quadrature")
-    return assemble_nonlinear_drift(basis, spec)
-
-
 # ---------------------------------------------------------------------------
 # spectral 2D Navier-Stokes
 # ---------------------------------------------------------------------------
@@ -228,18 +219,16 @@ class SpectralAdvectionDrift:
                              * float(jvec @ jvec))
                     triples.append((k_idx, i_idx, j_idx, sign * geom))
         self.triples = triples
-        self._by_k = {}
+        by_k = {}
         for k_idx, i_idx, j_idx, geo in triples:
-            self._by_k.setdefault(k_idx, []).append((i_idx, j_idx, geo))
+            by_k.setdefault(k_idx, []).append((i_idx, j_idx, geo))
+        # k -> (i indices, j indices, geometric factors) of its triples
+        self._by_k = {k_idx: tuple(np.array(col) for col in zip(*items))
+                      for k_idx, items in by_k.items()}
 
     def _support_sparsity(self) -> int:
-        best = 0
-        for k_idx, items in self._by_k.items():
-            touched = set()
-            for i_idx, j_idx, _ in items:
-                touched.update((i_idx, j_idx))
-            best = max(best, len(touched))
-        return best
+        return max((len(np.union1d(i_idx, j_idx)) for i_idx, j_idx, _ in self._by_k.values()),
+                   default=0)
 
     def value(self, x):
         """c_k(x) = -sum b(e_i, e_j, e_k) x_i x_j over the interacting triples."""
@@ -261,36 +250,42 @@ class SpectralAdvectionDrift:
         return np.einsum("...i,...i->...", x * self.rates, vals)
 
     def assemble(self, basis: BasisSet, spec) -> sp.csr_matrix:
+        shape = (len(basis),) * 2
+        if not self._by_k:
+            return sp.csr_matrix(shape)
         q_eff = self.q / self.nu
         lam = self.lam_raw
+        below_top = basis.degrees < basis.max_degree
+        # the three ladder moves (di, dj) on modes i and j; mode k loses one
+        di, dj = np.array([1, 1, -1]), np.array([1, -1, 1])
         rows, cols, vals = [], [], []
-        n_modes = len(self.table)
-        for col in range(len(basis)):
-            nvec = basis.orders[col]
-            for k_idx in np.nonzero(nvec)[0]:
-                items = self._by_k.get(int(k_idx))
-                if not items:
-                    continue
-                n_k = int(nvec[k_idx])
-                for i_idx, j_idx, geo in items:
-                    base = -0.5 * math.sqrt(n_k * q_eff * lam[k_idx] / lam[i_idx]) * geo
-                    n_i, n_j = int(nvec[i_idx]), int(nvec[j_idx])
-                    moves = [((1, 1), math.sqrt((1 + n_i) * (1 + n_j)))]
-                    if n_j >= 1:
-                        moves.append(((1, -1), math.sqrt((1 + n_i) * n_j)))
-                    if n_i >= 1:
-                        moves.append(((-1, 1), math.sqrt(n_i * (1 + n_j))))
-                    for (di, dj), ladder in moves:
-                        target = nvec.copy()
-                        target[k_idx] -= 1
-                        target[i_idx] += di
-                        target[j_idx] += dj
-                        row = basis.get(target)
-                        if row >= 0:
-                            rows.append(row)
-                            cols.append(col)
-                            vals.append(base * ladder)
-        mat = sp.coo_matrix((vals, (rows, cols)), shape=(len(basis),) * 2)
+        for k_idx in sorted(self._by_k):
+            i_idx, j_idx, geo = self._by_k[k_idx]
+            # columns with m_k > 0 against every triple (k, i, j)
+            col = np.nonzero(basis.orders[:, k_idx])[0]
+            sub = basis.orders[col]
+            n_k, n_i, n_j = sub[:, k_idx, None], sub[:, i_idx], sub[:, j_idx]
+            base = -0.5 * np.sqrt(n_k * q_eff * lam[k_idx] / lam[i_idx]) * geo
+            # try a move only where it can land: raising the degree needs
+            # |m| < K, lowering a mode needs a quantum in it
+            can_land = np.stack(np.broadcast_arrays(below_top[col, None], n_j >= 1, n_i >= 1),
+                                axis=-1)
+            c, t, m = np.nonzero(can_land)
+            target, hit = _ladder_hits(basis, col[c],
+                                       [(k_idx, -1), (i_idx[t], di[m]), (j_idx[t], dj[m])])
+            c, t, m = c[hit], t[hit], m[hit]
+            # raising a mode that holds n quanta gives sqrt(n + 1), lowering it sqrt(n)
+            ladder = np.sqrt((n_i[c, t] + (di[m] > 0)) * (n_j[c, t] + (dj[m] > 0)))
+            rows.append(target)
+            cols.append(col[c])
+            vals.append(base[c, t] * ladder)
+        rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
+        # Entries leave the loop in (k, column, triple, move) order.  COO
+        # duplicates are summed in the order each row receives them, so a
+        # stable sort by column restores the (column, k, triple, move) order
+        # of a per-column sweep, which fixes how each summed entry rounds.
+        order = np.argsort(cols, kind="stable")
+        mat = sp.coo_matrix((vals[order], (rows[order], cols[order])), shape=shape)
         return mat.tocsr()
 
 

@@ -143,6 +143,34 @@ def test_audit_failure_exit_code(tmp_path, monkeypatch):
     assert cli.main(["audit", cfg_path, "--out", str(tmp_path / "o")]) == cli.EXIT_AUDIT
 
 
+@pytest.mark.parametrize("shifted_call, verdict", [(1, "mean_within_3se"),
+                                                    (2, "second_moment_within_3se")])
+def test_ou_verdict_feeds_exit_code(tmp_path, monkeypatch, shifted_call, verdict):
+    real_compare, calls = experiments.compare, []
+
+    def shifted_compare(run, values):
+        calls.append(1)
+        return real_compare(run, values + (1.0 if len(calls) == shifted_call else 0.0))
+
+    monkeypatch.setattr(experiments, "compare", shifted_compare)
+    out = tmp_path / "o"
+    assert cli.main(["run", write_cfg(tmp_path, OU_CFG), "--out", str(out)]) == cli.EXIT_AUDIT
+    audit = json.loads((out / "audit.json").read_text())
+    assert audit["ou_sanity"] == {
+        "mean_within_3se": verdict != "mean_within_3se",
+        "second_moment_within_3se": verdict != "second_moment_within_3se"}
+    assert audit["passed"] is False
+
+
+def test_bqp_bound_feeds_exit_code(tmp_path, monkeypatch):
+    monkeypatch.setattr(experiments, "circuit_amplitude", lambda circuit, n: 2.0)
+    out = tmp_path / "o"
+    assert cli.main(["run", write_cfg(tmp_path, BQP_CFG), "--out", str(out)]) == cli.EXIT_AUDIT
+    audit = json.loads((out / "audit.json").read_text())
+    assert audit["bqp"]["bound_satisfied"] is False
+    assert audit["passed"] is False
+
+
 def test_repo_example_configs_validate():
     root = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
     names = os.listdir(root)

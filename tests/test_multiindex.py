@@ -5,9 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kolmsim.errors import BasisError, ResourceLimitError
 from kolmsim.multiindex import (
+    BasisSet,
     MultiIndex,
     RegularizationScheme,
     decode_multiset,
@@ -103,6 +106,87 @@ def test_lookup_is_exact_inverse():
         assert basis.position(basis.orders[i]) == i
     m = basis.entry(7)
     assert basis.position(m.orders) == 7
+
+
+def weight_basis(n_vars, r):
+    rates = np.linspace(0.3, 0.9, n_vars)
+    return enumerate_basis(n_vars, RegularizationScheme.by_weight(r), rates)
+
+
+@pytest.mark.parametrize("n_vars", [1, 2, 3, 5, 40])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_positions_invert_order_rule_enumeration(n_vars, k):
+    rates = np.ones(n_vars)
+    basis = enumerate_basis(n_vars, RegularizationScheme.by_max_order(k, rates), rates)
+    np.testing.assert_array_equal(basis.positions(basis.orders), np.arange(len(basis)))
+
+
+@pytest.mark.parametrize("n_vars, r", [(1, 2.0), (2, 1.0), (3, 1.7), (5, 1.5), (8, 1.2)])
+def test_positions_invert_weight_rule_enumeration(n_vars, r):
+    basis = weight_basis(n_vars, r)
+    np.testing.assert_array_equal(basis.positions(basis.orders), np.arange(len(basis)))
+
+
+def test_positions_of_absent_rows():
+    rates = np.ones(3)
+    basis = enumerate_basis(3, RegularizationScheme.by_max_order(2, rates), rates)
+    absent = [(0, 0, 0), (3, 0, 0), (1, 1, 1), (-1, 2, 0), (2, -1, 1), (0, 0, -1)]
+    np.testing.assert_array_equal(basis.positions(absent), -1)
+    wbasis = weight_basis(3, 1.2)  # rates 0.3, 0.6, 0.9
+    assert wbasis.max_degree == 4
+    np.testing.assert_array_equal(wbasis.positions([(0, 0, 2), (1, 1, 1), (0, 0, 0)]), -1)
+    assert wbasis.positions([(4, 0, 0)])[0] >= 0
+    with pytest.raises(BasisError):
+        wbasis.position((0, 0, 2))
+
+
+def test_positions_reject_wrong_row_width():
+    rates = np.ones(3)
+    basis = enumerate_basis(3, RegularizationScheme.by_max_order(2, rates), rates)
+    with pytest.raises(BasisError):
+        basis.positions(np.zeros((2, 4), dtype=int))
+    with pytest.raises(BasisError):
+        basis.positions((1, 0, 0))
+    with pytest.raises(BasisError):
+        basis.get((1, 0))
+
+
+def test_weight_rule_ranks_must_fit_int64():
+    # C(90, 30) ~ 6.7e23 multi-indices of degree <= 30 over 60 variables
+    rates = np.array([0.01] + [1e3] * 59)
+    basis = BasisSet(np.array([[30] + [0] * 59]), rates, RegularizationScheme.by_weight(0.3))
+    with pytest.raises(ResourceLimitError):
+        basis.positions(basis.orders)
+
+
+def test_scalar_lookups_agree_with_positions():
+    basis = weight_basis(4, 1.5)
+    rng = np.random.default_rng(5)
+    rows = rng.integers(-1, basis.max_degree + 2, size=(200, 4))
+    for row, pos in zip(rows, basis.positions(rows)):
+        assert basis.get(row) == pos
+        assert (tuple(row) in basis) == (pos >= 0)
+        if pos >= 0:
+            assert basis.position(tuple(row)) == pos
+        else:
+            assert basis.get(row, default=-7) == -7
+            with pytest.raises(BasisError):
+                basis.position(row)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 4), st.booleans(), st.data())
+def test_positions_match_brute_force_lookup(n_vars, k, by_weight, data):
+    if by_weight:
+        basis = weight_basis(n_vars, 0.3 * k + 0.05)
+    else:
+        rates = np.ones(n_vars)
+        basis = enumerate_basis(n_vars, RegularizationScheme.by_max_order(k, rates), rates)
+    table = {tuple(int(v) for v in row): i for i, row in enumerate(basis.orders)}
+    rows = data.draw(st.lists(st.lists(st.integers(-1, k + 1), min_size=n_vars,
+                                       max_size=n_vars), min_size=1, max_size=30))
+    expected = [table.get(tuple(row), -1) for row in rows]
+    np.testing.assert_array_equal(basis.positions(np.array(rows)), expected)
 
 
 def test_monotone_graded_enumeration():

@@ -153,6 +153,17 @@ def test_nse_entries_match_independent_oracle():
         assert C[mi, ni] == pytest.approx(oracle, rel=1e-12)
 
 
+def test_nse_full_raw_matrix_matches_independent_oracle():
+    # every entry, zeros included, so a dropped or spurious move class shows
+    spec = nse_system(n_modes=6, nu=0.1, q=1e-3)
+    basis = basis_for(spec, 3)
+    raw = spec.nonlinear.assemble(basis, spec).toarray()
+    oracle = np.array([[nse_entry_oracle(spec.nonlinear, m, n, spec.noise)
+                        for n in basis.orders] for m in basis.orders])
+    assert raw.shape == (83, 83)
+    np.testing.assert_allclose(raw, oracle, rtol=1e-12, atol=0.0)
+
+
 def test_nse_raw_assembly_skew():
     spec = nse_system(n_modes=16, nu=0.1, q=1e-3)
     basis = basis_for(spec, 2)
