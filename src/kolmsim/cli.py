@@ -49,14 +49,22 @@ def _error_record(kind: str, message: str):
 
 
 def _audit_failures(audit: dict, prefix: str = "") -> list:
-    """Paths of every applicable sub-check whose `passed` flag is False."""
+    """Paths of every false verdict below the root.
+
+    A false `passed` flag names the check that holds it; any other false
+    boolean names itself, e.g. `bqp/bound_satisfied`.
+    """
     bad = []
     if isinstance(audit, dict):
-        if audit.get("passed") is False and prefix:
-            bad.append(prefix)
         for key, value in audit.items():
-            if key != "passed":
-                bad.extend(_audit_failures(value, f"{prefix}/{key}" if prefix else key))
+            path = f"{prefix}/{key}" if prefix else key
+            if isinstance(value, bool):
+                if not value and key != "passed":
+                    bad.append(path)
+                elif not value and prefix:
+                    bad.append(prefix)
+            else:
+                bad.extend(_audit_failures(value, path))
     elif isinstance(audit, list):
         for i, value in enumerate(audit):
             bad.extend(_audit_failures(value, f"{prefix}[{i}]"))

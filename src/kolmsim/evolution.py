@@ -3,9 +3,10 @@
 The coefficient vector obeys d psi/dt = (-A + B + C) psi with A diagonal
 positive and B, C skew, so the squared norm can only decrease.  Three
 integrators are provided: an adaptive Runge-Kutta reference, an exact
-matrix-exponential action (dense below 2000 dimensions, Arnoldi-Krylov
-above), and the first-order splitting exp(-tau A) exp(tau B) exp(tau C)
-whose error the audits measure against its analytic bound.
+matrix-exponential action (dense up to 2000 dimensions, scipy's
+`expm_multiply` above), and the first-order splitting
+exp(-tau A) exp(tau B) exp(tau C) whose error the audits measure against
+its analytic bound.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
+from scipy.sparse.linalg import expm_multiply
 
 from .errors import BasisError, NumericalError
 from .multiindex import BasisSet, RegularizationScheme, enumerate_basis
@@ -28,7 +30,7 @@ from .operators import (
     operator_norm_estimate,
 )
 
-DENSE_EXP_LIMIT = 2000  # above this, exponentials act through Krylov only
+DENSE_EXP_LIMIT = 2000  # above this, exponentials act through expm_multiply
 
 
 @dataclass
@@ -110,80 +112,33 @@ def evolve_reference(state: KEState, ops: KEOperators, t: float,
     return states if t_eval is not None else states[-1]
 
 
-def krylov_expm_action(matrix, vector: np.ndarray, t: float,
-                       subspace: int = 30, tol: float = 1e-10,
-                       max_restarts: int = 512) -> np.ndarray:
-    """w = exp(t M) v via restarted Arnoldi projection.
-
-    Each restart advances as far as the residual estimate allows; the
-    estimate is the classical h_{m+1,m} |e_m^T exp(tau H) e_1| term.
-    """
-    v = np.asarray(vector, dtype=float)
-    beta = np.linalg.norm(v)
-    if beta == 0.0 or t == 0.0:
-        return v.copy()
-    done = 0.0
-    w = v.copy()
-    for _ in range(max_restarts):
-        beta = np.linalg.norm(w)
-        if beta == 0.0:
-            return w
-        m = min(subspace, w.size)
-        V = np.zeros((w.size, m + 1))
-        H = np.zeros((m + 1, m))
-        V[:, 0] = w / beta
-        k_eff = m
-        breakdown = False
-        for k in range(m):
-            u = matrix @ V[:, k]
-            for i in range(k + 1):
-                H[i, k] = V[:, i] @ u
-                u -= H[i, k] * V[:, i]
-            H[k + 1, k] = np.linalg.norm(u)
-            if H[k + 1, k] < 1e-14 * max(1.0, abs(H[:k + 1, :k + 1]).max()):
-                k_eff = k + 1
-                breakdown = True
-                break
-            V[:, k + 1] = u / H[k + 1, k]
-        Hk = H[:k_eff, :k_eff]
-        tau = t - done
-        while True:
-            small = expm(tau * Hk)
-            if breakdown:
-                err = 0.0
-            else:
-                err = abs(H[k_eff, k_eff - 1] * tau * small[k_eff - 1, 0])
-            if err <= tol * max(1.0, beta) or tau < 1e-15 * abs(t):
-                break
-            tau *= 0.5
-        w = beta * (V[:, :k_eff] @ small[:, 0])
-        done += tau
-        if done >= t - 1e-15 * abs(t):
-            return w
-    raise NumericalError("Krylov exponential did not converge "
-                         f"(advanced {done:.3g} of {t:.3g})")
-
-
-def _exp_action(matrix, vector, t):
+def _propagator(matrix, tau: float):
+    """v -> exp(tau M) v: dense `expm` up to DENSE_EXP_LIMIT, `expm_multiply` above."""
     if matrix.shape[0] <= DENSE_EXP_LIMIT:
-        return expm(t * matrix.toarray()) @ vector
-    return krylov_expm_action(matrix, vector, t)
+        dense = expm(tau * matrix.toarray())
+        return lambda v: dense @ v
+    scaled = tau * matrix
+    return lambda v: expm_multiply(scaled, v)
+
+
+def _exp_steps(matrix, vector, t0: float, times) -> list:
+    """exp(t M) v at each of `times`, stepping from t0 to t_1, t_1 to t_2, ..."""
+    out, prev = [], t0
+    for tk in times:
+        vector = _propagator(matrix, float(tk) - prev)(vector)
+        prev = float(tk)
+        out.append(vector)
+    return out
 
 
 def evolve_expm(state: KEState, ops: KEOperators, t: float, t_eval=None):
     """Exact exponential action of the full generator (spot-check oracle)."""
     gen = ops.generator()
     if t_eval is None:
-        return KEState(_exp_action(gen, state.coefficients, t), state.basis,
+        return KEState(_propagator(gen, t)(state.coefficients), state.basis,
                        state.t + t)
-    out = []
-    current = state.coefficients
-    prev_t = state.t
-    for tk in t_eval:
-        current = _exp_action(gen, current, float(tk) - prev_t)
-        prev_t = float(tk)
-        out.append(KEState(current.copy(), state.basis, prev_t))
-    return out
+    vectors = _exp_steps(gen, state.coefficients, state.t, t_eval)
+    return [KEState(v, state.basis, float(tk)) for v, tk in zip(vectors, t_eval)]
 
 
 def evolve_trotter(state: KEState, ops: KEOperators, t: float, steps: int) -> KEState:
@@ -192,29 +147,13 @@ def evolve_trotter(state: KEState, ops: KEOperators, t: float, steps: int) -> KE
         raise NumericalError("Trotter step count must be >= 1")
     tau = t / steps
     decay = np.exp(-tau * ops.basis.weights)
-    dim = len(ops.basis)
+    factors = [_propagator(op.matrix, tau) for op in (ops.nonlinear, ops.linear)
+               if op.matrix.nnz]
     psi = state.coefficients.copy()
-
-    if dim <= DENSE_EXP_LIMIT:
-        exp_lin = expm(tau * ops.linear.matrix.toarray()) \
-            if ops.linear.matrix.nnz else None
-        exp_non = expm(tau * ops.nonlinear.matrix.toarray()) \
-            if ops.nonlinear.matrix.nnz else None
-        for _ in range(steps):
-            if exp_non is not None:
-                psi = exp_non @ psi
-            if exp_lin is not None:
-                psi = exp_lin @ psi
-            psi = decay * psi
-    else:
-        lin = ops.linear.matrix if ops.linear.matrix.nnz else None
-        non = ops.nonlinear.matrix if ops.nonlinear.matrix.nnz else None
-        for _ in range(steps):
-            if non is not None:
-                psi = krylov_expm_action(non, psi, tau)
-            if lin is not None:
-                psi = krylov_expm_action(lin, psi, tau)
-            psi = decay * psi
+    for _ in range(steps):
+        for factor in factors:
+            psi = factor(psi)
+        psi = decay * psi
     return KEState(psi, state.basis, state.t + t)
 
 
@@ -283,22 +222,18 @@ def regularization_gap(spec, u0, t: float, r_small: float, r_large: float,
     idx = basis_big.positions(basis_small.orders)
     if np.any(idx < 0):
         raise BasisError("the small weight-cutoff basis is not nested in the large one")
-    small_gen = sp.csr_matrix(ops_big.generator()[np.ix_(idx, idx)])
+    gen_big = ops_big.generator()
+    small_gen = sp.csr_matrix(gen_big[np.ix_(idx, idx)])
 
     psi0_big = initial_state(u0, basis_big)
-    psi0_small = psi0_big.coefficients[idx]
     times = np.linspace(0.0, t, n_times)
-
-    big_states = evolve_expm(psi0_big, ops_big, t, t_eval=times[1:])
+    big = _exp_steps(gen_big, psi0_big.coefficients, 0.0, times[1:])
+    small = _exp_steps(small_gen, psi0_big.coefficients[idx], 0.0, times[1:])
     gaps = [0.0]
-    phi = psi0_small.copy()
-    prev = 0.0
-    for state in big_states:
-        phi = _exp_action(small_gen, phi, state.t - prev)
-        prev = state.t
+    for psi, phi in zip(big, small):
         padded = np.zeros(len(basis_big))
         padded[idx] = phi
-        gaps.append(float(np.sum((state.coefficients - padded) ** 2)))
+        gaps.append(float(np.sum((psi - padded) ** 2)))
     gaps = np.array(gaps)
     bound = 3.0 * gamma ** 2 / (2.0 * r_small) * psi0_big.norm_sq()
     return RegularizationReport(r_small, r_large, float(gaps.max()), bound,

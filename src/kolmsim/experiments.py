@@ -60,6 +60,8 @@ from .systems import (
 )
 
 EXPERIMENTS = ("oscillator", "nse_taylor_green", "bqp_circuit", "ou_sanity", "audits")
+# Philox keys are 128 bits, (seed << 64) + sample, and ou_sanity also uses seed + 1
+_SEED_LIMIT = 2 ** 64 - 1
 
 
 # ---------------------------------------------------------------- config schema
@@ -121,6 +123,24 @@ def validate_config(cfg: dict) -> dict:
                     {"r_values", "r_reference", "t"}, "regularization")
         _check_keys(cfg.get("trotter", {}), {"t", "steps"}, "trotter")
     return cfg
+
+
+def _checked_seed(seed) -> int:
+    """`seed` as an int, if every kolmsim RNG accepts it: 0 <= seed < _SEED_LIMIT."""
+    if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
+            or not 0 <= seed < _SEED_LIMIT):
+        raise ConfigError(f"seed must be an integer in [0, 2^64 - 1), got {seed!r}")
+    return int(seed)
+
+
+def _initial_point(cfg: dict, n_vars: int, default) -> np.ndarray:
+    try:
+        x0 = np.asarray(cfg.get("initial_point", default), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"initial_point must be a list of numbers: {exc}") from exc
+    if x0.shape != (n_vars,):
+        raise ConfigError(f"initial_point needs {n_vars} entries, got shape {x0.shape}")
+    return x0
 
 
 def load_config(path: str) -> dict:
@@ -382,7 +402,7 @@ def run_oscillator(cfg: dict, out_dir: str, seed: int, threads: int) -> dict:
     q = float(system_cfg.get("q", 0.02))
     spec = oscillator_system(lam, q, profile=system_cfg.get("profile", "cubic"))
     ctx = spec.context
-    x0 = np.asarray(cfg.get("initial_point", [1.0, 0.0]), dtype=float)
+    x0 = _initial_point(cfg, 2, [1.0, 0.0])
     u0 = MonomialObservable(tuple(cfg.get("observable", [1, 0])), ctx)
     times_cfg = cfg["times"]
     times = np.linspace(0.0, float(times_cfg["t_max"]), int(times_cfg["n_points"]))
@@ -546,8 +566,7 @@ def run_ou_sanity(cfg: dict, out_dir: str, seed: int, threads: int) -> dict:
     n_vars = int(system_cfg.get("n_vars", 1))
     spec = SystemSpec(name="ou", rates=np.full(n_vars, lam), noise=q)
     ctx = spec.context
-    x0 = np.asarray(cfg.get("initial_point", [1.0] + [0.0] * (n_vars - 1)),
-                    dtype=float)
+    x0 = _initial_point(cfg, n_vars, [1.0] + [0.0] * (n_vars - 1))
     times_cfg = cfg["times"]
     times = np.linspace(0.0, float(times_cfg["t_max"]), int(times_cfg["n_points"]))
     mc_cfg = cfg["mc"]
@@ -615,8 +634,8 @@ RUNNERS = {
 def run_experiment(cfg: dict, out_dir: str, seed: int | None = None,
                    threads: int = 1) -> dict:
     """Execute one experiment; returns its audit payload."""
+    effective_seed = _checked_seed(cfg.get("seed", 0) if seed is None else seed)
     os.makedirs(out_dir, exist_ok=True)
-    effective_seed = int(cfg.get("seed", 0)) if seed is None else int(seed)
     audit = RUNNERS[cfg["experiment"]](cfg, out_dir, effective_seed, threads)
     write_manifest(out_dir, cfg, effective_seed, threads)
     return audit

@@ -67,25 +67,6 @@ def weight(orders, rates) -> float:
 
 
 @dataclass(frozen=True)
-class MultiIndex:
-    """A multi-index with its cached total degree and weight."""
-
-    orders: tuple
-    order: int
-    weight: float
-
-    @classmethod
-    def from_orders(cls, orders, rates) -> "MultiIndex":
-        orders = tuple(int(v) for v in orders)
-        if any(v < 0 for v in orders):
-            raise BasisError("multi-index entries must be non-negative")
-        return cls(orders=orders, order=sum(orders), weight=weight(orders, rates))
-
-    def support(self) -> tuple:
-        return tuple(i for i, v in enumerate(self.orders) if v > 0)
-
-
-@dataclass(frozen=True)
 class RegularizationScheme:
     """Truncation parameters (r, R) plus the rule that realizes them."""
 
@@ -197,14 +178,6 @@ class BasisSet:
 
     def __contains__(self, orders) -> bool:
         return self.get(orders) >= 0
-
-    def entry(self, i: int) -> MultiIndex:
-        row = self.orders[i]
-        return MultiIndex(orders=tuple(int(v) for v in row),
-                          order=int(self.degrees[i]), weight=float(self.weights[i]))
-
-    def __iter__(self):
-        return (self.entry(i) for i in range(len(self)))
 
 
 def _graded_ranks(rows, binom, offset):

@@ -231,12 +231,13 @@ def test_criterion_5_exact_identities():
     ortho_err = 0.0
     small = enumerate_basis(2, RegularizationScheme.by_max_order(4, ctx.rates),
                             ctx.rates)
-    for a in small:
-        for b in small:
+    rows = small.orders.tolist()
+    for a in rows:
+        for b in rows:
             val = gaussian_quadrature(
-                lambda pts: h_norm(a.orders, pts, ctx) * h_norm(b.orders, pts, ctx),
+                lambda pts: h_norm(a, pts, ctx) * h_norm(b, pts, ctx),
                 ctx, 64)
-            ortho_err = max(ortho_err, abs(val - (1.0 if a.orders == b.orders else 0.0)))
+            ortho_err = max(ortho_err, abs(val - (1.0 if a == b else 0.0)))
     ok = report(5, "exact identities (readout norm, initial norms, orthonormality)",
                 readout_ok and norm_ok and ortho_err <= 1e-10,
                 f"orthonormality residual = {ortho_err:.2e}")

@@ -25,6 +25,17 @@ BQP_CFG = {
     "seed": 7,
 }
 
+OSC_CFG = {
+    "experiment": "oscillator",
+    "system": {"lam": 0.1, "q": 0.02, "profile": "cubic"},
+    "initial_point": [1.0, 0.0],
+    "observable": [1, 0],
+    "basis": {"orders": [2]},
+    "times": {"t_max": 1.0, "n_points": 3},
+    "mc": {"samples": 200, "dt": 0.01},
+    "seed": 1,
+}
+
 AUDITS_CFG = {
     "experiment": "audits",
     "system": {"kind": "bounded_oscillator", "lam": 0.1, "q": 0.1},
@@ -39,6 +50,10 @@ def write_cfg(tmp_path, cfg, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+def error_record(capsys) -> dict:
+    return json.loads(capsys.readouterr().err.strip().splitlines()[-1])
 
 
 def test_validate_rejects_unknown_keys():
@@ -145,7 +160,7 @@ def test_audit_failure_exit_code(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("shifted_call, verdict", [(1, "mean_within_3se"),
                                                     (2, "second_moment_within_3se")])
-def test_ou_verdict_feeds_exit_code(tmp_path, monkeypatch, shifted_call, verdict):
+def test_ou_verdict_feeds_exit_code(tmp_path, monkeypatch, capsys, shifted_call, verdict):
     real_compare, calls = experiments.compare, []
 
     def shifted_compare(run, values):
@@ -160,15 +175,43 @@ def test_ou_verdict_feeds_exit_code(tmp_path, monkeypatch, shifted_call, verdict
         "mean_within_3se": verdict != "mean_within_3se",
         "second_moment_within_3se": verdict != "second_moment_within_3se"}
     assert audit["passed"] is False
+    assert error_record(capsys) == {"error": "audit",
+                                    "detail": f"failed checks: ou_sanity/{verdict}"}
 
 
-def test_bqp_bound_feeds_exit_code(tmp_path, monkeypatch):
+def test_bqp_bound_feeds_exit_code(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(experiments, "circuit_amplitude", lambda circuit, n: 2.0)
     out = tmp_path / "o"
     assert cli.main(["run", write_cfg(tmp_path, BQP_CFG), "--out", str(out)]) == cli.EXIT_AUDIT
     audit = json.loads((out / "audit.json").read_text())
     assert audit["bqp"]["bound_satisfied"] is False
     assert audit["passed"] is False
+    assert error_record(capsys) == {"error": "audit",
+                                    "detail": "failed checks: bqp/bound_satisfied"}
+
+
+@pytest.mark.parametrize("cfg_seed, cli_seed", [
+    (-1, None), (2.5, None), (True, None), ("7", None), (2 ** 64 - 1, None),
+    (3, "-1")])
+def test_bad_seed_exit_code(tmp_path, capsys, cfg_seed, cli_seed):
+    argv = ["run", write_cfg(tmp_path, {**OU_CFG, "seed": cfg_seed}),
+            "--out", str(tmp_path / "o")]
+    if cli_seed is not None:
+        argv += ["--seed", cli_seed]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert error_record(capsys)["error"] == "config"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("cfg", [
+    {**OU_CFG, "initial_point": [1.0, 2.0, 3.0]},
+    {**OU_CFG, "system": {**OU_CFG["system"], "n_vars": 2}},
+    {**OSC_CFG, "initial_point": [1.0]},
+    {**OSC_CFG, "initial_point": ["x", 0.0]}])
+def test_initial_point_length_exit_code(tmp_path, capsys, cfg):
+    argv = ["run", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert "initial_point" in error_record(capsys)["detail"]
 
 
 def test_repo_example_configs_validate():

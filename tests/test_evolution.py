@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.linalg import expm
 
+from kolmsim import evolution
 from kolmsim.errors import NumericalError
 from kolmsim.evolution import (
     EvolutionConfig,
@@ -17,7 +18,6 @@ from kolmsim.evolution import (
     evolve_expm,
     evolve_reference,
     evolve_trotter,
-    krylov_expm_action,
     regularization_gap,
     smoothing_bound_audit,
     trotter_error_bound,
@@ -25,7 +25,12 @@ from kolmsim.evolution import (
 from kolmsim.multiindex import RegularizationScheme, enumerate_basis
 from kolmsim.operators import SparseOperator, SystemSpec
 from kolmsim.states import MonomialObservable, initial_state
-from kolmsim.systems import clock_system, oscillator_system, random_real_circuit
+from kolmsim.systems import (
+    clock_system,
+    nse_system,
+    oscillator_system,
+    random_real_circuit,
+)
 
 
 def basis_for(spec, K):
@@ -141,7 +146,9 @@ def test_reference_matches_expm(oscillator_setup):
     np.testing.assert_allclose(a.coefficients, b.coefficients, atol=1e-9)
 
 
-def test_krylov_action_matches_dense():
+def test_expm_multiply_action_matches_dense(monkeypatch):
+    # with the limit at 0 every exponential goes through expm_multiply
+    monkeypatch.setattr(evolution, "DENSE_EXP_LIMIT", 0)
     rng = np.random.default_rng(8)
     n = 300
     skew = sp.random(n, n, density=0.02, random_state=5)
@@ -150,8 +157,30 @@ def test_krylov_action_matches_dense():
     v = rng.normal(size=n)
     for t in (0.3, 2.0):
         dense = expm(t * mat.toarray()) @ v
-        kry = krylov_expm_action(mat, v, t)
-        np.testing.assert_allclose(kry, dense, atol=1e-8 * np.abs(dense).max() + 1e-12)
+        sparse = evolution._propagator(mat, t)(v)
+        np.testing.assert_allclose(sparse, dense, atol=1e-8 * np.abs(dense).max() + 1e-12)
+
+
+def test_trotter_sparse_path_matches_dense(oscillator_setup, monkeypatch):
+    _, _, ops, psi0 = oscillator_setup
+    dense = evolve_trotter(psi0, ops, 2.0, steps=16)
+    monkeypatch.setattr(evolution, "DENSE_EXP_LIMIT", 0)
+    sparse = evolve_trotter(psi0, ops, 2.0, steps=16)
+    np.testing.assert_allclose(sparse.coefficients, dense.coefficients,
+                               rtol=0, atol=1e-12)
+
+
+def test_expm_above_dense_limit_matches_reference():
+    # NSE-24 at K = 3 has 2,924 basis functions, above DENSE_EXP_LIMIT
+    spec = nse_system(24, 0.1, 1e-5)
+    basis = basis_for(spec, 3)
+    assert len(basis) > evolution.DENSE_EXP_LIMIT
+    ops = assemble_all(basis, spec)
+    psi0 = initial_state(MonomialObservable((1,) + (0,) * 23, spec.context), basis)
+    t = 0.25
+    ref = evolve_reference(psi0, ops, t, rtol=1e-12)
+    out = evolve_expm(psi0, ops, t)
+    np.testing.assert_allclose(out.coefficients, ref.coefficients, rtol=0, atol=1e-9)
 
 
 def test_evolution_config_validation():

@@ -81,7 +81,7 @@ def test_h_norm_degree_guard(ctx2):
 
 def test_orthonormality_by_quadrature(ctx2):
     basis = enumerate_basis(2, RegularizationScheme.by_max_order(4, ctx2.rates), ctx2.rates)
-    mats = [m.orders for m in basis]
+    mats = [tuple(m) for m in basis.orders.tolist()]
     for a in mats:
         for b in mats:
             val = gaussian_quadrature(
@@ -98,18 +98,18 @@ def test_eigen_relation_of_dissipation_operator():
     ctx = HermiteContext(rates=np.array([0.3, 0.8]), noise=0.4)
     basis = enumerate_basis(2, RegularizationScheme.by_max_order(3, ctx.rates), ctx.rates)
     h = 1e-3
-    for m in basis:
+    for m, weight in zip(basis.orders.tolist(), basis.weights):
         pts = rng.normal(scale=1.2, size=(5, 2))
         val = np.zeros(5)
         for i in range(2):
             ei = np.zeros(2)
             ei[i] = h
-            plus, minus = h_norm(m.orders, pts + ei, ctx), h_norm(m.orders, pts - ei, ctx)
-            center = h_norm(m.orders, pts, ctx)
+            plus, minus = h_norm(m, pts + ei, ctx), h_norm(m, pts - ei, ctx)
+            center = h_norm(m, pts, ctx)
             second = (plus - 2 * center + minus) / h**2
             first = (plus - minus) / (2 * h)
             val += -0.5 * ctx.noise * second + ctx.rates[i] * pts[:, i] * first
-        np.testing.assert_allclose(val, m.weight * h_norm(m.orders, pts, ctx),
+        np.testing.assert_allclose(val, weight * h_norm(m, pts, ctx),
                                    rtol=1e-5, atol=1e-8)
 
 
@@ -119,15 +119,15 @@ def test_lowering_recurrence_pointwise():
     ctx = HermiteContext(rates=np.array([0.2, 0.5]), noise=0.3)
     basis = enumerate_basis(2, RegularizationScheme.by_max_order(4, ctx.rates), ctx.rates)
     h = 1e-6
-    for m in basis:
+    for m in basis.orders.tolist():
         pts = rng.normal(size=(4, 2))
-        for i in m.support():
+        for i in np.flatnonzero(m):
             ei = np.zeros(2)
             ei[i] = h
-            fd = (h_norm(m.orders, pts + ei, ctx) - h_norm(m.orders, pts - ei, ctx)) / (2 * h)
-            lower = list(m.orders)
+            fd = (h_norm(m, pts + ei, ctx) - h_norm(m, pts - ei, ctx)) / (2 * h)
+            lower = list(m)
             lower[i] -= 1
-            expected = math.sqrt(2 * m.orders[i] * ctx.rates[i] / ctx.noise) \
+            expected = math.sqrt(2 * m[i] * ctx.rates[i] / ctx.noise) \
                 * h_norm(lower, pts, ctx)
             np.testing.assert_allclose(fd, expected, rtol=2e-6, atol=1e-9)
 
@@ -137,18 +137,18 @@ def test_raising_recurrence_pointwise():
     rng = np.random.default_rng(13)
     ctx = HermiteContext(rates=np.array([0.2, 0.5]), noise=0.3)
     basis = enumerate_basis(2, RegularizationScheme.by_max_order(3, ctx.rates), ctx.rates)
-    for m in basis:
+    for m in basis.orders.tolist():
         pts = rng.normal(size=(4, 2))
         for i in range(2):
             s = ctx.scalings[i]
-            left = pts[:, i] * h_norm(m.orders, pts, ctx)
-            upper = list(m.orders)
+            left = pts[:, i] * h_norm(m, pts, ctx)
+            upper = list(m)
             upper[i] += 1
-            right = math.sqrt(m.orders[i] + 1) / s * h_norm(upper, pts, ctx)
-            if m.orders[i] > 0:
-                lower = list(m.orders)
+            right = math.sqrt(m[i] + 1) / s * h_norm(upper, pts, ctx)
+            if m[i] > 0:
+                lower = list(m)
                 lower[i] -= 1
-                right = right + math.sqrt(m.orders[i]) / s * h_norm(lower, pts, ctx)
+                right = right + math.sqrt(m[i]) / s * h_norm(lower, pts, ctx)
             np.testing.assert_allclose(left, right, rtol=1e-12, atol=1e-12)
 
 

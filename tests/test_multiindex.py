@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from kolmsim.errors import BasisError, ResourceLimitError
 from kolmsim.multiindex import (
     BasisSet,
-    MultiIndex,
     RegularizationScheme,
     decode_multiset,
     encode_multiset,
@@ -39,13 +38,6 @@ def test_weight_examples():
 def test_weight_dimension_mismatch():
     with pytest.raises(BasisError):
         weight((1, 0), (1.0,))
-
-
-def test_multiindex_cached_fields():
-    m = MultiIndex.from_orders((2, 0, 1), (0.5, 1.0, 2.0))
-    assert m.order == 3
-    assert m.weight == pytest.approx(2 * 0.5 + 2.0)
-    assert m.support() == (0, 2)
 
 
 def test_order_rule_minimal_basis():
@@ -104,8 +96,6 @@ def test_lookup_is_exact_inverse():
     basis = enumerate_basis(4, RegularizationScheme.by_max_order(4, rates), rates)
     for i in range(len(basis)):
         assert basis.position(basis.orders[i]) == i
-    m = basis.entry(7)
-    assert basis.position(m.orders) == 7
 
 
 def weight_basis(n_vars, r):
@@ -238,19 +228,19 @@ def test_encode_overflow():
 def test_encode_roundtrip_exhaustive():
     rates = np.ones(5)
     basis = enumerate_basis(5, RegularizationScheme.by_max_order(3, rates), rates)
-    for m in basis:
-        bits = encode_multiset(m.orders, 5, 3)
-        assert decode_multiset(bits, 5, 3) == m.orders
+    for m in map(tuple, basis.orders.tolist()):
+        bits = encode_multiset(m, 5, 3)
+        assert decode_multiset(bits, 5, 3) == m
 
 
 def test_encoding_injective():
     rates = np.ones(7)
     basis = enumerate_basis(7, RegularizationScheme.by_max_order(4, rates), rates)
     seen = {}
-    for m in basis:
-        bits = encode_multiset(m.orders, 7, 4)
-        assert bits not in seen, f"collision between {m.orders} and {seen[bits]}"
-        seen[bits] = m.orders
+    for m in map(tuple, basis.orders.tolist()):
+        bits = encode_multiset(m, 7, 4)
+        assert bits not in seen, f"collision between {m} and {seen[bits]}"
+        seen[bits] = m
 
 
 def test_decode_rejects_non_canonical():
