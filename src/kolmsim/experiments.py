@@ -133,6 +133,15 @@ def _checked_seed(seed) -> int:
     return int(seed)
 
 
+def _number(block: dict, key: str, default, where: str) -> float:
+    """`block[key]` (or `default`) as a float; ConfigError if it is not a number."""
+    value = block.get(key, default)
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}.{key} must be a number, got {value!r}") from exc
+
+
 def _initial_point(cfg: dict, n_vars: int, default) -> np.ndarray:
     try:
         x0 = np.asarray(cfg.get("initial_point", default), dtype=float)
@@ -398,8 +407,8 @@ def _evolve_curve(cfg_evolution: dict, psi0, ops, times):
 
 def run_oscillator(cfg: dict, out_dir: str, seed: int, threads: int) -> dict:
     system_cfg = cfg["system"]
-    lam = float(system_cfg.get("lam", 0.1))
-    q = float(system_cfg.get("q", 0.02))
+    lam = _number(system_cfg, "lam", 0.1, "system")
+    q = _number(system_cfg, "q", 0.02, "system")
     spec = oscillator_system(lam, q, profile=system_cfg.get("profile", "cubic"))
     ctx = spec.context
     x0 = _initial_point(cfg, 2, [1.0, 0.0])
@@ -448,13 +457,13 @@ def run_oscillator(cfg: dict, out_dir: str, seed: int, threads: int) -> dict:
 def run_nse_taylor_green(cfg: dict, out_dir: str, seed: int, threads: int) -> dict:
     system_cfg = cfg["system"]
     n_modes = int(system_cfg.get("modes", 40))
-    nu = float(system_cfg.get("nu", 0.1))
-    q = float(system_cfg.get("q", 1e-5))
+    nu = _number(system_cfg, "nu", 0.1, "system")
+    q = _number(system_cfg, "q", 1e-5, "system")
     spec = nse_system(n_modes, nu, q)
     ctx = spec.context
     table = spec.nonlinear.table
     order = int(cfg["basis"]["order"])
-    t_final = float(cfg.get("time", 0.25))
+    t_final = _number(cfg, "time", 0.25, "config")
     probe_cfg = cfg.get("probe", {})
     count = int(probe_cfg.get("count", 10))
     xi2 = float(probe_cfg.get("xi2", 0.25))
@@ -501,16 +510,21 @@ def run_nse_taylor_green(cfg: dict, out_dir: str, seed: int, threads: int) -> di
 def run_bqp_circuit(cfg: dict, out_dir: str, seed: int, threads: int) -> dict:
     circuits_cfg = cfg["circuits"]
     system_cfg = cfg.get("system", {})
-    lam = float(system_cfg.get("lam", 0.1))
-    q = float(system_cfg.get("q", 0.1))
-    t = float(cfg.get("time", 1.0))
+    lam = _number(system_cfg, "lam", 0.1, "system")
+    q = _number(system_cfg, "q", 0.1, "system")
+    t = _number(cfg, "time", 1.0, "config")
     rng = np.random.default_rng(seed)
 
     jobs = []
     if "file" in circuits_cfg:
-        with open(circuits_cfg["file"]) as fh:
-            circuit = parse_circuit(fh)
-        jobs.append((circuit, int(circuits_cfg["qubits"])))
+        path = circuits_cfg["file"]
+        n_qubits = int(_require(circuits_cfg, "qubits", "circuits"))
+        try:
+            with open(path) as fh:
+                circuit = parse_circuit(fh)
+        except OSError as exc:
+            raise ConfigError(f"circuits.file: cannot read {path!r}: {exc}") from exc
+        jobs.append((circuit, n_qubits))
     else:
         for _ in range(int(circuits_cfg.get("count", 20))):
             n = int(rng.integers(1, int(circuits_cfg.get("qubits", 2)) + 1))
@@ -561,8 +575,8 @@ def run_bqp_circuit(cfg: dict, out_dir: str, seed: int, threads: int) -> dict:
 
 def run_ou_sanity(cfg: dict, out_dir: str, seed: int, threads: int) -> dict:
     system_cfg = cfg["system"]
-    lam = float(system_cfg.get("lam", 0.5))
-    q = float(system_cfg.get("q", 0.2))
+    lam = _number(system_cfg, "lam", 0.5, "system")
+    q = _number(system_cfg, "q", 0.2, "system")
     n_vars = int(system_cfg.get("n_vars", 1))
     spec = SystemSpec(name="ou", rates=np.full(n_vars, lam), noise=q)
     ctx = spec.context

@@ -5,6 +5,21 @@ index), so estimates are bit-identical on one platform regardless of how
 samples are chunked across worker threads.  Trajectories that leave the
 guard radius are frozen and counted; more than 0.1% of them fails the run,
 since a dissipative, divergence-free system should never blow up.
+
+A chunk steps a struct-of-arrays state: `xs` has shape (N, count), so
+each variable is one contiguous row.  Drifts read the (count, N) view
+`xs.T` and return their values through `SystemSpec.drift_value(x, out)`,
+which fills `out` in place (each drift's `value(x, out=None)` writes its
+components with ufunc `out=` arguments), so a step allocates nothing.  Noise is
+time-major, (TIME_BLOCK, N, count): the row read at each step is
+contiguous.  It is filled tile by tile, each sample's normals drawn from
+its own Philox stream into a small (tile, TIME_BLOCK, N) staging buffer
+and copied across, already scaled by sqrt(q dt).
+
+CHUNK_SIZE is part of the reproducibility contract, because chunk
+partial sums are reduced in chunk order.  TIME_BLOCK is not: a Philox
+stream read in blocks yields the same normals as one long draw, and the
+per-step arithmetic does not depend on where a block ends.
 """
 
 from __future__ import annotations
@@ -19,6 +34,7 @@ from .errors import NumericalError
 
 CHUNK_SIZE = 8192       # fixed: part of the bit-reproducibility contract
 TIME_BLOCK = 1000       # noise generation granularity (memory/speed tradeoff)
+NOISE_TILE = 256        # samples staged per copy into the time-major noise buffer
 BLOWUP_THRESHOLD = 1e6
 BLOWUP_FRACTION = 1e-3
 
@@ -46,19 +62,37 @@ def _sample_rng(seed: int, sample: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(int(seed) << 64) + sample))
 
 
+def _fill_noise(noise, staging, rngs, scale):
+    """noise[b, v, r] = scale * the (b, v) normal of stream r, one tile at a time.
+
+    `noise` is (block, N, count) and `staging` is (tile, block, N); each
+    stream continues where its previous block stopped.
+    """
+    tile = staging.shape[0]
+    for lo in range(0, len(rngs), tile):
+        rows = rngs[lo:lo + tile]
+        for row, rng in enumerate(rows):
+            rng.standard_normal(out=staging[row])
+        np.multiply(staging[:len(rows)].transpose(1, 2, 0), scale,
+                    out=noise[:, :, lo:lo + len(rows)])
+
+
 def _march_chunk(spec, x0, observable, grid_steps, n_steps, dt, seed,
                  start, count, initial_noise):
     n_vars = spec.n_vars
-    rates = spec.rates
     sqrt_qdt = math.sqrt(spec.noise * dt)
-    init_std = np.sqrt(spec.noise / (2.0 * rates))
-    decay = 1.0 - dt * rates  # Euler step of the pure dissipation part
+    init_std = np.sqrt(spec.noise / (2.0 * spec.rates))
+    decay = (1.0 - dt * spec.rates)[:, None]  # Euler step of the pure dissipation part
 
     rngs = [_sample_rng(seed, s) for s in range(start, start + count)]
-    x = np.tile(np.asarray(x0, dtype=float), (count, 1))
+    xs = np.tile(np.asarray(x0, dtype=float)[:, None], (1, count))
     if initial_noise:
+        draws = np.empty((count, n_vars))
         for row, rng in enumerate(rngs):
-            x[row] += rng.standard_normal(n_vars) * init_std
+            rng.standard_normal(out=draws[row])
+        xs += (draws * init_std).T
+    cs = np.empty((n_vars, count))
+    x, c = xs.T, cs.T  # the (count, N) views drifts and observables read
     alive = np.ones(count, dtype=bool)
 
     grid_lookup = {step: k for k, step in enumerate(grid_steps)}
@@ -68,10 +102,10 @@ def _march_chunk(spec, x0, observable, grid_steps, n_steps, dt, seed,
 
     def sweep_escaped():
         # nan-safe: comparisons with nan are False, so ~(... <= thr) catches it
-        escaped = alive & ~(np.abs(x).max(axis=1) <= BLOWUP_THRESHOLD)
+        escaped = alive & ~(np.abs(xs).max(axis=0) <= BLOWUP_THRESHOLD)
         if escaped.any():
             alive[escaped] = False
-            x[escaped] = 0.0  # frozen; excluded from every later average
+            xs[:, escaped] = 0.0  # frozen; excluded from every later average
 
     def record(k):
         sweep_escaped()
@@ -84,20 +118,20 @@ def _march_chunk(spec, x0, observable, grid_steps, n_steps, dt, seed,
         record(grid_lookup[0])
 
     step = 0
-    noise = np.empty((count, TIME_BLOCK, n_vars))
+    noise = np.empty((TIME_BLOCK, n_vars, count))
+    staging = np.empty((min(NOISE_TILE, count), TIME_BLOCK, n_vars))
     # escaping samples may overflow between guard sweeps; they are frozen
     # before any recording, so estimates never see them
     with np.errstate(over="ignore", invalid="ignore"):
         while step < n_steps:
             block = min(TIME_BLOCK, n_steps - step)
-            for row, rng in enumerate(rngs):
-                noise[row, :block] = rng.standard_normal((block, n_vars))
+            _fill_noise(noise[:block], staging[:, :block], rngs, sqrt_qdt)
             for b in range(block):
-                c = spec.drift_value(x)
-                x *= decay
-                c *= dt
-                x += c
-                x += sqrt_qdt * noise[:, b]
+                spec.drift_value(x, c)
+                xs *= decay
+                cs *= dt
+                xs += cs
+                xs += noise[b]
                 step += 1
                 if step % 64 == 0:
                     sweep_escaped()

@@ -95,15 +95,22 @@ class SystemSpec:
             s = max(s, self.nonlinear.sparsity)
         return s
 
-    def drift_value(self, x) -> np.ndarray:
-        """Total drift b_i(x) = linear + nonlinear part, for the SDE oracle."""
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape)
-        if self.linear is not None:
-            flat = x.reshape(-1, x.shape[-1])
-            out += (self.linear @ flat.T).T.reshape(x.shape)
+    def drift_value(self, x, out) -> np.ndarray:
+        """Write the total drift b(x) = linear + nonlinear part into `out`.
+
+        `x` and `out` are (count, N) float arrays that do not overlap; the
+        SDE oracle passes transposed views of its (N, count) state, so
+        every column x[:, i] is a contiguous row.
+        """
+        if self.linear is None:
+            if self.nonlinear is None:
+                out.fill(0.0)
+            else:
+                self.nonlinear.value(x, out=out)
+            return out
+        np.copyto(out, (self.linear @ x.T).T)
         if self.nonlinear is not None:
-            out = out + self.nonlinear.value(x)
+            out += self.nonlinear.value(x)
         return out
 
 
@@ -165,9 +172,10 @@ class CoefficientTableDrift:
             total += term
         return total
 
-    def value(self, x):
+    def value(self, x, out=None):
         x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape)
+        out = np.empty(x.shape) if out is None else out
+        out.fill(0.0)
         for i in self.supports:
             out[..., i] = self._factor_values(i, x)
         return out
@@ -264,9 +272,10 @@ class QuadratureDrift:
         self.n_nodes = n_nodes
         self.sparsity = max((len(s) for s in self.supports.values()), default=0)
 
-    def value(self, x):
+    def value(self, x, out=None):
         x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape)
+        out = np.empty(x.shape) if out is None else out
+        out.fill(0.0)
         for i, f in self.funcs.items():
             out[..., i] = f(x)
         return out

@@ -103,17 +103,16 @@ def _monomial_terms(u0: MonomialObservable):
 
 def initial_state(u0: MonomialObservable, basis: BasisSet) -> KEState:
     """Coefficient vector of the centered observable u0 - mean(u0)."""
-    terms = _monomial_terms(u0)
+    # the degree-0 term is the mean, re-added at readout on request
+    terms = {orders: value for orders, value in _monomial_terms(u0).items() if sum(orders)}
+    pos = basis.positions(np.array(list(terms), dtype=np.int64).reshape(-1, basis.n_vars))
+    if np.any(pos < 0):
+        orders = list(terms)[int(np.argmax(pos < 0))]
+        raise BasisError(
+            f"observable needs index {orders} outside the basis "
+            f"(degree {sum(orders)} > K = {basis.max_degree}?)")
     coeffs = np.zeros(len(basis))
-    for orders, value in terms.items():
-        if sum(orders) == 0:
-            continue  # the mean; re-added at readout on request
-        pos = basis.get(orders)
-        if pos < 0:
-            raise BasisError(
-                f"observable needs index {orders} outside the basis "
-                f"(degree {sum(orders)} > K = {basis.max_degree}?)")
-        coeffs[pos] = value
+    coeffs[pos] = list(terms.values())
     return KEState(coeffs, basis, 0.0)
 
 
@@ -139,17 +138,17 @@ def readout_candidates(x, basis: BasisSet, truncation: int, ctx: HermiteContext)
     x = np.asarray(x, dtype=float)
     support = _support(x)
     amps = {i: x[i] * ctx.scalings[i] for i in support}
-    for orders in itertools.product(range(truncation + 1), repeat=len(support)):
-        if sum(orders) == 0:
-            continue
-        full = np.zeros(basis.n_vars, dtype=np.int32)
-        coeff = 1.0
-        for i, p in zip(support, orders):
-            full[i] = p
-            coeff *= amps[i] ** p / math.sqrt(math.factorial(p))
-        pos = basis.get(full)
+    candidates = [orders for orders in
+                  itertools.product(range(truncation + 1), repeat=len(support))
+                  if sum(orders)]
+    rows = np.zeros((len(candidates), basis.n_vars), dtype=np.int64)
+    rows[:, support] = candidates
+    for orders, pos in zip(candidates, basis.positions(rows)):
         if pos >= 0:
-            yield pos, coeff
+            coeff = 1.0
+            for i, p in zip(support, orders):
+                coeff *= amps[i] ** p / math.sqrt(math.factorial(p))
+            yield int(pos), coeff
 
 
 def readout_state(x, basis: BasisSet, truncation: int,

@@ -46,13 +46,24 @@ class OscillatorLadderDrift:
         self.strength = math.inf  # sup r*(1+r^2) diverges
         self.sparsity = 2
 
-    def _omega(self, x):
-        return 1.0 + x[..., 0] ** 2 + x[..., 1] ** 2
+    def value(self, x, out=None):
+        """c(x) = (x2 w, -x1 w) with w = 1 + x1^2 + x2^2, written into `out`.
 
-    def value(self, x):
+        The output components double as scratch, so a call with `out`
+        allocates nothing; `out` must not overlap `x`.
+        """
         x = np.asarray(x, dtype=float)
-        w = self._omega(x)
-        return np.stack([x[..., 1] * w, -x[..., 0] * w], axis=-1)
+        out = np.empty(x.shape) if out is None else out
+        x1, x2 = x[..., 0], x[..., 1]
+        c1, c2 = out[..., 0], out[..., 1]
+        np.square(x1, out=c1)
+        c1 += 1.0
+        np.square(x2, out=c2)
+        c1 += c2  # w
+        np.multiply(x1, c1, out=c2)
+        np.negative(c2, out=c2)
+        np.multiply(x2, c1, out=c1)
+        return out
 
     def divergence(self, x):
         x = np.asarray(x, dtype=float)
@@ -230,13 +241,17 @@ class SpectralAdvectionDrift:
         return max((len(np.union1d(i_idx, j_idx)) for i_idx, j_idx, _ in self._by_k.values()),
                    default=0)
 
-    def value(self, x):
+    def value(self, x, out=None):
         """c_k(x) = -sum b(e_i, e_j, e_k) x_i x_j over the interacting triples."""
         x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape)
+        out = np.empty(x.shape) if out is None else out
+        out.fill(0.0)
+        term = np.empty(x.shape[:-1])
         for k_idx, i_idx, j_idx, geo in self.triples:
             coeff = -0.5 * math.sqrt(2.0 * self.lam_raw[j_idx]) * geo
-            out[..., k_idx] += coeff * x[..., i_idx] * x[..., j_idx]
+            np.multiply(x[..., i_idx], coeff, out=term)
+            term *= x[..., j_idx]
+            out[..., k_idx] += term
         return out
 
     def divergence(self, x):
@@ -296,57 +311,6 @@ def nse_system(n_modes: int = 40, nu: float = 0.1, q: float = 1e-5) -> SystemSpe
     spec = SystemSpec(name=f"nse[N={n_modes},nu={nu}]", rates=drift.rates,
                       noise=q, nonlinear=drift, strength=math.inf)
     return spec
-
-
-def nse_entry_oracle(drift: SpectralAdvectionDrift, m, n, q: float) -> float:
-    """Independent re-implementation of one advection matrix element.
-
-    Brute-force loops over all (k, i, j) with the delta conditions checked
-    directly on wavevectors; used only as a test oracle against the
-    grouped assembly.
-    """
-    table = drift.table
-    lam = drift.lam_raw
-    q_eff = q / drift.nu
-    m = np.asarray(m, dtype=int)
-    n = np.asarray(n, dtype=int)
-    total = 0.0
-    n_modes = len(table)
-    for k_idx in range(n_modes):
-        if n[k_idx] == 0:
-            continue
-        for i_idx in range(n_modes):
-            if i_idx == k_idx:
-                continue
-            for j_idx in range(n_modes):
-                if j_idx in (k_idx, i_idx):
-                    continue
-                kvec, ivec, jvec = table[k_idx], table[i_idx], table[j_idx]
-                delta = 0.0
-                if np.array_equal(kvec, ivec + jvec):
-                    delta += 1.0
-                if np.array_equal(kvec, ivec - jvec):
-                    delta += 1.0
-                if np.array_equal(kvec, jvec - ivec):
-                    delta -= 1.0
-                if delta == 0.0:
-                    continue
-                geom = float(_perp(ivec) @ jvec) * float(jvec @ kvec)
-                geom /= (math.sqrt(float(ivec @ ivec)) * math.sqrt(float(kvec @ kvec))
-                         * float(jvec @ jvec))
-                base = -0.5 * math.sqrt(n[k_idx] * q_eff * lam[k_idx] / lam[i_idx]) \
-                    * geom * delta
-                for (di, dj), ladder in (
-                        ((1, 1), math.sqrt((1 + n[i_idx]) * (1 + n[j_idx]))),
-                        ((1, -1), math.sqrt((1 + n[i_idx]) * n[j_idx])),
-                        ((-1, 1), math.sqrt(n[i_idx] * (1 + n[j_idx])))):
-                    target = n.copy()
-                    target[k_idx] -= 1
-                    target[i_idx] += di
-                    target[j_idx] += dj
-                    if np.all(target >= 0) and np.array_equal(target, m):
-                        total += base * ladder
-    return total
 
 
 def taylor_green(t, x, y, nu: float):

@@ -214,6 +214,21 @@ def test_initial_point_length_exit_code(tmp_path, capsys, cfg):
     assert "initial_point" in error_record(capsys)["detail"]
 
 
+@pytest.mark.parametrize("cfg, detail", [
+    ({**BQP_CFG, "circuits": {"file": "no_such_circuit.txt", "qubits": 1}}, "circuits.file"),
+    ({**BQP_CFG, "circuits": {"file": "no_such_circuit.txt"}}, "qubits"),
+    ({**OU_CFG, "system": {**OU_CFG["system"], "lam": "x"}}, "system.lam"),
+    ({**OSC_CFG, "system": {**OSC_CFG["system"], "lam": "x"}}, "system.lam"),
+    ({**OSC_CFG, "system": {**OSC_CFG["system"], "q": None}}, "system.q"),
+    ({**BQP_CFG, "time": [1.0]}, "config.time")])
+def test_malformed_value_exit_code(tmp_path, capsys, cfg, detail):
+    argv = ["run", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    record = error_record(capsys)
+    assert record["error"] == "config"
+    assert detail in record["detail"]
+
+
 def test_repo_example_configs_validate():
     root = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
     names = os.listdir(root)

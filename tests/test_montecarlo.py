@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from kolmsim.errors import NumericalError
-from kolmsim.montecarlo import compare, simulate
+from kolmsim.montecarlo import CHUNK_SIZE, compare, simulate
 from kolmsim.operators import SystemSpec
 from kolmsim.states import MonomialObservable
+from kolmsim.systems import oscillator_system
 
 
 def ou_spec(lam=0.5, q=0.2, n_vars=1):
@@ -66,6 +67,55 @@ def test_seeded_determinism_and_thread_independence():
     assert np.array_equal(a.mean, c.mean) and np.array_equal(a.se, c.se)
 
 
+def test_multi_chunk_estimates_independent_of_threads():
+    # two chunks, so two threads really split the work
+    spec = oscillator_system(0.1, 0.02)
+    u0 = MonomialObservable((2, 1), spec.context)
+    times = np.array([0.0, 0.1, 0.3])
+    runs = [simulate(spec, np.array([1.0, 0.5]), u0, times, CHUNK_SIZE + 500, 0.01,
+                     seed=99, n_threads=threads) for threads in (1, 2)]
+    assert np.array_equal(runs[0].mean, runs[1].mean)
+    assert np.array_equal(runs[0].se, runs[1].se)
+    # pinned: a change in how streams map to samples or chunks moves these
+    assert [m.hex() for m in runs[0].mean] == [
+        "0x1.15aa261d8a5c0p-1", "0x1.c73e28ba23233p-3", "-0x1.b43afbd4d8c51p-2"]
+
+
+def test_oscillator_kernel_matches_allocating_drift():
+    # the in-place kernel against the formula it replaced, evaluated with
+    # fresh arrays and copied out, through the same stepping loop
+    class AllocatingDrift:
+        def value(self, x, out=None):
+            w = 1.0 + x[..., 0] ** 2 + x[..., 1] ** 2
+            c = np.stack([x[..., 1] * w, -x[..., 0] * w], axis=-1)
+            if out is None:
+                return c
+            out[...] = c
+            return out
+
+    spec = oscillator_system(0.1, 0.02)
+    wrapped = SystemSpec(name="wrapped", rates=spec.rates, noise=spec.noise,
+                         nonlinear=AllocatingDrift(), strength=spec.strength)
+    u0 = MonomialObservable((1, 1), spec.context)
+    times = np.array([0.0, 0.5, 1.5])
+    a, b = (simulate(s, np.array([1.0, -0.5]), u0, times, 700, 0.005, seed=5)
+            for s in (spec, wrapped))
+    assert np.array_equal(a.mean, b.mean) and np.array_equal(a.se, b.se)
+
+
+def test_cubic_oscillator_pinned_values():
+    # pinned mean and SE: any change in stream consumption or step
+    # arithmetic moves them
+    spec = oscillator_system(0.1, 0.02)
+    u0 = MonomialObservable((1, 0), spec.context)
+    run = simulate(spec, np.array([1.0, 0.0]), u0, np.array([0.0, 0.5, 2.0]),
+                   400, 0.01, seed=2024)
+    assert [m.hex() for m in run.mean] == [
+        "0x1.001c50262571fp+0", "0x1.53150c923034ap-2", "-0x1.c0136cb7daecdp-4"]
+    assert [s.hex() for s in run.se] == [
+        "0x1.0e03933405166p-6", "0x1.51d1fff60c0cep-6", "0x1.2ccc0bedcff7dp-5"]
+
+
 def test_different_seeds_differ():
     spec = ou_spec()
     times = np.array([1.0])
@@ -111,8 +161,8 @@ def test_blowup_guard_fails_unstable_run():
         sparsity = 1
         strength = math.inf
 
-        def value(self, x):
-            return x ** 3
+        def value(self, x, out=None):
+            return np.power(x, 3, out=out)
 
         def divergence(self, x):
             return 3.0 * np.sum(np.asarray(x) ** 2, axis=-1)

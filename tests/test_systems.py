@@ -16,7 +16,6 @@ from kolmsim.systems import (
     clock_drift,
     clock_system,
     embed_gate,
-    nse_entry_oracle,
     nse_system,
     oscillator_system,
     parse_circuit,
@@ -137,6 +136,57 @@ def test_nse_degree_jumps_are_one():
     C = assemble_nonlinear_drift(basis, spec).matrix
     rows, cols = C.nonzero()
     assert set(np.abs(basis.degrees[rows] - basis.degrees[cols])) == {1}
+
+
+def nse_entry_oracle(drift, m, n, q: float) -> float:
+    """Independent re-implementation of one advection matrix element.
+
+    Brute-force loops over all (k, i, j) with the delta conditions checked
+    directly on wavevectors; it shares no code with the grouped assembly
+    it checks.
+    """
+    table = drift.table
+    lam = drift.lam_raw
+    q_eff = q / drift.nu
+    m = np.asarray(m, dtype=int)
+    n = np.asarray(n, dtype=int)
+    total = 0.0
+    n_modes = len(table)
+    for k_idx in range(n_modes):
+        if n[k_idx] == 0:
+            continue
+        for i_idx in range(n_modes):
+            if i_idx == k_idx:
+                continue
+            for j_idx in range(n_modes):
+                if j_idx in (k_idx, i_idx):
+                    continue
+                kvec, ivec, jvec = table[k_idx], table[i_idx], table[j_idx]
+                delta = 0.0
+                if np.array_equal(kvec, ivec + jvec):
+                    delta += 1.0
+                if np.array_equal(kvec, ivec - jvec):
+                    delta += 1.0
+                if np.array_equal(kvec, jvec - ivec):
+                    delta -= 1.0
+                if delta == 0.0:
+                    continue
+                geom = float(ivec[1] * jvec[0] - ivec[0] * jvec[1]) * float(jvec @ kvec)
+                geom /= (math.sqrt(float(ivec @ ivec)) * math.sqrt(float(kvec @ kvec))
+                         * float(jvec @ jvec))
+                base = -0.5 * math.sqrt(n[k_idx] * q_eff * lam[k_idx] / lam[i_idx]) \
+                    * geom * delta
+                for (di, dj), ladder in (
+                        ((1, 1), math.sqrt((1 + n[i_idx]) * (1 + n[j_idx]))),
+                        ((1, -1), math.sqrt((1 + n[i_idx]) * n[j_idx])),
+                        ((-1, 1), math.sqrt(n[i_idx] * (1 + n[j_idx])))):
+                    target = n.copy()
+                    target[k_idx] -= 1
+                    target[i_idx] += di
+                    target[j_idx] += dj
+                    if np.all(target >= 0) and np.array_equal(target, m):
+                        total += base * ladder
+    return total
 
 
 def test_nse_entries_match_independent_oracle():
