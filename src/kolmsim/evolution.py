@@ -80,19 +80,6 @@ def assemble_all(basis: BasisSet, spec) -> KEOperators:
                        assemble_nonlinear_drift(basis, spec))
 
 
-@dataclass(frozen=True)
-class EvolutionConfig:
-    method: str = "reference"  # "reference" | "trotter" | "expm"
-    steps: int = 64  # Trotter steps
-    rtol: float = 1e-9
-
-    def __post_init__(self):
-        if self.method not in ("reference", "trotter", "expm"):
-            raise NumericalError(f"unknown evolution method {self.method!r}")
-        if self.steps < 1:
-            raise NumericalError("Trotter step count must be >= 1")
-
-
 def evolve_reference(state: KEState, ops: KEOperators, t: float,
                      t_eval=None, rtol: float = 1e-9):
     """Adaptive RK 5(4) integration; local error controlled to `rtol`.

@@ -1,6 +1,6 @@
 """Config-driven experiments: system building, runs, and the audit bundle.
 
-Each experiment consumes a validated configuration dictionary and writes
+Each experiment consumes the config `validate_config` normalised and writes
 the same artifact set: galerkin_curve.csv, mc_curve.csv, comparison.csv,
 audit.json, and manifest.json (column meanings vary per experiment and
 are documented in the README).  Audits aggregate every bound check that
@@ -15,14 +15,15 @@ import math
 import os
 import sys
 import tempfile
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import __version__
-from .errors import ConfigError, KolmsimError
+from .errors import ConfigError, DriftError
 from .evolution import (
-    EvolutionConfig,
     assemble_all,
     check_norm_monotone,
     evolve_expm,
@@ -32,7 +33,7 @@ from .evolution import (
     smoothing_bound_audit,
     trotter_error_bound,
 )
-from .montecarlo import compare, simulate
+from .montecarlo import MIN_SAMPLES, compare, simulate
 from .multiindex import RegularizationScheme, enumerate_basis
 from .operators import (
     SystemSpec,
@@ -49,6 +50,7 @@ from .states import (
 )
 from .systems import (
     circuit_amplitude,
+    clock_drift,
     clock_system,
     nse_system,
     oscillator_system,
@@ -59,107 +61,160 @@ from .systems import (
     taylor_green_mode_coefficients,
 )
 
-EXPERIMENTS = ("oscillator", "nse_taylor_green", "bqp_circuit", "ou_sanity", "audits")
-# Philox keys are 128 bits, (seed << 64) + sample, and ou_sanity also uses seed + 1
-_SEED_LIMIT = 2 ** 64 - 1
-
 
 # ---------------------------------------------------------------- config schema
 
-
-def _require(cfg: dict, key: str, where: str):
-    if key not in cfg:
-        raise ConfigError(f"{where}: missing required key {key!r}")
-    return cfg[key]
+REQUIRED = object()  # default of a key that must be given
+OPTIONAL = object()  # default of a key that is left out when not given
 
 
-def _check_keys(cfg: dict, allowed: set, where: str):
-    unknown = set(cfg) - allowed
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+class Key(NamedTuple):
+    """One config entry: its type, its range and its default.
+
+    `kind` is int, float, str, a tuple of allowed strings, `[item]` (a list
+    of `item` entries, at least one or exactly `length`), or a table: a dict
+    from each key of a JSON object to its Key. With `pick`, `kind` maps
+    names to tables and `pick(block)` names the one that applies. A default
+    of None stands for a value derived at run time, so it also admits null.
+    """
+
+    kind: object
+    default: object = REQUIRED
+    low: float = -math.inf  # numbers lie in [low, high), or in (low, high) if open_low
+    open_low: bool = False
+    high: float = math.inf
+    length: int = 0
+    pick: object = None
+
+
+def _normalise(key: Key, value, where: str):
+    """`value` checked against `key` and coerced, with every default filled in."""
+    kind = key.kind
+    if value is None and key.default is None:
+        return None  # derived at run time
+    if isinstance(kind, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{where} must be a JSON object, got {value!r}")
+        if key.pick:
+            name = key.pick(value)
+            if not isinstance(name, str) or name not in kind:
+                raise ConfigError(f"{where}: {name!r} is not one of {sorted(kind)}")
+            kind = kind[name]
+        if unknown := set(value) - set(kind):
+            raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+        out = {}
+        for name, sub in kind.items():
+            given = value.get(name, sub.default)
+            if given is REQUIRED:
+                raise ConfigError(f"{where}: missing required key {name!r}")
+            if given is not OPTIONAL:
+                out[name] = _normalise(sub, given, f"{where}.{name}")
+        return out
+    if isinstance(kind, list):
+        if not isinstance(value, list) or not value or len(value) != (key.length or len(value)):
+            raise ConfigError(f"{where} must be a list of {key.length or 'one or more'} entries, "
+                              f"got {value!r}")
+        return [_normalise(kind[0], v, f"{where}[{i}]") for i, v in enumerate(value)]
+    if kind is str or isinstance(kind, tuple):
+        if not isinstance(value, str) or (kind is not str and value not in kind):
+            raise ConfigError(f"{where} must be {list(kind) if kind is not str else 'a string'}"
+                              f", got {value!r}")
+        return value
+    types = (int, np.integer) if kind is int else (int, float, np.integer, np.floating)
+    if not isinstance(value, types) or isinstance(value, bool) \
+            or not (kind is int or math.isfinite(value)) \
+            or not key.low <= value < key.high or (key.open_low and value == key.low):
+        raise ConfigError(f"{where} must be {'an integer' if kind is int else 'a number'} in "
+                          f"{'(' if key.open_low else '['}{key.low}, {key.high}), "
+                          f"got {value!r}")
+    return kind(value)
+
+
+_positive = partial(Key, float, low=0.0, open_low=True)
+_nonnegative = partial(Key, float, low=0.0)
+_count = partial(Key, int, low=1)
+
+# Philox keys are 128 bits, (seed << 64) + sample, and ou_sanity also uses seed + 1
+_SEED = Key(int, 0, low=0, high=2 ** 64 - 1)
+_OSCILLATOR = {"lam": _positive(0.1), "q": _positive(0.02)}
+_NSE = {"modes": _count(40), "nu": _positive(0.1), "q": _positive(1e-5)}
+_OU = {"lam": _positive(0.5), "q": _positive(0.2), "n_vars": _count(1)}
+_CLOCK_RATES = {"lam": _positive(0.1), "q": _positive(0.1)}
+_TIMES = Key({"t_max": _positive(), "n_points": _count(low=2)})
+_MC = Key({"samples": _count(low=MIN_SAMPLES), "dt": _positive()})
+_AUDIT_OPTIONS = {
+    # null r_values: 2, 4 and 8 times the first rate; null r_reference: 2 max(r_values)
+    "regularization": Key({"r_values": Key([_positive()], None),
+                           "r_reference": _positive(None), "t": _nonnegative(5.0)}, {}),
+    "smoothing_times": Key([_positive()], [0.1, 0.5, 1.0, 5.0]),
+    "trotter": Key({"t": _nonnegative(1.0), "steps": _count(32)}, {}),
+}
+AUDIT_DEFAULTS = _normalise(Key(_AUDIT_OPTIONS), {}, "config")
+# the system kinds of an `audits` config; each block accepts only its own keys
+SYSTEM_KINDS = {"oscillator": _OSCILLATOR, "nse": _NSE, "ou": _OU,
+                "bounded_oscillator": {**_OSCILLATOR, "q": _positive(0.1)},
+                "clock": {"qubits": _count(2), "gates": _count(3), **_CLOCK_RATES}}
+EXPERIMENTS = {
+    "oscillator": {
+        "system": Key({**_OSCILLATOR, "profile": Key(("cubic", "bounded"), "cubic")}),
+        "initial_point": Key([Key(float)], [1.0, 0.0], length=2),
+        "observable": Key([_count(low=0)], [1, 0], length=2),
+        "basis": Key({"orders": Key([_count()])}),
+        "evolution": Key({"method": Key(("reference", "trotter", "expm"), "reference"),
+                          "steps": _count(64)}, {}),
+        "times": _TIMES, "mc": _MC,
+    },
+    "nse_taylor_green": {
+        # the Taylor-Green modes (1, 1) and (1, -1) are the 3rd and 4th
+        "system": Key({**_NSE, "modes": _count(40, low=4)}),
+        "basis": Key({"order": _count()}),
+        "probe": Key({"count": _count(10), "xi2": Key(float, 0.25),
+                      "xi1_range": Key([Key(float)], [0.05, 0.95], length=2)}, {}),
+        "time": _nonnegative(0.25),
+    },
+    "bqp_circuit": {
+        "circuits": Key({"file": {"file": Key(str), "qubits": _count()},
+                         "random": {"count": _count(20), "qubits": _count(2),
+                                    "gates": _count(4), "max_arity": _count(2)}},
+                        pick=lambda block: "file" if "file" in block else "random"),
+        "system": Key(_CLOCK_RATES, {}),
+        "time": _nonnegative(1.0),
+    },
+    "ou_sanity": {
+        "system": Key(_OU),
+        "initial_point": Key([Key(float)], None),  # null: x1 = 1, the others 0
+        "times": _TIMES, "mc": _MC,
+    },
+    "audits": {
+        "system": Key({kind: {"kind": Key(str), **keys} for kind, keys in SYSTEM_KINDS.items()},
+                      pick=lambda block: block.get("kind")),
+        "basis": Key({"order": _count()}),
+        **_AUDIT_OPTIONS,
+    },
+}
+_CONFIG = Key({name: {"experiment": Key(str), "seed": _SEED, "comment": Key(str, OPTIONAL),
+                      **keys} for name, keys in EXPERIMENTS.items()},
+              pick=lambda cfg: cfg.get("experiment"))
 
 
 def validate_config(cfg: dict) -> dict:
-    """Schema check; rejects unknown keys at every level."""
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be a JSON object")
-    exp = _require(cfg, "experiment", "config")
-    if exp not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {exp!r}; choose from {EXPERIMENTS}")
-    common = {"experiment", "seed", "comment"}
-    if exp == "oscillator":
-        _check_keys(cfg, common | {"system", "initial_point", "observable",
-                                   "basis", "evolution", "times", "mc"}, "config")
-        _check_keys(_require(cfg, "system", "config"),
-                    {"lam", "q", "profile"}, "system")
-        _check_keys(_require(cfg, "basis", "config"), {"orders"}, "basis")
-        _check_keys(cfg.get("evolution", {}), {"method", "steps"}, "evolution")
-        _check_keys(_require(cfg, "times", "config"), {"t_max", "n_points"}, "times")
-        _check_keys(_require(cfg, "mc", "config"), {"samples", "dt"}, "mc")
-    elif exp == "nse_taylor_green":
-        _check_keys(cfg, common | {"system", "basis", "probe", "time"}, "config")
-        _check_keys(_require(cfg, "system", "config"), {"modes", "nu", "q"}, "system")
-        _check_keys(_require(cfg, "basis", "config"), {"order"}, "basis")
-        _check_keys(cfg.get("probe", {}), {"count", "xi2", "xi1_range"}, "probe")
-    elif exp == "bqp_circuit":
-        _check_keys(cfg, common | {"circuits", "system", "time"}, "config")
-        _check_keys(_require(cfg, "circuits", "config"),
-                    {"count", "qubits", "gates", "max_arity", "file"}, "circuits")
-        _check_keys(cfg.get("system", {}), {"lam", "q"}, "system")
-    elif exp == "ou_sanity":
-        _check_keys(cfg, common | {"system", "initial_point", "times", "mc"}, "config")
-        _check_keys(_require(cfg, "system", "config"), {"lam", "q", "n_vars"}, "system")
-        _check_keys(_require(cfg, "times", "config"), {"t_max", "n_points"}, "times")
-        _check_keys(_require(cfg, "mc", "config"), {"samples", "dt"}, "mc")
-    elif exp == "audits":
-        _check_keys(cfg, common | {"system", "basis", "regularization",
-                                   "smoothing_times", "trotter"}, "config")
-        system = _require(cfg, "system", "config")
-        _check_keys(system, {"kind", "lam", "q", "n_vars", "modes", "nu",
-                             "qubits", "gates"}, "system")
-        _require(system, "kind", "system")
-        _check_keys(_require(cfg, "basis", "config"), {"order"}, "basis")
-        _check_keys(cfg.get("regularization", {}),
-                    {"r_values", "r_reference", "t"}, "regularization")
-        _check_keys(cfg.get("trotter", {}), {"t", "steps"}, "trotter")
+    """The config with every default filled in; ConfigError on a missing,
+    mistyped, out-of-range or unknown key at any level."""
+    cfg = _normalise(_CONFIG, cfg, "config")
+    if cfg["experiment"] == "ou_sanity":
+        n_vars = cfg["system"]["n_vars"]
+        point = cfg["initial_point"] = cfg["initial_point"] or [1.0] + [0.0] * (n_vars - 1)
+        if len(point) != n_vars:
+            raise ConfigError(f"config.initial_point needs {n_vars} entries (system.n_vars)")
     return cfg
-
-
-def _checked_seed(seed) -> int:
-    """`seed` as an int, if every kolmsim RNG accepts it: 0 <= seed < _SEED_LIMIT."""
-    if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
-            or not 0 <= seed < _SEED_LIMIT):
-        raise ConfigError(f"seed must be an integer in [0, 2^64 - 1), got {seed!r}")
-    return int(seed)
-
-
-def _number(block: dict, key: str, default, where: str) -> float:
-    """`block[key]` (or `default`) as a float; ConfigError if it is not a number."""
-    value = block.get(key, default)
-    try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}.{key} must be a number, got {value!r}") from exc
-
-
-def _initial_point(cfg: dict, n_vars: int, default) -> np.ndarray:
-    try:
-        x0 = np.asarray(cfg.get("initial_point", default), dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"initial_point must be a list of numbers: {exc}") from exc
-    if x0.shape != (n_vars,):
-        raise ConfigError(f"initial_point needs {n_vars} entries, got shape {x0.shape}")
-    return x0
 
 
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
             cfg = json.load(fh)
-    except OSError as exc:
+    except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return validate_config(cfg)
 
 
@@ -226,29 +281,20 @@ def write_manifest(out_dir: str, cfg: dict, seed: int, threads: int):
 # ---------------------------------------------------------------- system building
 
 
-def build_system(system_cfg: dict):
-    """SystemSpec plus a default basis order from an `audits` system block."""
-    kind = system_cfg["kind"]
-    if kind == "oscillator":
-        return oscillator_system(system_cfg.get("lam", 0.1),
-                                 system_cfg.get("q", 0.02), profile="cubic")
-    if kind == "bounded_oscillator":
-        return oscillator_system(system_cfg.get("lam", 0.1),
-                                 system_cfg.get("q", 0.1), profile="bounded")
+def build_system(kind: str, system: dict) -> SystemSpec:
+    """The SystemSpec of a normalised system block of the given kind."""
+    if kind in ("oscillator", "bounded_oscillator"):
+        return oscillator_system(system["lam"], system["q"],
+                                 profile="cubic" if kind == "oscillator" else "bounded")
     if kind == "nse":
-        return nse_system(system_cfg.get("modes", 40), system_cfg.get("nu", 0.1),
-                          system_cfg.get("q", 1e-5))
+        return nse_system(system["modes"], system["nu"], system["q"])
     if kind == "ou":
-        lam = system_cfg.get("lam", 0.5)
-        n_vars = system_cfg.get("n_vars", 1)
-        return SystemSpec(name="ou", rates=np.full(n_vars, float(lam)),
-                          noise=system_cfg.get("q", 0.2))
+        return SystemSpec(name="ou", rates=np.full(system["n_vars"], system["lam"]),
+                          noise=system["q"])
     if kind == "clock":
         rng = np.random.default_rng(0)
-        circuit = random_real_circuit(rng, system_cfg.get("qubits", 2),
-                                      system_cfg.get("gates", 3))
-        return clock_system(circuit, system_cfg.get("qubits", 2),
-                            system_cfg.get("lam", 0.1), system_cfg.get("q", 0.1))
+        circuit = random_real_circuit(rng, system["qubits"], system["gates"])
+        return clock_system(circuit, system["qubits"], system["lam"], system["q"])
     raise ConfigError(f"unknown system kind {kind!r}")
 
 
@@ -260,14 +306,18 @@ def _default_observable(spec) -> MonomialObservable:
 
 
 def run_audits(spec, basis_order: int, seed: int = 0,
-               smoothing_times=(0.1, 0.5, 1.0, 5.0),
-               regularization_cfg: dict | None = None,
-               trotter_cfg: dict | None = None) -> dict:
-    """Every report-producing check that applies to the system, as JSON."""
+               options: dict = AUDIT_DEFAULTS) -> dict:
+    """Every report-producing check that applies to the system, as JSON.
+
+    `options` holds the normalised `smoothing_times`, `regularization` and
+    `trotter` entries of an `audits` config.
+    """
     basis = enumerate_basis(spec.n_vars,
                             RegularizationScheme.by_max_order(basis_order, spec.rates),
                             spec.rates)
     ops = assemble_all(basis, spec)
+    u0 = _default_observable(spec)
+    psi0 = initial_state(u0, basis)
     gamma = spec.gamma()
     finite_j = math.isfinite(gamma)
     report: dict = {"system": spec.name, "basis_order": basis_order,
@@ -294,7 +344,7 @@ def run_audits(spec, basis_order: int, seed: int = 0,
         }
     report["operators"] = operators
 
-    smoothing = smoothing_bound_audit(ops, smoothing_times, gamma=gamma)
+    smoothing = smoothing_bound_audit(ops, options["smoothing_times"], gamma=gamma)
     report["smoothing"] = {
         "times": list(map(float, smoothing.times)),
         "dissipation_ratio": list(map(float, smoothing.dissipation_norms
@@ -307,18 +357,15 @@ def run_audits(spec, basis_order: int, seed: int = 0,
 
     has_linear = spec.linear is not None and sp.csr_matrix(spec.linear).nnz > 0
     if finite_j and not has_linear:
-        reg_cfg = regularization_cfg or {}
-        r_values = reg_cfg.get("r_values", [2 * spec.rates[0], 4 * spec.rates[0],
-                                            8 * spec.rates[0]])
-        r_ref = reg_cfg.get("r_reference", 2 * max(r_values))
-        t_reg = reg_cfg.get("t", 5.0)
-        u0 = _default_observable(spec)
+        reg = options["regularization"]
+        r_values = reg["r_values"] or [k * spec.rates[0] for k in (2, 4, 8)]
+        r_ref = reg["r_reference"] or 2 * max(r_values)
         rows = []
         for r in r_values:
-            rep = regularization_gap(spec, u0, t_reg, float(r), float(r_ref))
+            rep = regularization_gap(spec, u0, reg["t"], float(r), float(r_ref))
             rows.append({"r": float(r), "measured_sup_sq": rep.measured_sup_sq,
                          "bound": rep.bound, "passed": rep.passed})
-        report["regularization"] = {"r_reference": float(r_ref), "t": t_reg,
+        report["regularization"] = {"r_reference": float(r_ref), "t": reg["t"],
                                     "rows": rows,
                                     "passed": all(r["passed"] for r in rows)}
     else:
@@ -326,11 +373,7 @@ def run_audits(spec, basis_order: int, seed: int = 0,
         report["regularization"] = f"not applicable ({reason})"
 
     if finite_j:
-        tro_cfg = trotter_cfg or {}
-        t_tro = tro_cfg.get("t", 1.0)
-        steps = tro_cfg.get("steps", 32)
-        u0 = _default_observable(spec)
-        psi0 = initial_state(u0, basis)
+        t_tro, steps = options["trotter"]["t"], options["trotter"]["steps"]
         exact = evolve_expm(psi0, ops, t_tro)
         split = evolve_trotter(psi0, ops, t_tro, steps)
         measured = float(np.linalg.norm(split.coefficients - exact.coefficients))
@@ -359,8 +402,6 @@ def run_audits(spec, basis_order: int, seed: int = 0,
     report["readout_norm_identity"] = {
         "rows": readout_rows, "passed": all(r["passed"] for r in readout_rows)}
 
-    u0 = _default_observable(spec)
-    psi0 = initial_state(u0, basis)
     closed = u0.centered_norm_sq()
     norm_ok = abs(psi0.norm_sq() - closed) <= 1e-12 * max(closed, 1e-300)
     report["initial_state_norm"] = {"measured": psi0.norm_sq(), "closed_form": closed,
@@ -387,39 +428,30 @@ def run_audits(spec, basis_order: int, seed: int = 0,
 # ---------------------------------------------------------------- experiments
 
 
-def _evolve_curve(cfg_evolution: dict, psi0, ops, times):
-    try:
-        plan = EvolutionConfig(method=cfg_evolution.get("method", "reference"),
-                               steps=int(cfg_evolution.get("steps", 64)))
-    except KolmsimError as exc:
-        raise ConfigError(str(exc)) from exc
-    if plan.method == "reference":
-        return evolve_reference(psi0, ops, float(times[-1]), t_eval=times,
-                                rtol=plan.rtol)
-    if plan.method == "expm":
+def _evolve_curve(evolution: dict, psi0, ops, times):
+    if evolution["method"] == "reference":
+        return evolve_reference(psi0, ops, float(times[-1]), t_eval=times)
+    if evolution["method"] == "expm":
         return [psi0] + evolve_expm(psi0, ops, float(times[-1]), t_eval=times[1:])
     states = [psi0]
     for k in range(1, len(times)):
-        states.append(evolve_trotter(states[-1], ops,
-                                     float(times[k] - times[k - 1]), plan.steps))
+        states.append(evolve_trotter(states[-1], ops, float(times[k] - times[k - 1]),
+                                     evolution["steps"]))
     return states
 
 
 def run_oscillator(cfg: dict, out_dir: str, seed: int, threads: int) -> dict:
-    system_cfg = cfg["system"]
-    lam = _number(system_cfg, "lam", 0.1, "system")
-    q = _number(system_cfg, "q", 0.02, "system")
-    spec = oscillator_system(lam, q, profile=system_cfg.get("profile", "cubic"))
+    system = cfg["system"]
+    spec = build_system("oscillator" if system["profile"] == "cubic"
+                        else "bounded_oscillator", system)
     ctx = spec.context
-    x0 = _initial_point(cfg, 2, [1.0, 0.0])
-    u0 = MonomialObservable(tuple(cfg.get("observable", [1, 0])), ctx)
-    times_cfg = cfg["times"]
-    times = np.linspace(0.0, float(times_cfg["t_max"]), int(times_cfg["n_points"]))
-    orders = [int(k) for k in cfg["basis"]["orders"]]
+    x0 = np.array(cfg["initial_point"])
+    u0 = MonomialObservable(tuple(cfg["observable"]), ctx)
+    times = np.linspace(0.0, cfg["times"]["t_max"], cfg["times"]["n_points"])
+    orders = cfg["basis"]["orders"]
 
-    mc_cfg = cfg["mc"]
-    run = simulate(spec, x0, u0, times, int(mc_cfg["samples"]),
-                   float(mc_cfg["dt"]), seed=seed, n_threads=threads)
+    run = simulate(spec, x0, u0, times, cfg["mc"]["samples"], cfg["mc"]["dt"],
+                   seed=seed, n_threads=threads)
     write_csv(os.path.join(out_dir, "mc_curve.csv"),
               ["t", "mean", "se", "n_blowups"],
               [(t, m, s, run.n_blowups) for t, m, s in run.as_rows()])
@@ -431,7 +463,7 @@ def run_oscillator(cfg: dict, out_dir: str, seed: int, threads: int) -> dict:
                                 spec.rates)
         ops = assemble_all(basis, spec)
         psi0 = initial_state(u0, basis)
-        states = _evolve_curve(cfg.get("evolution", {}), psi0, ops, times)
+        states = _evolve_curve(cfg["evolution"], psi0, ops, times)
         values = np.array([expectation(s, x0, order, ctx,
                                        include_mean=True, mean=u0.mean())
                            for s in states])
@@ -450,25 +482,17 @@ def run_oscillator(cfg: dict, out_dir: str, seed: int, threads: int) -> dict:
                "gap_over_se"], comparison_rows)
     audit = run_audits(spec, max(orders), seed=seed)
     audit["comparison_summary"] = summary
-    write_json(os.path.join(out_dir, "audit.json"), audit)
     return audit
 
 
 def run_nse_taylor_green(cfg: dict, out_dir: str, seed: int, threads: int) -> dict:
-    system_cfg = cfg["system"]
-    n_modes = int(system_cfg.get("modes", 40))
-    nu = _number(system_cfg, "nu", 0.1, "system")
-    q = _number(system_cfg, "q", 1e-5, "system")
-    spec = nse_system(n_modes, nu, q)
+    system = cfg["system"]
+    n_modes, nu = system["modes"], system["nu"]
+    spec = build_system("nse", system)
     ctx = spec.context
     table = spec.nonlinear.table
-    order = int(cfg["basis"]["order"])
-    t_final = _number(cfg, "time", 0.25, "config")
-    probe_cfg = cfg.get("probe", {})
-    count = int(probe_cfg.get("count", 10))
-    xi2 = float(probe_cfg.get("xi2", 0.25))
-    lo, hi = probe_cfg.get("xi1_range", [0.05, 0.95])
-    xi1s = np.linspace(float(lo), float(hi), count)
+    order, t_final, xi2 = cfg["basis"]["order"], cfg["time"], cfg["probe"]["xi2"]
+    xi1s = np.linspace(*cfg["probe"]["xi1_range"], cfg["probe"]["count"])
 
     basis = enumerate_basis(n_modes,
                             RegularizationScheme.by_max_order(order, spec.rates),
@@ -501,36 +525,30 @@ def run_nse_taylor_green(cfg: dict, out_dir: str, seed: int, threads: int) -> di
               ["xi1", "xi2", "t", "galerkin", "taylor_green", "abs_error"],
               comparison_rows)
     audit = run_audits(spec, min(order, 2), seed=seed,
-                       smoothing_times=(0.01, 0.05, 0.1))
+                       options={**AUDIT_DEFAULTS, "smoothing_times": [0.01, 0.05, 0.1]})
     audit["taylor_green_max_error"] = max_err
-    write_json(os.path.join(out_dir, "audit.json"), audit)
     return audit
 
 
 def run_bqp_circuit(cfg: dict, out_dir: str, seed: int, threads: int) -> dict:
-    circuits_cfg = cfg["circuits"]
-    system_cfg = cfg.get("system", {})
-    lam = _number(system_cfg, "lam", 0.1, "system")
-    q = _number(system_cfg, "q", 0.1, "system")
-    t = _number(cfg, "time", 1.0, "config")
+    circuits = cfg["circuits"]
+    lam, q, t = cfg["system"]["lam"], cfg["system"]["q"], cfg["time"]
     rng = np.random.default_rng(seed)
 
     jobs = []
-    if "file" in circuits_cfg:
-        path = circuits_cfg["file"]
-        n_qubits = int(_require(circuits_cfg, "qubits", "circuits"))
+    if "file" in circuits:
         try:
-            with open(path) as fh:
+            with open(circuits["file"]) as fh:
                 circuit = parse_circuit(fh)
-        except OSError as exc:
-            raise ConfigError(f"circuits.file: cannot read {path!r}: {exc}") from exc
-        jobs.append((circuit, n_qubits))
+            clock_drift(circuit, circuits["qubits"])  # rejects no gates, bad gates, bad targets
+        except (OSError, ValueError, DriftError) as exc:
+            raise ConfigError(f"circuits.file {circuits['file']!r}: {exc}") from exc
+        jobs.append((circuit, circuits["qubits"]))
     else:
-        for _ in range(int(circuits_cfg.get("count", 20))):
-            n = int(rng.integers(1, int(circuits_cfg.get("qubits", 2)) + 1))
-            m = int(rng.integers(1, int(circuits_cfg.get("gates", 4)) + 1))
-            jobs.append((random_real_circuit(
-                rng, n, m, int(circuits_cfg.get("max_arity", 2))), n))
+        for _ in range(circuits["count"]):
+            n = int(rng.integers(1, circuits["qubits"] + 1))
+            m = int(rng.integers(1, circuits["gates"] + 1))
+            jobs.append((random_real_circuit(rng, n, m, circuits["max_arity"]), n))
 
     rows = []
     worst_identity = 0.0
@@ -569,31 +587,27 @@ def run_bqp_circuit(cfg: dict, out_dir: str, seed: int, threads: int) -> dict:
         "circuits": len(rows),
     }
     audit["passed"] = audit["passed"] and audit["bqp"]["bound_satisfied"]
-    write_json(os.path.join(out_dir, "audit.json"), audit)
     return audit
 
 
 def run_ou_sanity(cfg: dict, out_dir: str, seed: int, threads: int) -> dict:
-    system_cfg = cfg["system"]
-    lam = _number(system_cfg, "lam", 0.5, "system")
-    q = _number(system_cfg, "q", 0.2, "system")
-    n_vars = int(system_cfg.get("n_vars", 1))
-    spec = SystemSpec(name="ou", rates=np.full(n_vars, lam), noise=q)
+    system = cfg["system"]
+    lam, q, n_vars = system["lam"], system["q"], system["n_vars"]
+    spec = build_system("ou", system)
     ctx = spec.context
-    x0 = _initial_point(cfg, n_vars, [1.0] + [0.0] * (n_vars - 1))
-    times_cfg = cfg["times"]
-    times = np.linspace(0.0, float(times_cfg["t_max"]), int(times_cfg["n_points"]))
-    mc_cfg = cfg["mc"]
+    x0 = np.array(cfg["initial_point"])
+    times = np.linspace(0.0, cfg["times"]["t_max"], cfg["times"]["n_points"])
+    samples, dt = cfg["mc"]["samples"], cfg["mc"]["dt"]
 
     u_mean = _default_observable(spec)
-    run_mean = simulate(spec, x0, u_mean, times, int(mc_cfg["samples"]),
-                        float(mc_cfg["dt"]), seed=seed, n_threads=threads)
+    run_mean = simulate(spec, x0, u_mean, times, samples, dt, seed=seed,
+                        n_threads=threads)
     exact_mean = x0[0] * np.exp(-lam * times)
     rep_mean = compare(run_mean, exact_mean)
 
     u_sq = MonomialObservable((2,) + (0,) * (n_vars - 1), ctx)
-    run_sq = simulate(spec, x0, u_sq, times, int(mc_cfg["samples"]),
-                      float(mc_cfg["dt"]), seed=seed + 1, n_threads=threads)
+    run_sq = simulate(spec, x0, u_sq, times, samples, dt, seed=seed + 1,
+                      n_threads=threads)
     exact_sq = q / (2 * lam) + x0[0] ** 2 * np.exp(-2 * lam * times)
     rep_sq = compare(run_sq, exact_sq)
 
@@ -621,19 +635,12 @@ def run_ou_sanity(cfg: dict, out_dir: str, seed: int, threads: int) -> dict:
     }
     audit["passed"] = (audit["passed"] and audit["ou_sanity"]["mean_within_3se"]
                        and audit["ou_sanity"]["second_moment_within_3se"])
-    write_json(os.path.join(out_dir, "audit.json"), audit)
     return audit
 
 
 def run_audits_experiment(cfg: dict, out_dir: str, seed: int, threads: int) -> dict:
-    spec = build_system(cfg["system"])
-    audit = run_audits(spec, int(cfg["basis"]["order"]), seed=seed,
-                       smoothing_times=tuple(cfg.get("smoothing_times",
-                                                     (0.1, 0.5, 1.0, 5.0))),
-                       regularization_cfg=cfg.get("regularization"),
-                       trotter_cfg=cfg.get("trotter"))
-    write_json(os.path.join(out_dir, "audit.json"), audit)
-    return audit
+    spec = build_system(cfg["system"]["kind"], cfg["system"])
+    return run_audits(spec, cfg["basis"]["order"], seed=seed, options=cfg)
 
 
 RUNNERS = {
@@ -647,9 +654,11 @@ RUNNERS = {
 
 def run_experiment(cfg: dict, out_dir: str, seed: int | None = None,
                    threads: int = 1) -> dict:
-    """Execute one experiment; returns its audit payload."""
-    effective_seed = _checked_seed(cfg.get("seed", 0) if seed is None else seed)
+    """Execute one experiment on a `validate_config` result; returns its audit payload."""
+    effective_seed = cfg["seed"] if seed is None else _normalise(_SEED, seed, "--seed")
+    _normalise(_count(), threads, "--threads")
     os.makedirs(out_dir, exist_ok=True)
     audit = RUNNERS[cfg["experiment"]](cfg, out_dir, effective_seed, threads)
+    write_json(os.path.join(out_dir, "audit.json"), audit)
     write_manifest(out_dir, cfg, effective_seed, threads)
     return audit

@@ -36,6 +36,7 @@ CHUNK_SIZE = 8192       # fixed: part of the bit-reproducibility contract
 TIME_BLOCK = 1000       # noise generation granularity (memory/speed tradeoff)
 NOISE_TILE = 256        # samples staged per copy into the time-major noise buffer
 BLOWUP_THRESHOLD = 1e6
+MIN_SAMPLES = 100       # fewest samples an estimate is formed from
 BLOWUP_FRACTION = 1e-3
 
 
@@ -148,8 +149,8 @@ def simulate(spec, x0, observable, times, n_samples: int, dt: float,
     X(0) = x0 (+ Gaussian noise with variance q/(2 lambda_i) per variable
     unless disabled); each grid time must sit on the step lattice.
     """
-    if n_samples < 100:
-        raise NumericalError("need at least 100 samples")
+    if n_samples < MIN_SAMPLES:
+        raise NumericalError(f"need at least {MIN_SAMPLES} samples")
     if dt <= 0:
         raise NumericalError("time step must be positive")
     stiffest = float(spec.rates[-1])

@@ -513,17 +513,19 @@ def parse_circuit(lines):
             continue
         head, *rest = line.split()
         name = head.upper()
-        if name.startswith("RY(") and name.endswith(")"):
-            u = rotation_gate(float(head[3:-1]))
-        elif name == "MATRIX":
-            u = np.array(json.loads(rest[0]), dtype=float)
-            rest = rest[1:]
-        elif name in GATE_MATRICES:
-            u = GATE_MATRICES[name]
-        else:
-            raise DriftError(f"line {lineno}: unknown gate {head!r}")
-        targets = tuple(int(t) for t in rest)
-        needed = int(math.log2(u.shape[0]))
+        try:
+            if name.startswith("RY(") and name.endswith(")"):
+                u = rotation_gate(float(head[3:-1]))
+            elif name == "MATRIX":
+                u, rest = np.array(json.loads(rest[0]), dtype=float), rest[1:]
+            elif name in GATE_MATRICES:
+                u = GATE_MATRICES[name]
+            else:
+                raise DriftError(f"line {lineno}: unknown gate {head!r}")
+            targets = tuple(int(t) for t in rest)
+            needed = int(math.log2(u.shape[0]))
+        except (ValueError, TypeError, IndexError) as exc:
+            raise DriftError(f"line {lineno}: {exc}") from exc
         if len(targets) != needed:
             raise DriftError(f"line {lineno}: gate needs {needed} targets")
         circuit.append((u, targets))

@@ -1,12 +1,20 @@
 """CLI: config validation, artifacts, exit codes, rerun determinism."""
 
+import contextlib
+import copy
+import io
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kolmsim import cli, experiments
 from kolmsim.errors import ConfigError
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 OU_CFG = {
     "experiment": "ou_sanity",
@@ -44,6 +52,17 @@ AUDITS_CFG = {
     "smoothing_times": [0.5, 1.0],
     "seed": 0,
 }
+
+NSE_CFG = {
+    "experiment": "nse_taylor_green",
+    "system": {"modes": 6, "nu": 0.1, "q": 1e-5},
+    "basis": {"order": 2},
+    "probe": {"count": 2, "xi2": 0.25, "xi1_range": [0.05, 0.95]},
+    "time": 0.25,
+}
+
+# circuit files that the malformed-value cases read from their working directory
+CIRCUIT_FILES = {"ry_abc.txt": "H 0\nRY(abc) 0\n", "foo.txt": "FOO 0\n"}
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -214,14 +233,62 @@ def test_initial_point_length_exit_code(tmp_path, capsys, cfg):
     assert "initial_point" in error_record(capsys)["detail"]
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_bad_threads_exit_code(tmp_path, capsys, threads):
+    argv = ["run", write_cfg(tmp_path, OU_CFG), "--out", str(tmp_path / "o"),
+            "--threads", threads]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert error_record(capsys) == {
+        "error": "config", "detail": f"--threads must be an integer in [1, inf), got {threads}"}
+    assert not (tmp_path / "o").exists()
+
+
+def with_block(cfg, block, **values):
+    """`cfg` with `values` set in its `block` sub-object."""
+    return {**cfg, block: {**cfg.get(block, {}), **values}}
+
+
 @pytest.mark.parametrize("cfg, detail", [
     ({**BQP_CFG, "circuits": {"file": "no_such_circuit.txt", "qubits": 1}}, "circuits.file"),
     ({**BQP_CFG, "circuits": {"file": "no_such_circuit.txt"}}, "qubits"),
     ({**OU_CFG, "system": {**OU_CFG["system"], "lam": "x"}}, "system.lam"),
     ({**OSC_CFG, "system": {**OSC_CFG["system"], "lam": "x"}}, "system.lam"),
     ({**OSC_CFG, "system": {**OSC_CFG["system"], "q": None}}, "system.q"),
-    ({**BQP_CFG, "time": [1.0]}, "config.time")])
-def test_malformed_value_exit_code(tmp_path, capsys, cfg, detail):
+    ({**BQP_CFG, "time": [1.0]}, "config.time"),
+    # mistyped or missing values
+    (with_block(OU_CFG, "system", n_vars="two"), "system.n_vars"),
+    (with_block(AUDITS_CFG, "system", lam="x"), "system.lam"),
+    (with_block(OU_CFG, "times", n_points=-1), "times.n_points"),
+    (with_block(OSC_CFG, "basis", orders=["a"]), "basis.orders[0]"),
+    (with_block(OU_CFG, "mc", samples="many"), "mc.samples"),
+    ({**OU_CFG, "times": {}}, "config.times: missing required key 't_max'"),
+    ({**AUDITS_CFG, "system": {"kind": "clock", "qubits": "x"}}, "system.qubits"),
+    ({**OSC_CFG, "observable": ["x", 0]}, "observable[0]"),
+    (with_block(NSE_CFG, "probe", xi1_range=[0.1, 0.2, 0.3]), "probe.xi1_range"),
+    ({**AUDITS_CFG, "smoothing_times": "x"}, "smoothing_times"),
+    ({**AUDITS_CFG, "trotter": {"steps": "x"}}, "trotter.steps"),
+    # values out of range
+    (with_block(OU_CFG, "system", lam=-0.5), "system.lam"),
+    (with_block(NSE_CFG, "system", nu=-1), "system.nu"),
+    (with_block(OSC_CFG, "system", q=0), "system.q"),
+    (with_block(NSE_CFG, "system", modes=3), "system.modes"),
+    (with_block(AUDITS_CFG, "basis", order=-1), "basis.order"),
+    (with_block(OU_CFG, "mc", dt=0), "mc.dt"),
+    (with_block(OU_CFG, "mc", samples=0), "mc.samples"),
+    (with_block(OSC_CFG, "system", profile="bogus"), "system.profile"),
+    (with_block(OSC_CFG, "evolution", method="magnus"), "evolution.method"),
+    (with_block(OSC_CFG, "evolution", method="trotter", steps=0), "evolution.steps"),
+    (with_block(NSE_CFG, "probe", count=0), "probe.count"),
+    (with_block(NSE_CFG, "probe", xi1_range=[0.1]), "probe.xi1_range"),
+    # malformed circuit files
+    ({**BQP_CFG, "circuits": {"file": "foo.txt", "qubits": 1}},
+     "circuits.file 'foo.txt': line 1: unknown gate"),
+    ({**BQP_CFG, "circuits": {"file": "ry_abc.txt", "qubits": 1}},
+     "circuits.file 'ry_abc.txt': line 2: could not convert")])
+def test_malformed_value_exit_code(tmp_path, monkeypatch, capsys, cfg, detail):
+    monkeypatch.chdir(tmp_path)
+    for name, text in CIRCUIT_FILES.items():
+        (tmp_path / name).write_text(text)
     argv = ["run", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")]
     assert cli.main(argv) == cli.EXIT_CONFIG
     record = error_record(capsys)
@@ -235,3 +302,72 @@ def test_repo_example_configs_validate():
     assert len(names) >= 4
     for name in names:
         experiments.load_config(os.path.join(root, name))
+
+
+# The shipped configs, shrunk so that each run takes well under a second.
+SMALL_CONFIGS = {
+    "oscillator.json": {"basis": {"orders": [2]}, "times": {"t_max": 1.0, "n_points": 3},
+                        "mc": {"samples": 100, "dt": 0.01}},
+    "ou_sanity.json": {"times": {"t_max": 1.0, "n_points": 3},
+                       "mc": {"samples": 100, "dt": 0.01}},
+    "nse_taylor_green.json": {"system": {"modes": 6, "nu": 0.1, "q": 1e-5},
+                              "basis": {"order": 2},
+                              "probe": {"count": 2, "xi2": 0.25, "xi1_range": [0.05, 0.95]}},
+    "bqp_circuit.json": {"circuits": {"count": 2, "qubits": 2, "gates": 3, "max_arity": 2}},
+    "audits_bounded_oscillator.json": {"basis": {"order": 3}, "regularization": {
+        "r_values": [0.2], "r_reference": 0.4, "t": 5.0}},
+    "audits_nse.json": {"system": {"kind": "nse", "modes": 6, "nu": 0.1, "q": 0.001}},
+}
+MUTATIONS = ("delete", "retype", "zero", "negative", "empty", "unknown key")
+
+
+def key_paths(cfg, prefix=()):
+    for key, value in cfg.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from key_paths(value, prefix + (key,))
+
+
+def small_config(name):
+    with open(os.path.join(CONFIG_DIR, name)) as fh:
+        return {**json.load(fh), **copy.deepcopy(SMALL_CONFIGS[name])}
+
+
+def test_small_configs_run_clean(tmp_path):
+    for name in SMALL_CONFIGS:
+        out = tmp_path / name
+        assert cli.main(["run", write_cfg(tmp_path, small_config(name)), "--out", str(out)]) \
+            == cli.EXIT_OK, name
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_mutated_configs_exit_with_a_record(data):
+    """One key deleted, retyped, zeroed, negated, emptied or joined by an unknown key."""
+    cfg = small_config(data.draw(st.sampled_from(sorted(SMALL_CONFIGS))))
+    *parents, key = data.draw(st.sampled_from(list(key_paths(cfg))))
+    block = cfg
+    for parent in parents:
+        block = block[parent]
+    mutation = data.draw(st.sampled_from(MUTATIONS))
+    if mutation == "delete":
+        del block[key]
+    elif mutation == "retype":
+        block[key] = data.draw(st.sampled_from(["x", None, True, 1.5, [1], {"a": 1}]))
+    elif mutation in ("zero", "negative"):
+        block[key] = 0 if mutation == "zero" else -1
+    elif mutation == "empty":
+        block[key] = type(block[key])() if isinstance(block[key], (dict, list, str)) else None
+    else:
+        (block[key] if isinstance(block[key], dict) else block)["unknown"] = 1
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["run", path, "--out", os.path.join(tmp, "out")])
+    assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_AUDIT, cli.EXIT_NUMERICAL), cfg
+    if code != cli.EXIT_OK:
+        record = json.loads(stderr.getvalue().strip().splitlines()[-1])
+        assert set(record) == {"error", "detail"}, cfg

@@ -10,7 +10,6 @@ from scipy.linalg import expm
 from kolmsim import evolution
 from kolmsim.errors import NumericalError
 from kolmsim.evolution import (
-    EvolutionConfig,
     KEOperators,
     KEState,
     assemble_all,
@@ -181,13 +180,6 @@ def test_expm_above_dense_limit_matches_reference():
     ref = evolve_reference(psi0, ops, t, rtol=1e-12)
     out = evolve_expm(psi0, ops, t)
     np.testing.assert_allclose(out.coefficients, ref.coefficients, rtol=0, atol=1e-9)
-
-
-def test_evolution_config_validation():
-    with pytest.raises(NumericalError):
-        EvolutionConfig(method="magnus")
-    with pytest.raises(NumericalError):
-        EvolutionConfig(steps=0)
 
 
 # ------------------------------------------------------------------ regularization
