@@ -41,6 +41,7 @@ from .operators import (
     verify_divergence_free,
 )
 from .states import (
+    DEFAULT_DEGREE_CAP,
     MonomialObservable,
     combination_state,
     expectation,
@@ -201,6 +202,13 @@ def validate_config(cfg: dict) -> dict:
     """The config with every default filled in; ConfigError on a missing,
     mistyped, out-of-range or unknown key at any level."""
     cfg = _normalise(_CONFIG, cfg, "config")
+    if cfg["experiment"] == "oscillator":
+        # the solver evolves u0 on every basis, so its degree must fit the smallest
+        cap = min(DEFAULT_DEGREE_CAP, *cfg["basis"]["orders"])
+        if not 1 <= sum(cfg["observable"]) <= cap:
+            raise ConfigError(f"config.observable {cfg['observable']!r}: the total degree must "
+                              f"lie in [1, {cap}], at most {DEFAULT_DEGREE_CAP} and at most "
+                              "min(basis.orders)")
     if cfg["experiment"] == "ou_sanity":
         n_vars = cfg["system"]["n_vars"]
         point = cfg["initial_point"] = cfg["initial_point"] or [1.0] + [0.0] * (n_vars - 1)
@@ -360,6 +368,13 @@ def run_audits(spec, basis_order: int, seed: int = 0,
         reg = options["regularization"]
         r_values = reg["r_values"] or [k * spec.rates[0] for k in (2, 4, 8)]
         r_ref = reg["r_reference"] or 2 * max(r_values)
+        # a weight cutoff below the first rate keeps no basis function
+        if min(r_values) < spec.rates[0]:
+            raise ConfigError(f"config.regularization.r_values: {float(min(r_values))!r} is "
+                              f"below the system's first rate {float(spec.rates[0])!r}")
+        if r_ref < max(r_values):
+            raise ConfigError(f"config.regularization.r_reference: {float(r_ref)!r} is below "
+                              f"max(r_values) = {float(max(r_values))!r}")
         rows = []
         for r in r_values:
             rep = regularization_gap(spec, u0, reg["t"], float(r), float(r_ref))

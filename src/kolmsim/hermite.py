@@ -4,8 +4,12 @@ Everything here is expressed against the Gaussian stationary measure of the
 dissipative system, which scales variable i by s_i = sqrt(2*lambda_i/q).
 Evaluation goes through the three-term upward recurrence, which is stable
 for the degrees (<= 150) and arguments (|x*s| <= ~10) this package uses.
-Gauss-Hermite quadrature lives here too; it is the independent oracle the
-tests integrate against, not the production assembly path.
+
+`he`, `h_norm`, `gaussian_quadrature` and `hermite_triple_product` are the
+oracle kernels that four test files share to check the assembly and
+readout paths independently; no run reaches them, but they stay here so
+that the tests agree on one definition.  `gauss_hermite_rule` also
+drives the production quadrature assembly.
 """
 
 from __future__ import annotations
@@ -90,43 +94,6 @@ def h_norm(m, x, ctx: HermiteContext):
     if out is None:
         return np.ones(x.shape[:-1]) if x.ndim > 1 else 1.0
     return out
-
-
-def umbral_shift_weight(m, x, ctx: HermiteContext):
-    """prod_i (m_i!)^{-1/2} (x_i s_i)^{m_i}.
-
-    Equals the Gaussian average of the shifted polynomial,
-    int mu(y) H_m(x + y) dy, by the umbral binomial identity.
-    """
-    orders = _orders_of(m)
-    x = np.asarray(x, dtype=float)
-    out = None
-    for i, n in enumerate(orders):
-        n = int(n)
-        if n == 0:
-            continue
-        _check_degree(n)
-        factor = (x[..., i] * ctx.scalings[i]) ** n / math.sqrt(math.factorial(n))
-        out = factor if out is None else out * factor
-    if out is None:
-        return np.ones(x.shape[:-1]) if x.ndim > 1 else 1.0
-    return out
-
-
-def dirac_partial_norm(n_max: int) -> float:
-    """Partial sums of sum_n He_n(0)^2 / n!  (grows without bound).
-
-    Only even degrees contribute; successive terms obey
-    t_n = t_{n-2} * (n-1)/n with t_2 = 1/2.
-    """
-    if n_max < 0:
-        raise ValueError("n_max must be non-negative")
-    total = 0.0
-    term = 1.0
-    for n in range(2, n_max + 1, 2):
-        term *= (n - 1) / n
-        total += term
-    return total
 
 
 def gauss_hermite_rule(n_nodes: int):

@@ -21,6 +21,10 @@ TAOCP 4A, 7.2.1.3): term v counts the degree-d rows that agree with m
 before variable v and hold more of variable v.  An order-rule basis holds
 every multi-index of degree 1..K, so this rank is the position; a
 weight-rule basis looks the rank up among the sorted ranks of its rows.
+
+`positions` is the package's only multi-index lookup: every operator
+assembler ranks its ladder-move targets with it, and a multi-index's
+weight lambda_m is read from `BasisSet.weights`.
 """
 
 from __future__ import annotations
@@ -55,15 +59,6 @@ def _check_rates(rates) -> np.ndarray:
     if np.any(np.diff(rates) < 0.0):
         raise BasisError("dissipation rates must be sorted non-decreasing")
     return rates
-
-
-def weight(orders, rates) -> float:
-    """Weight lambda_m = sum_i m_i lambda_i of a multi-index."""
-    orders = np.asarray(orders, dtype=float)
-    rates = np.asarray(rates, dtype=float)
-    if orders.shape != rates.shape:
-        raise BasisError("multi-index and rate vector dimensions differ")
-    return float(orders @ rates)
 
 
 @dataclass(frozen=True)
@@ -176,9 +171,6 @@ class BasisSet:
         pos = int(self.positions(np.asarray(orders)[None])[0])
         return pos if pos >= 0 else default
 
-    def __contains__(self, orders) -> bool:
-        return self.get(orders) >= 0
-
 
 def _graded_ranks(rows, binom, offset):
     """Closed-form graded ranks of `rows`, and which rows have degree 1..K."""
@@ -236,51 +228,3 @@ def enumerate_basis(n_vars: int, scheme: RegularizationScheme, rates,
                 raise ResourceLimitError(
                     f"basis exceeds the cap of {cap} entries")
     return BasisSet(np.array(rows, dtype=np.int32), rates, scheme)
-
-
-def register_width(n_vars: int) -> int:
-    """Bits needed to store one variable label (0 means 'empty slot')."""
-    return int(n_vars).bit_length()
-
-
-def encode_multiset(orders, n_vars: int, max_order: int) -> str:
-    """Encode a multi-index as K fixed-width registers of variable labels.
-
-    The multi-index is read as a multiset holding m_i copies of label i+1;
-    register j stores the j-th largest label (0-padded), each register
-    written least-significant bit first.
-    """
-    orders = tuple(int(v) for v in orders)
-    if len(orders) != n_vars:
-        raise BasisError("multi-index dimension mismatch")
-    total = sum(orders)
-    if total > max_order:
-        raise BasisError(f"|m| = {total} overflows the {max_order}-register encoding")
-    labels = []
-    for var, mult in enumerate(orders):
-        labels.extend([var + 1] * mult)
-    labels.sort(reverse=True)
-    labels.extend([0] * (max_order - len(labels)))
-    q = register_width(n_vars)
-    return "".join("1" if (val >> b) & 1 else "0"
-                   for val in labels for b in range(q))
-
-
-def decode_multiset(bits: str, n_vars: int, max_order: int):
-    """Invert encode_multiset.  Rejects non-canonical registers."""
-    q = register_width(n_vars)
-    if len(bits) != q * max_order or set(bits) - {"0", "1"}:
-        raise BasisError("bit string has the wrong length or alphabet")
-    labels = []
-    for j in range(max_order):
-        chunk = bits[j * q:(j + 1) * q]
-        labels.append(sum(1 << b for b, c in enumerate(chunk) if c == "1"))
-    if any(v > n_vars for v in labels):
-        raise BasisError("register value exceeds the variable count")
-    if any(labels[j] < labels[j + 1] for j in range(max_order - 1)):
-        raise BasisError("registers are not sorted in non-increasing order")
-    orders = [0] * n_vars
-    for val in labels:
-        if val > 0:
-            orders[val - 1] += 1
-    return tuple(orders)

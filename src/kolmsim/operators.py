@@ -3,15 +3,16 @@
 Three operators act on the coefficient space: a diagonal dissipation
 operator with entries lambda_m, a degree-preserving skew operator built
 from the linear drift matrix b, and a skew operator built from the
-nonlinear drift functions c_i.  Nonlinear drifts are described either by
-Hermite coefficient tables over each function's support (assembled with
-exact triple-product integrals) or, for non-polynomial test systems with
-N <= 3, by Gauss-Hermite Galerkin quadrature.
+nonlinear drift functions c_i.  Each nonlinear drift object assembles its
+own Galerkin matrix: the closed forms of the cubic oscillator and the
+spectral Navier-Stokes advection live in `systems`, and `QuadratureDrift`
+here integrates non-polynomial drifts of N <= 3 systems with a
+Gauss-Hermite rule.  Every assembler ranks the targets of its ladder
+moves with `BasisSet.positions`.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -19,16 +20,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import BasisError, DriftError
-from .hermite import (
-    HermiteContext,
-    gauss_hermite_rule,
-    he_table,
-    hermite_triple_product,
-)
+from .hermite import HermiteContext, gauss_hermite_rule, he_table
 from .multiindex import BasisSet
-
-DIAGONAL = "diagonal"
-SKEW = "skew"
 
 ASYMMETRY_TOL = 1e-10  # relative; larger raw asymmetry signals a bad drift spec
 
@@ -116,10 +109,9 @@ class SystemSpec:
 
 @dataclass(frozen=True)
 class SparseOperator:
-    """A CSR matrix over a BasisSet with a declared symmetry and role."""
+    """A CSR matrix over a BasisSet with its role."""
 
     matrix: sp.csr_matrix
-    symmetry: str
     role: str  # "dissipation" | "linear" | "nonlinear"
     basis: BasisSet
 
@@ -131,125 +123,6 @@ class SparseOperator:
         if self.matrix.nnz == 0:
             return 0
         return int(np.diff(self.matrix.tocsc().indptr).max())
-
-
-class CoefficientTableDrift:
-    """Nonlinear drift given by Hermite coefficients of each c_i.
-
-    `supports[i]` lists the variables c_i touches; `terms[i]` holds
-    (orders-over-support, coefficient) pairs in the context-normalized
-    Hermite basis, so c_i(x) = sum coeff * prod_v He_{p_v}(x_v s_v)/sqrt(p_v!).
-    """
-
-    def __init__(self, supports: dict, terms: dict, ctx: HermiteContext,
-                 strength: float = math.inf):
-        for i, sup in supports.items():
-            for orders, _ in terms.get(i, []):
-                if len(orders) != len(sup):
-                    raise DriftError(
-                        f"term of c_{i} has {len(orders)} orders for a "
-                        f"support of {len(sup)} variables")
-        for i in terms:
-            if i not in supports:
-                raise DriftError(f"coefficient table references undeclared function c_{i}")
-        self.supports = {i: tuple(sup) for i, sup in supports.items()}
-        self.terms = {i: [(tuple(p), float(c)) for p, c in tt] for i, tt in terms.items()}
-        self.ctx = ctx
-        self.strength = float(strength)
-        self.sparsity = max((len(s) for s in self.supports.values()), default=0)
-
-    def _factor_values(self, i, x):
-        """Per-term values of c_i at points x of shape (..., N)."""
-        x = np.asarray(x, dtype=float)
-        sup = self.supports[i]
-        max_deg = max((max(p) for p, _ in self.terms[i]), default=0)
-        tables = {v: he_table(max_deg, x[..., v] * self.ctx.scalings[v]) for v in sup}
-        total = np.zeros(x.shape[:-1])
-        for p, coeff in self.terms[i]:
-            term = np.full(x.shape[:-1], coeff)
-            for v, deg in zip(sup, p):
-                term = term * tables[v][deg] / math.sqrt(math.factorial(deg))
-            total += term
-        return total
-
-    def value(self, x, out=None):
-        x = np.asarray(x, dtype=float)
-        out = np.empty(x.shape) if out is None else out
-        out.fill(0.0)
-        for i in self.supports:
-            out[..., i] = self._factor_values(i, x)
-        return out
-
-    def divergence(self, x):
-        """sum_i d c_i / d x_i, exact via the Hermite lowering identity."""
-        x = np.asarray(x, dtype=float)
-        total = np.zeros(x.shape[:-1])
-        for i, sup in self.supports.items():
-            if i not in sup:
-                continue
-            pos = sup.index(i)
-            lowered = []
-            for p, coeff in self.terms[i]:
-                if p[pos] == 0:
-                    continue
-                q = list(p)
-                q[pos] -= 1
-                scale = math.sqrt(2 * p[pos] * self.ctx.rates[i] / self.ctx.noise)
-                lowered.append((tuple(q), coeff * scale))
-            if lowered:
-                probe = CoefficientTableDrift({i: sup}, {i: lowered}, self.ctx)
-                total += probe._factor_values(i, x)
-        return total
-
-    def weighted_radial(self, x):
-        """sum_i lambda_i x_i c_i(x)."""
-        x = np.asarray(x, dtype=float)
-        vals = self.value(x)
-        return np.einsum("...i,...i->...", x * self.ctx.rates, vals)
-
-    def assemble(self, basis: BasisSet, spec) -> sp.csr_matrix:
-        rates, q = spec.rates, spec.noise
-        targets, cols, vals = [], [], []
-        triple = {}
-
-        def g(a, b, c):
-            key = (a, b, c)
-            if key not in triple:
-                triple[key] = hermite_triple_product(a, b, c)
-            return triple[key]
-
-        for col in range(len(basis)):
-            m = basis.orders[col]
-            for i, sup in self.supports.items():
-                if m[i] == 0:
-                    continue
-                factor0 = math.sqrt(2.0 * m[i] * rates[i] / q)
-                base = m.copy()
-                base[i] -= 1
-                for p, coeff in self.terms[i]:
-                    # candidate row indices agree with base outside the
-                    # support; inside, parity and triangle rules apply
-                    per_var = []
-                    for v, deg in zip(sup, p):
-                        b_v = int(base[v])
-                        cand = [(n_v, g(deg, b_v, n_v))
-                                for n_v in range(abs(b_v - deg), b_v + deg + 1, 2)]
-                        per_var.append([(n_v, w) for n_v, w in cand if w != 0.0])
-                    for combo in itertools.product(*per_var):
-                        n = base.copy()
-                        val = factor0 * coeff
-                        for (v, _), (n_v, w) in zip(zip(sup, p), combo):
-                            n[v] = n_v
-                            val *= w
-                        if val != 0.0:
-                            targets.append(n)
-                            cols.append(col)
-                            vals.append(val)
-        rows = basis.positions(np.array(targets, dtype=np.int32).reshape(-1, basis.n_vars))
-        hit = rows >= 0
-        cols, vals = np.array(cols, dtype=np.intp)[hit], np.array(vals)[hit]
-        mat = sp.coo_matrix((vals, (rows[hit], cols)), shape=(len(basis),) * 2)
-        return mat.tocsr()
 
 
 class QuadratureDrift:
@@ -341,7 +214,7 @@ def assemble_dissipation(basis: BasisSet, spec) -> SparseOperator:
     """Diagonal operator with entries lambda_m in basis order."""
     _check_spec_basis(basis, spec)
     mat = sp.diags(basis.weights, format="csr")
-    return SparseOperator(mat, DIAGONAL, "dissipation", basis)
+    return SparseOperator(mat, "dissipation", basis)
 
 
 def assemble_linear_drift(basis: BasisSet, spec) -> SparseOperator:
@@ -354,7 +227,7 @@ def assemble_linear_drift(basis: BasisSet, spec) -> SparseOperator:
     _check_spec_basis(basis, spec)
     n = len(basis)
     if spec.linear is None:
-        return SparseOperator(sp.csr_matrix((n, n)), SKEW, "linear", basis)
+        return SparseOperator(sp.csr_matrix((n, n)), "linear", basis)
     b = sp.coo_matrix(spec.linear)
     rates = spec.rates
     scale = max(abs(b.data).max(initial=0.0), 1.0)
@@ -376,7 +249,7 @@ def assemble_linear_drift(basis: BasisSet, spec) -> SparseOperator:
     cols, e = cols[hit], e[hit]
     vals = b_e[e] * np.sqrt(basis.orders[cols, i_e[e]] * (basis.orders[cols, j_e[e]] + 1))
     mat = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    return SparseOperator(mat, SKEW, "linear", basis)
+    return SparseOperator(mat, "linear", basis)
 
 
 def _ladder_hits(basis: BasisSet, cols, moves):
@@ -406,7 +279,7 @@ def assemble_nonlinear_drift(basis: BasisSet, spec,
     _check_spec_basis(basis, spec)
     n = len(basis)
     if spec.nonlinear is None:
-        return SparseOperator(sp.csr_matrix((n, n)), SKEW, "nonlinear", basis)
+        return SparseOperator(sp.csr_matrix((n, n)), "nonlinear", basis)
     raw = spec.nonlinear.assemble(basis, spec).tocsr()
     scale = abs(raw.data).max(initial=0.0)
     if scale > 0.0:
@@ -417,7 +290,7 @@ def assemble_nonlinear_drift(basis: BasisSet, spec,
                 "the drift spec violates the divergence-free conditions")
     mat = ((raw - raw.T) * 0.5).tocsr()
     mat.eliminate_zeros()
-    return SparseOperator(mat, SKEW, "nonlinear", basis)
+    return SparseOperator(mat, "nonlinear", basis)
 
 
 def _check_spec_basis(basis: BasisSet, spec):
@@ -425,47 +298,6 @@ def _check_spec_basis(basis: BasisSet, spec):
         raise BasisError("basis and system have different variable counts")
     if not np.array_equal(basis.rates, spec.rates):
         raise BasisError("basis was enumerated with different rates than the system")
-
-
-def save_drift_tables(drift: CoefficientTableDrift, path):
-    """Write a coefficient table file.
-
-    One record per line: `<function> <support vars> <orders> <coefficient>`,
-    with 1-based variable labels and comma-separated lists, e.g.
-    `1 1,2 2,1 0.25` says c_1 carries 0.25 * H_(2,1) over variables (1,2).
-    """
-    with open(path, "w") as fh:
-        fh.write("# drift coefficient table: function support orders coefficient\n")
-        for i in sorted(drift.supports):
-            sup = ",".join(str(v + 1) for v in drift.supports[i])
-            for p, coeff in drift.terms.get(i, []):
-                orders = ",".join(str(d) for d in p)
-                fh.write(f"{i + 1} {sup} {orders} {coeff!r}\n")
-
-
-def load_drift_tables(path, ctx: HermiteContext,
-                      strength: float = math.inf) -> CoefficientTableDrift:
-    """Parse a coefficient table file (see save_drift_tables for the format)."""
-    supports, terms = {}, {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise DriftError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
-            i = int(parts[0]) - 1
-            sup = tuple(int(v) - 1 for v in parts[1].split(","))
-            orders = tuple(int(v) for v in parts[2].split(","))
-            coeff = float(parts[3])
-            if any(v < 0 or v >= ctx.n_vars for v in sup) or i < 0 or i >= ctx.n_vars:
-                raise DriftError(f"{path}:{lineno}: variable label out of range")
-            if i in supports and supports[i] != sup:
-                raise DriftError(f"{path}:{lineno}: inconsistent support for c_{i + 1}")
-            supports[i] = sup
-            terms.setdefault(i, []).append((orders, coeff))
-    return CoefficientTableDrift(supports, terms, ctx, strength=strength)
 
 
 @dataclass

@@ -151,15 +151,6 @@ def readout_candidates(x, basis: BasisSet, truncation: int, ctx: HermiteContext)
             yield int(pos), coeff
 
 
-def readout_state(x, basis: BasisSet, truncation: int,
-                  ctx: HermiteContext) -> KEState:
-    """Truncated coherent embedding of x as a vector over the basis."""
-    coeffs = np.zeros(len(basis))
-    for pos, coeff in readout_candidates(x, basis, truncation, ctx):
-        coeffs[pos] = coeff
-    return KEState(coeffs, basis, 0.0)
-
-
 def expectation(psi_t: KEState, x, truncation: int, ctx: HermiteContext,
                 include_mean: bool = False, mean: float = 0.0) -> float:
     """v(t, x) = <readout(x), psi(t)>, optionally re-adding the observable mean."""
@@ -186,47 +177,6 @@ def readout_norm_sq(x, ctx: HermiteContext, truncation: int | None = None) -> fl
         a = 2.0 * ctx.rates[i] * x[i] ** 2 / ctx.noise
         out *= sum(a ** m / math.factorial(m) for m in range(truncation + 1))
     return out
-
-
-def _exp_series_tail(a: float, k: int) -> float:
-    """sum_{m > k} a^m / m!, summed forward to avoid cancellation."""
-    if a <= 0.0:
-        return 0.0
-    term = math.exp((k + 1) * math.log(a) - math.lgamma(k + 2))
-    total = 0.0
-    m = k + 1
-    while term > 1e-30 * (total + 1.0):
-        total += term
-        m += 1
-        term *= a / m
-    return total
-
-
-def readout_truncation_error(x, ctx: HermiteContext, truncation: int) -> float:
-    """Norm distance between the full and truncated coherent states.
-
-    Computed from per-variable series tails (never as a difference of two
-    nearly equal norms, which would cancel below ~1e-8 relative).
-    """
-    x = np.asarray(x, dtype=float)
-    support = _support(x)
-    heads = []
-    tails = []
-    for i in support:
-        a = 2.0 * ctx.rates[i] * x[i] ** 2 / ctx.noise
-        heads.append(sum(a ** m / math.factorial(m) for m in range(truncation + 1)))
-        tails.append(_exp_series_tail(a, truncation))
-    # prod(head + tail) - prod(head), expanded term by term
-    diff = 0.0
-    lead = 1.0
-    full = [h + t for h, t in zip(heads, tails)]
-    for i in range(len(support)):
-        rest = 1.0
-        for j in range(i + 1, len(support)):
-            rest *= heads[j]
-        diff += lead * tails[i] * rest
-        lead *= full[i]
-    return math.sqrt(max(diff, 0.0))
 
 
 def truncation_order_for(x, ctx: HermiteContext, eps: float) -> int:

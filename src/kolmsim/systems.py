@@ -17,13 +17,8 @@ import scipy.sparse as sp
 
 from .errors import BasisError, DriftError
 from .hermite import HermiteContext
-from .multiindex import BasisSet
-from .operators import (
-    CoefficientTableDrift,
-    QuadratureDrift,
-    SystemSpec,
-    _ladder_hits,
-)
+from .multiindex import BasisSet, RegularizationScheme, enumerate_basis
+from .operators import QuadratureDrift, SystemSpec, _ladder_hits
 
 # ---------------------------------------------------------------------------
 # nonlinear oscillator
@@ -74,22 +69,18 @@ class OscillatorLadderDrift:
         return np.zeros(x.shape[:-1])
 
     def assemble(self, basis: BasisSet, spec) -> sp.csr_matrix:
-        k_ext = basis.max_degree + 2
-        ext = [(0, 0)]
-        for deg in range(1, k_ext + 1):
-            ext.extend((deg - i, i) for i in range(deg + 1))
-        lookup = {m: idx for idx, m in enumerate(ext)}
-        dim = len(ext)
+        ext = enumerate_basis(2, RegularizationScheme.by_max_order(basis.max_degree + 2,
+                                                                   spec.rates), spec.rates)
+        # slot 0 holds the constant (0, 0), slot p + 1 the basis row at position p
+        dim = len(ext) + 1
 
         def lowering(var):
-            rows, cols, vals = [], [], []
-            for idx, m in enumerate(ext):
-                if m[var] > 0:
-                    target = (m[0] - 1, m[1]) if var == 0 else (m[0], m[1] - 1)
-                    rows.append(lookup[target])
-                    cols.append(idx)
-                    vals.append(math.sqrt(m[var]))
-            return sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
+            cols = np.nonzero(ext.orders[:, var])[0]
+            target = ext.orders[cols]
+            target[:, var] -= 1
+            vals = np.sqrt(ext.orders[cols, var])
+            return sp.coo_matrix((vals, (ext.positions(target) + 1, cols + 1)),
+                                 shape=(dim, dim)).tocsr()
 
         a1, a2 = lowering(0), lowering(1)
         x1 = a1 + a1.T
@@ -98,12 +89,12 @@ class OscillatorLadderDrift:
         scaling = sp.identity(dim, format="csr") + self.eta * (x1 @ x1) + self.eta * (x2 @ x2)
         full = (scaling @ rotation).tocsr()
 
-        idx = np.array([lookup[tuple(int(v) for v in row)] for row in basis.orders])
+        idx = ext.positions(basis.orders) + 1
         return full[np.ix_(idx, idx)].tocsr()
 
 
 def oscillator_system(lam: float = 0.1, q: float = 0.02,
-                      profile: str = "cubic", n_nodes: int = 200) -> SystemSpec:
+                      profile: str = "cubic") -> SystemSpec:
     """Planar oscillator dX1 = -lam X1 + omega(|X|) X2, dX2 = -lam X2 - omega X1.
 
     profile "cubic" uses omega(r) = 1 + r^2 (unbounded drift, J = inf) and a
@@ -124,34 +115,12 @@ def oscillator_system(lam: float = 0.1, q: float = 0.02,
         zero = lambda x: np.zeros(np.asarray(x).shape[:-1])
         drift = QuadratureDrift(funcs, {0: (0, 1), 1: (0, 1)}, ctx,
                                 strength=0.5, divergence_fn=zero,
-                                radial_fn=zero, n_nodes=n_nodes)
+                                radial_fn=zero)
         strength = 0.5
     else:
         raise DriftError(f"unknown oscillator profile {profile!r}")
     return SystemSpec(name=f"oscillator[{profile}]", rates=rates, noise=q,
                       nonlinear=drift, strength=strength)
-
-
-def oscillator_coefficient_tables(lam: float, q: float) -> CoefficientTableDrift:
-    """Hermite coefficient tables of the cubic-profile oscillator drift.
-
-    c1 = x2 (1 + x1^2 + x2^2) expands over the normalized basis as
-    sqrt(eta) [(1+4 eta) H_(0,1) + eta sqrt(2) H_(2,1) + eta sqrt(6) H_(0,3)]
-    and c2 is the sign-flipped mirror image.  Used to cross-check the
-    ladder closed form through an independent assembly route.
-    """
-    rates = np.array([lam, lam], dtype=float)
-    ctx = HermiteContext(rates=rates, noise=q)
-    eta = q / (2.0 * lam)
-    root = math.sqrt(eta)
-    terms1 = [((0, 1), root * (1 + 4 * eta)),
-              ((2, 1), root * eta * math.sqrt(2)),
-              ((0, 3), root * eta * math.sqrt(6))]
-    terms2 = [((1, 0), -root * (1 + 4 * eta)),
-              ((3, 0), -root * eta * math.sqrt(6)),
-              ((1, 2), -root * eta * math.sqrt(2))]
-    return CoefficientTableDrift({0: (0, 1), 1: (0, 1)},
-                                 {0: terms1, 1: terms2}, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -426,15 +395,6 @@ def chain_walk_weights(n_gates: int) -> np.ndarray:
     """
     j = np.arange(n_gates)
     return 0.5 * math.pi * np.sqrt((n_gates - j) * (j + 1.0))
-
-
-def chain_walk_matrix(n_gates: int) -> np.ndarray:
-    w = chain_walk_weights(n_gates)
-    mat = np.zeros((n_gates + 1, n_gates + 1))
-    for j in range(n_gates):
-        mat[j, j + 1] += w[j]
-        mat[j + 1, j] -= w[j]
-    return mat
 
 
 def clock_drift(circuit, n_qubits: int) -> sp.csr_matrix:

@@ -284,7 +284,15 @@ def with_block(cfg, block, **values):
     ({**BQP_CFG, "circuits": {"file": "foo.txt", "qubits": 1}},
      "circuits.file 'foo.txt': line 1: unknown gate"),
     ({**BQP_CFG, "circuits": {"file": "ry_abc.txt", "qubits": 1}},
-     "circuits.file 'ry_abc.txt': line 2: could not convert")])
+     "circuits.file 'ry_abc.txt': line 2: could not convert"),
+    # values that conflict with another key or with the system
+    ({**OSC_CFG, "observable": [0, 0]}, "config.observable"),
+    ({**OSC_CFG, "observable": [9, 0]}, "config.observable"),
+    ({**OSC_CFG, "observable": [3, 0]}, "config.observable"),  # above basis.orders [2]
+    (with_block(AUDITS_CFG, "regularization", r_reference=0.2),
+     "config.regularization.r_reference: 0.2 is below max(r_values) = 0.4"),
+    (with_block(AUDITS_CFG, "system", lam=1.5),
+     "config.regularization.r_values: 0.4 is below the system's first rate 1.5")])
 def test_malformed_value_exit_code(tmp_path, monkeypatch, capsys, cfg, detail):
     monkeypatch.chdir(tmp_path)
     for name, text in CIRCUIT_FILES.items():

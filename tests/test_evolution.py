@@ -90,8 +90,7 @@ def test_energy_identity_finite_differences(oscillator_setup):
 
 def test_skew_only_evolution_conserves_norm(oscillator_setup):
     _, basis, ops, psi0 = oscillator_setup
-    zero_diag = SparseOperator(sp.csr_matrix((len(basis),) * 2), "diagonal",
-                               "dissipation", basis)
+    zero_diag = SparseOperator(sp.csr_matrix((len(basis),) * 2), "dissipation", basis)
     skew_only = KEOperators(zero_diag, ops.linear, ops.nonlinear)
     out = evolve_reference(psi0, skew_only, 5.0)
     assert out.norm() == pytest.approx(psi0.norm(), rel=1e-9)

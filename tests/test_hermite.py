@@ -1,4 +1,4 @@
-"""Hermite kernels: values, recurrences, quadrature orthogonality, umbral identity."""
+"""Hermite kernels: values, recurrences, quadrature orthogonality, triple products."""
 
 import math
 
@@ -8,7 +8,6 @@ import pytest
 from kolmsim.errors import BasisError
 from kolmsim.hermite import (
     HermiteContext,
-    dirac_partial_norm,
     gauss_hermite_rule,
     gaussian_quadrature,
     h_norm,
@@ -16,7 +15,6 @@ from kolmsim.hermite import (
     he_table,
     hermite_triple_product,
     monomial_in_hermite,
-    umbral_shift_weight,
 )
 from kolmsim.multiindex import RegularizationScheme, enumerate_basis
 
@@ -150,46 +148,6 @@ def test_raising_recurrence_pointwise():
                 lower[i] -= 1
                 right = right + math.sqrt(m[i]) / s * h_norm(lower, pts, ctx)
             np.testing.assert_allclose(left, right, rtol=1e-12, atol=1e-12)
-
-
-def test_umbral_weight_examples():
-    ctx = HermiteContext(rates=np.array([0.2, 0.5]), noise=0.3)
-    x = np.array([0.9, -1.1])
-    assert float(umbral_shift_weight((1, 0), x, ctx)) == pytest.approx(
-        0.9 * math.sqrt(2 * 0.2 / 0.3), rel=1e-14)
-    assert float(umbral_shift_weight((2, 1), np.zeros(2), ctx)) == 0.0
-
-
-def test_umbral_weight_is_gaussian_shift_average():
-    # int mu(y) H_m(x + y) dy computed with 64-node quadrature
-    ctx = HermiteContext(rates=np.array([1.0]), noise=1.0)
-    x = np.array([0.7])
-    got = gaussian_quadrature(lambda pts: h_norm((2,), pts + x, ctx), ctx, 64)
-    assert got == pytest.approx(0.49 * math.sqrt(2), rel=1e-12)
-    assert float(umbral_shift_weight((2,), x, ctx)) == pytest.approx(got, rel=1e-12)
-
-
-def test_dirac_partial_norm_values():
-    assert dirac_partial_norm(2) == pytest.approx(0.5, abs=1e-15)
-    assert dirac_partial_norm(3) == pytest.approx(0.5, abs=1e-15)
-    assert dirac_partial_norm(0) == 0.0
-
-
-def test_dirac_term_ratio_approaches_constant():
-    # term(n) / (1/sqrt(n)) -> sqrt(2/pi)
-    def term(n):
-        return dirac_partial_norm(n) - dirac_partial_norm(n - 1)
-
-    ratios = [term(n) * math.sqrt(n) for n in (2000, 4000, 8000)]
-    for r in ratios:
-        assert r == pytest.approx(math.sqrt(2 / math.pi), rel=2e-3)
-    assert abs(ratios[2] - math.sqrt(2 / math.pi)) < abs(ratios[0] - math.sqrt(2 / math.pi))
-
-
-def test_dirac_partial_sums_increase_without_bound():
-    values = [dirac_partial_norm(n) for n in (10, 100, 1000, 10000)]
-    assert all(b > a for a, b in zip(values, values[1:]))
-    assert values[-1] > 70  # ~ sqrt(2/pi) * 2 * sqrt(n)
 
 
 def test_triple_product_against_quadrature():

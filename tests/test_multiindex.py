@@ -1,4 +1,4 @@
-"""Basis enumeration, weights, and multiset encoding."""
+"""Basis enumeration, truncation rules, and closed-form basis positions."""
 
 import itertools
 import math
@@ -12,10 +12,7 @@ from kolmsim.errors import BasisError, ResourceLimitError
 from kolmsim.multiindex import (
     BasisSet,
     RegularizationScheme,
-    decode_multiset,
-    encode_multiset,
     enumerate_basis,
-    weight,
 )
 
 
@@ -26,18 +23,6 @@ def brute_force_orders(n_vars, k_max):
         if 1 <= sum(vec) <= k_max:
             out.add(vec)
     return out
-
-
-def test_weight_examples():
-    lam = [1, 1, 1, 1, 1, 1, 5]
-    assert weight((2, 0, 0, 0, 0, 0, 1), lam) == 7.0
-    assert weight((0, 0, 1, 0, 0, 0, 0), lam) == 1.0
-    assert weight((1, 1), (0.1, 0.1)) == pytest.approx(0.2, abs=1e-15)
-
-
-def test_weight_dimension_mismatch():
-    with pytest.raises(BasisError):
-        weight((1, 0), (1.0,))
 
 
 def test_order_rule_minimal_basis():
@@ -155,7 +140,6 @@ def test_scalar_lookups_agree_with_positions():
     rows = rng.integers(-1, basis.max_degree + 2, size=(200, 4))
     for row, pos in zip(rows, basis.positions(rows)):
         assert basis.get(row) == pos
-        assert (tuple(row) in basis) == (pos >= 0)
         if pos >= 0:
             assert basis.position(tuple(row)) == pos
         else:
@@ -204,47 +188,3 @@ def test_empty_basis_rejected():
 def test_unsorted_rates_rejected():
     with pytest.raises(BasisError):
         enumerate_basis(2, RegularizationScheme.by_max_order(2, (1.0, 1.0)), (2.0, 1.0))
-
-
-def test_encode_worked_example():
-    # N=7, K=4, m = (2,0,0,0,0,0,1): registers (7,1,1,0), LSB leftmost.
-    bits = encode_multiset((2, 0, 0, 0, 0, 0, 1), n_vars=7, max_order=4)
-    assert bits == "111" + "100" + "100" + "000"
-    assert decode_multiset(bits, 7, 4) == (2, 0, 0, 0, 0, 0, 1)
-
-
-def test_encode_unit_index():
-    bits = encode_multiset((1, 0, 0, 0, 0), n_vars=5, max_order=3)
-    q = 3  # ceil(log2(6))
-    assert bits[:q] == "100"
-    assert bits[q:] == "0" * (2 * q)
-
-
-def test_encode_overflow():
-    with pytest.raises(BasisError):
-        encode_multiset((2, 2), n_vars=2, max_order=3)
-
-
-def test_encode_roundtrip_exhaustive():
-    rates = np.ones(5)
-    basis = enumerate_basis(5, RegularizationScheme.by_max_order(3, rates), rates)
-    for m in map(tuple, basis.orders.tolist()):
-        bits = encode_multiset(m, 5, 3)
-        assert decode_multiset(bits, 5, 3) == m
-
-
-def test_encoding_injective():
-    rates = np.ones(7)
-    basis = enumerate_basis(7, RegularizationScheme.by_max_order(4, rates), rates)
-    seen = {}
-    for m in map(tuple, basis.orders.tolist()):
-        bits = encode_multiset(m, 7, 4)
-        assert bits not in seen, f"collision between {m} and {seen[bits]}"
-        seen[bits] = m
-
-
-def test_decode_rejects_non_canonical():
-    # registers (1,7): increasing order is not a canonical encoding
-    bits = "100" + "111" + "000" + "000"
-    with pytest.raises(BasisError):
-        decode_multiset(bits, 7, 4)

@@ -1,5 +1,7 @@
 """Operator assembly: diagonal weights, skew drifts, bounds, divergence checks."""
 
+import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -7,21 +9,168 @@ import pytest
 import scipy.sparse as sp
 
 from kolmsim.errors import BasisError, DriftError
-from kolmsim.hermite import HermiteContext, gaussian_quadrature, h_norm
+from kolmsim.hermite import (
+    HermiteContext,
+    gaussian_quadrature,
+    h_norm,
+    he_table,
+    hermite_triple_product,
+)
 from kolmsim.multiindex import RegularizationScheme, enumerate_basis
 from kolmsim.operators import (
-    CoefficientTableDrift,
     SystemSpec,
     assemble_dissipation,
     assemble_linear_drift,
     assemble_nonlinear_drift,
-    load_drift_tables,
     operator_norm_estimate,
-    save_drift_tables,
     sparsity_audit,
     verify_divergence_free,
 )
-from kolmsim.systems import oscillator_coefficient_tables, oscillator_system
+from kolmsim.systems import oscillator_system
+
+
+class CoefficientTableDrift:
+    """Nonlinear drift given by Hermite coefficients of each c_i.
+
+    The reference route for the cubic oscillator's ladder closed form: it
+    assembles with exact triple-product integrals and shares no code with
+    the ladder algebra.
+
+    `supports[i]` lists the variables c_i touches; `terms[i]` holds
+    (orders-over-support, coefficient) pairs in the context-normalized
+    Hermite basis, so c_i(x) = sum coeff * prod_v He_{p_v}(x_v s_v)/sqrt(p_v!).
+    """
+
+    def __init__(self, supports: dict, terms: dict, ctx: HermiteContext,
+                 strength: float = math.inf):
+        for i, sup in supports.items():
+            for orders, _ in terms.get(i, []):
+                if len(orders) != len(sup):
+                    raise DriftError(
+                        f"term of c_{i} has {len(orders)} orders for a "
+                        f"support of {len(sup)} variables")
+        for i in terms:
+            if i not in supports:
+                raise DriftError(f"coefficient table references undeclared function c_{i}")
+        self.supports = {i: tuple(sup) for i, sup in supports.items()}
+        self.terms = {i: [(tuple(p), float(c)) for p, c in tt] for i, tt in terms.items()}
+        self.ctx = ctx
+        self.strength = float(strength)
+        self.sparsity = max((len(s) for s in self.supports.values()), default=0)
+
+    def _factor_values(self, i, x):
+        """Per-term values of c_i at points x of shape (..., N)."""
+        x = np.asarray(x, dtype=float)
+        sup = self.supports[i]
+        max_deg = max((max(p) for p, _ in self.terms[i]), default=0)
+        tables = {v: he_table(max_deg, x[..., v] * self.ctx.scalings[v]) for v in sup}
+        total = np.zeros(x.shape[:-1])
+        for p, coeff in self.terms[i]:
+            term = np.full(x.shape[:-1], coeff)
+            for v, deg in zip(sup, p):
+                term = term * tables[v][deg] / math.sqrt(math.factorial(deg))
+            total += term
+        return total
+
+    def value(self, x, out=None):
+        x = np.asarray(x, dtype=float)
+        out = np.empty(x.shape) if out is None else out
+        out.fill(0.0)
+        for i in self.supports:
+            out[..., i] = self._factor_values(i, x)
+        return out
+
+    def divergence(self, x):
+        """sum_i d c_i / d x_i, exact via the Hermite lowering identity."""
+        x = np.asarray(x, dtype=float)
+        total = np.zeros(x.shape[:-1])
+        for i, sup in self.supports.items():
+            if i not in sup:
+                continue
+            pos = sup.index(i)
+            lowered = []
+            for p, coeff in self.terms[i]:
+                if p[pos] == 0:
+                    continue
+                q = list(p)
+                q[pos] -= 1
+                scale = math.sqrt(2 * p[pos] * self.ctx.rates[i] / self.ctx.noise)
+                lowered.append((tuple(q), coeff * scale))
+            if lowered:
+                probe = CoefficientTableDrift({i: sup}, {i: lowered}, self.ctx)
+                total += probe._factor_values(i, x)
+        return total
+
+    def weighted_radial(self, x):
+        """sum_i lambda_i x_i c_i(x)."""
+        x = np.asarray(x, dtype=float)
+        vals = self.value(x)
+        return np.einsum("...i,...i->...", x * self.ctx.rates, vals)
+
+    def assemble(self, basis, spec) -> sp.csr_matrix:
+        rates, q = spec.rates, spec.noise
+        targets, cols, vals = [], [], []
+        triple = {}
+
+        def g(a, b, c):
+            key = (a, b, c)
+            if key not in triple:
+                triple[key] = hermite_triple_product(a, b, c)
+            return triple[key]
+
+        for col in range(len(basis)):
+            m = basis.orders[col]
+            for i, sup in self.supports.items():
+                if m[i] == 0:
+                    continue
+                factor0 = math.sqrt(2.0 * m[i] * rates[i] / q)
+                base = m.copy()
+                base[i] -= 1
+                for p, coeff in self.terms[i]:
+                    # candidate row indices agree with base outside the
+                    # support; inside, parity and triangle rules apply
+                    per_var = []
+                    for v, deg in zip(sup, p):
+                        b_v = int(base[v])
+                        cand = [(n_v, g(deg, b_v, n_v))
+                                for n_v in range(abs(b_v - deg), b_v + deg + 1, 2)]
+                        per_var.append([(n_v, w) for n_v, w in cand if w != 0.0])
+                    for combo in itertools.product(*per_var):
+                        n = base.copy()
+                        val = factor0 * coeff
+                        for (v, _), (n_v, w) in zip(zip(sup, p), combo):
+                            n[v] = n_v
+                            val *= w
+                        if val != 0.0:
+                            targets.append(n)
+                            cols.append(col)
+                            vals.append(val)
+        rows = basis.positions(np.array(targets, dtype=np.int32).reshape(-1, basis.n_vars))
+        hit = rows >= 0
+        cols, vals = np.array(cols, dtype=np.intp)[hit], np.array(vals)[hit]
+        mat = sp.coo_matrix((vals, (rows[hit], cols)), shape=(len(basis),) * 2)
+        return mat.tocsr()
+
+
+def oscillator_coefficient_tables(lam, q):
+    """Hermite coefficient tables of the cubic-profile oscillator drift.
+
+    c1 = x2 (1 + x1^2 + x2^2) expands over the normalized basis as
+    sqrt(eta) [(1+4 eta) H_(0,1) + eta sqrt(2) H_(2,1) + eta sqrt(6) H_(0,3)]
+    and c2 is the sign-flipped mirror image.
+    """
+    rates = np.array([lam, lam], dtype=float)
+    ctx = HermiteContext(rates=rates, noise=q)
+    eta = q / (2.0 * lam)
+    root = math.sqrt(eta)
+    terms1 = [((0, 1), root * (1 + 4 * eta)),
+              ((2, 1), root * eta * math.sqrt(2)),
+              ((0, 3), root * eta * math.sqrt(6))]
+    terms2 = [((1, 0), -root * (1 + 4 * eta)),
+              ((3, 0), -root * eta * math.sqrt(6)),
+              ((1, 2), -root * eta * math.sqrt(2))]
+    return CoefficientTableDrift({0: (0, 1), 1: (0, 1)},
+                                 {0: terms1, 1: terms2}, ctx)
 
 
 def rotation_spec(lam=0.1, q=0.02, omega=1.0):
@@ -146,6 +295,18 @@ def test_table_route_matches_ladder_route():
     C_ladder = assemble_nonlinear_drift(basis, spec).matrix.toarray()
     C_table = assemble_nonlinear_drift(basis, tspec).matrix.toarray()
     np.testing.assert_allclose(C_table, C_ladder, atol=1e-13)
+
+
+def test_cubic_ladder_matrix_pinned():
+    # sha256 of the raw K = 16 ladder matrix's CSR arrays; any change in how
+    # the ladder route rounds or orders its entries shows here
+    spec = oscillator_system(0.1, 0.02)
+    mat = spec.nonlinear.assemble(basis_for(spec, 16), spec)
+    digest = hashlib.sha256()
+    for arr in (mat.data, mat.indices, mat.indptr):
+        digest.update(np.ascontiguousarray(arr).tobytes())
+    assert digest.hexdigest() == \
+        "7dfcb2d18b493d004ba86555caad5717812b1f3e452a79d044e78194dabfadc2"
 
 
 def test_nonlinear_skew_exact():
@@ -293,27 +454,6 @@ def test_power_iteration_against_dense_norm():
     mat = rng.normal(size=(40, 40))
     est = operator_norm_estimate(sp.csr_matrix(mat), n_iter=500, tol=1e-10)
     assert est == pytest.approx(np.linalg.norm(mat, 2), rel=1e-5)
-
-
-# ------------------------------------------------------------------ table file format
-
-
-def test_table_file_roundtrip(tmp_path):
-    drift = oscillator_coefficient_tables(0.1, 0.02)
-    path = tmp_path / "tables.txt"
-    save_drift_tables(drift, path)
-    loaded = load_drift_tables(path, drift.ctx)
-    assert loaded.supports == drift.supports
-    for i in drift.terms:
-        assert sorted(loaded.terms[i]) == sorted(drift.terms[i])
-
-
-def test_table_file_rejects_bad_variable(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("1 1,5 0,1 1.0\n")
-    ctx = HermiteContext(rates=np.array([0.1, 0.1]), noise=0.02)
-    with pytest.raises(DriftError):
-        load_drift_tables(path, ctx)
 
 
 def test_basis_spec_mismatch_rejected():

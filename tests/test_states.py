@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from kolmsim.errors import BasisError
+from kolmsim.evolution import KEState
 from kolmsim.hermite import HermiteContext, gaussian_quadrature
 from kolmsim.multiindex import RegularizationScheme, enumerate_basis
 from kolmsim.states import (
@@ -13,9 +14,8 @@ from kolmsim.states import (
     combination_state,
     expectation,
     initial_state,
+    readout_candidates,
     readout_norm_sq,
-    readout_state,
-    readout_truncation_error,
     truncation_order_for,
 )
 
@@ -29,6 +29,55 @@ def basis_for(ctx, K):
     return enumerate_basis(ctx.n_vars,
                            RegularizationScheme.by_max_order(K, ctx.rates),
                            ctx.rates)
+
+
+def readout_state(x, basis, truncation, ctx):
+    """Truncated coherent embedding of x as a vector over the basis."""
+    coeffs = np.zeros(len(basis))
+    for pos, coeff in readout_candidates(x, basis, truncation, ctx):
+        coeffs[pos] = coeff
+    return KEState(coeffs, basis, 0.0)
+
+
+def _exp_series_tail(a, k):
+    """sum_{m > k} a^m / m!, summed forward to avoid cancellation."""
+    if a <= 0.0:
+        return 0.0
+    term = math.exp((k + 1) * math.log(a) - math.lgamma(k + 2))
+    total = 0.0
+    m = k + 1
+    while term > 1e-30 * (total + 1.0):
+        total += term
+        m += 1
+        term *= a / m
+    return total
+
+
+def readout_truncation_error(x, ctx, truncation):
+    """Norm distance between the full and truncated coherent states.
+
+    Computed from per-variable series tails (never as a difference of two
+    nearly equal norms, which would cancel below ~1e-8 relative).
+    """
+    x = np.asarray(x, dtype=float)
+    support = np.nonzero(x)[0]
+    heads = []
+    tails = []
+    for i in support:
+        a = 2.0 * ctx.rates[i] * x[i] ** 2 / ctx.noise
+        heads.append(sum(a ** m / math.factorial(m) for m in range(truncation + 1)))
+        tails.append(_exp_series_tail(a, truncation))
+    # prod(head + tail) - prod(head), expanded term by term
+    diff = 0.0
+    lead = 1.0
+    full = [h + t for h, t in zip(heads, tails)]
+    for i in range(len(support)):
+        rest = 1.0
+        for j in range(i + 1, len(support)):
+            rest *= heads[j]
+        diff += lead * tails[i] * rest
+        lead *= full[i]
+    return math.sqrt(max(diff, 0.0))
 
 
 def test_initial_state_linear_observable(ctx):
@@ -154,8 +203,6 @@ def test_expectation_time_zero_linear(ctx):
 
 def test_expectation_zero_state(ctx):
     basis = basis_for(ctx, 2)
-    from kolmsim.evolution import KEState
-
     psi = KEState(np.zeros(len(basis)), basis)
     assert expectation(psi, np.array([0.3, 0.4]), 2, ctx) == 0.0
 

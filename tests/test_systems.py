@@ -11,7 +11,7 @@ from kolmsim.multiindex import RegularizationScheme, enumerate_basis
 from kolmsim.operators import assemble_nonlinear_drift, verify_divergence_free
 from kolmsim.systems import (
     GATE_MATRICES,
-    chain_walk_matrix,
+    chain_walk_weights,
     circuit_amplitude,
     clock_drift,
     clock_system,
@@ -307,6 +307,16 @@ def test_taylor_green_rejects_negative_time():
 
 
 # ------------------------------------------------------------------ clock construction
+
+
+def chain_walk_matrix(n_gates):
+    """The clock walk sum_j w_j (|j><j+1| - |j+1><j|) on its own, without gates."""
+    w = chain_walk_weights(n_gates)
+    mat = np.zeros((n_gates + 1, n_gates + 1))
+    for j in range(n_gates):
+        mat[j, j + 1] += w[j]
+        mat[j + 1, j] -= w[j]
+    return mat
 
 
 def test_chain_walk_half_turn():
