@@ -7,12 +7,16 @@ matrix-exponential action (dense up to 2000 dimensions, scipy's
 `expm_multiply` above), and the first-order splitting
 exp(-tau A) exp(tau B) exp(tau C) whose error the audits measure against
 its analytic bound.
+
+Readout is linear, so by duality <r, e^{tG} psi> = <e^{tG^T} r, psi>: one
+solve under `KEOperators.transpose()` from a readout state r serves every
+linear observable read at that point.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -72,6 +76,12 @@ class KEOperators:
         """-A + B + C as one sparse matrix."""
         return (-self.dissipation.matrix + self.linear.matrix
                 + self.nonlinear.matrix).tocsr()
+
+    def transpose(self) -> KEOperators:
+        """The operators of G^T: A is diagonal, B and C are transposed exactly."""
+        return KEOperators(self.dissipation,
+                           replace(self.linear, matrix=self.linear.matrix.T.tocsr()),
+                           replace(self.nonlinear, matrix=self.nonlinear.matrix.T.tocsr()))
 
 
 def assemble_all(basis: BasisSet, spec) -> KEOperators:

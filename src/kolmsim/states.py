@@ -151,6 +151,14 @@ def readout_candidates(x, basis: BasisSet, truncation: int, ctx: HermiteContext)
             yield int(pos), coeff
 
 
+def readout_state(x, basis: BasisSet, truncation: int, ctx: HermiteContext) -> KEState:
+    """Truncated coherent embedding of x as a vector over the basis."""
+    coeffs = np.zeros(len(basis))
+    for pos, coeff in readout_candidates(x, basis, truncation, ctx):
+        coeffs[pos] = coeff
+    return KEState(coeffs, basis, 0.0)
+
+
 def expectation(psi_t: KEState, x, truncation: int, ctx: HermiteContext,
                 include_mean: bool = False, mean: float = 0.0) -> float:
     """v(t, x) = <readout(x), psi(t)>, optionally re-adding the observable mean."""

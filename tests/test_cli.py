@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import csv
 import io
 import json
 import os
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from kolmsim import cli, experiments
 from kolmsim.errors import ConfigError
+from kolmsim.evolution import assemble_all
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -132,6 +134,39 @@ def test_bqp_run_reports_identity(tmp_path):
     audit = json.loads((out / "audit.json").read_text())
     assert audit["bqp"]["worst_identity_gap"] <= 1e-9
     assert audit["bqp"]["bound_satisfied"] is True
+
+
+def test_taylor_green_nonzero_truth(tmp_path, monkeypatch):
+    # at the default xi2 = 0.25 the probed u1 vanishes; at 0.1 it does not
+    real_evolve, solves = experiments.evolve_reference, []
+
+    def recording_evolve(state, ops, t, **kwargs):
+        solves.append(ops)
+        return real_evolve(state, ops, t, **kwargs)
+
+    monkeypatch.setattr(experiments, "evolve_reference", recording_evolve)
+    cfg = {**with_block(NSE_CFG, "probe", xi2=0.1, count=4), "basis": {"order": 3}}
+    experiments.run_experiment(experiments.validate_config(cfg), str(tmp_path))
+    with open(tmp_path / "comparison.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 4 and all(abs(float(r["taylor_green"])) > 0.01 for r in rows)
+    assert all(float(r["abs_error"]) <= 1e-6 for r in rows)
+    # one adjoint solve serves every probe (the audits solve on an order-2 basis)
+    adjoint = [ops for ops in solves if ops.basis.max_degree == 3]
+    assert len(adjoint) == 1
+    forward = assemble_all(adjoint[0].basis, experiments.build_system("nse", cfg["system"]))
+    assert (adjoint[0].generator() != forward.generator().T).nnz == 0
+
+
+def test_taylor_green_verdict_feeds_exit_code(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(experiments, "taylor_green", lambda t, x, y, nu: (1.0, 0.0))
+    out = tmp_path / "o"
+    assert cli.main(["run", write_cfg(tmp_path, NSE_CFG), "--out", str(out)]) == cli.EXIT_AUDIT
+    audit = json.loads((out / "audit.json").read_text())
+    assert audit["taylor_green_within_tolerance"] is False
+    assert audit["passed"] is False
+    assert error_record(capsys) == {"error": "audit",
+                                    "detail": "failed checks: taylor_green_within_tolerance"}
 
 
 def test_audit_command(tmp_path):

@@ -23,7 +23,13 @@ from kolmsim.evolution import (
 )
 from kolmsim.multiindex import RegularizationScheme, enumerate_basis
 from kolmsim.operators import SparseOperator, SystemSpec
-from kolmsim.states import MonomialObservable, initial_state
+from kolmsim.states import (
+    MonomialObservable,
+    combination_state,
+    expectation,
+    initial_state,
+    readout_state,
+)
 from kolmsim.systems import (
     clock_system,
     nse_system,
@@ -179,6 +185,33 @@ def test_expm_above_dense_limit_matches_reference():
     ref = evolve_reference(psi0, ops, t, rtol=1e-12)
     out = evolve_expm(psi0, ops, t)
     np.testing.assert_allclose(out.coefficients, ref.coefficients, rtol=0, atol=1e-9)
+
+
+def test_adjoint_readout_matches_forward_solves():
+    # <r, e^{tG} psi0> = <e^{tG^T} r, psi0>: one solve from the readout state
+    # under the transposed operators answers every linear observable at x0.
+    # x0 is random (not Taylor-Green), so the nonlinear operator contributes.
+    spec = nse_system(6, 0.1, 1e-5)
+    ctx = spec.context
+    basis = basis_for(spec, 3)
+    ops = assemble_all(basis, spec)
+    assert ops.nonlinear.matrix.nnz
+    assert (ops.transpose().generator() != ops.generator().T).nnz == 0
+    rng = np.random.default_rng(8)
+    x0 = rng.normal(scale=0.3, size=6)
+    t = 0.25
+    # rtol below the default keeps each solve's own error far under 1e-9
+    readout = readout_state(x0, basis, 3, ctx)
+    adjoint = evolve_reference(readout, ops.transpose(), t, rtol=1e-11).coefficients
+    dense = readout.coefficients @ expm(t * ops.generator().toarray())
+    for _ in range(3):
+        terms = [(float(c), MonomialObservable(tuple(int(j == k) for j in range(6)), ctx))
+                 for k, c in enumerate(rng.normal(size=6))]
+        psi0 = combination_state(terms, basis)
+        value = adjoint @ psi0.coefficients
+        forward = expectation(evolve_reference(psi0, ops, t, rtol=1e-11), x0, 3, ctx)
+        assert value == pytest.approx(forward, rel=1e-9)
+        assert value == pytest.approx(dense @ psi0.coefficients, rel=1e-9)
 
 
 # ------------------------------------------------------------------ regularization

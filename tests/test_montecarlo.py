@@ -1,6 +1,7 @@
 """Euler-Maruyama oracle: analytic OU checks, determinism, convergence, guards."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -10,6 +11,9 @@ from kolmsim.montecarlo import CHUNK_SIZE, compare, simulate
 from kolmsim.operators import SystemSpec
 from kolmsim.states import MonomialObservable
 from kolmsim.systems import oscillator_system
+
+# estimates do not depend on the thread count, so the multi-chunk runs use every core
+N_THREADS = len(os.sched_getaffinity(0))
 
 
 def ou_spec(lam=0.5, q=0.2, n_vars=1):
@@ -29,7 +33,7 @@ def test_ou_mean_matches_analytic():
     spec = ou_spec(lam=lam)
     times = np.array([0.0, 0.5, 1.0, 2.0, 4.0])
     run = simulate(spec, np.array([1.0]), x_obs(spec), times,
-                   n_samples=20000, dt=1e-3, seed=7)
+                   n_samples=20000, dt=1e-3, seed=7, n_threads=N_THREADS)
     exact = np.exp(-lam * times)
     assert np.all(np.abs(run.mean - exact) <= 3 * np.maximum(run.se, 1e-12))
 
@@ -40,7 +44,8 @@ def test_ou_variance_growth_without_initial_noise():
     spec = ou_spec(lam=lam, q=q)
     times = np.array([0.5, 1.0, 2.0, 6.0])
     run = simulate(spec, np.array([0.0]), xsq_obs(spec), times,
-                   n_samples=40000, dt=1e-3, seed=3, initial_noise=False)
+                   n_samples=40000, dt=1e-3, seed=3, initial_noise=False,
+                   n_threads=N_THREADS)
     exact = q * (1 - np.exp(-2 * lam * times)) / (2 * lam)
     assert np.all(np.abs(run.mean - exact) <= 3 * run.se)
 
@@ -51,7 +56,7 @@ def test_ou_stationary_variance_with_initial_noise():
     spec = ou_spec(lam=lam, q=q)
     times = np.array([0.0, 1.0, 3.0, 8.0])
     run = simulate(spec, np.array([1.0]), xsq_obs(spec), times,
-                   n_samples=40000, dt=1e-3, seed=11)
+                   n_samples=40000, dt=1e-3, seed=11, n_threads=N_THREADS)
     exact = q / (2 * lam) + np.exp(-2 * lam * times)
     assert np.all(np.abs(run.mean - exact) <= 3 * run.se)
 
@@ -127,8 +132,10 @@ def test_different_seeds_differ():
 def test_se_scaling_with_sample_count():
     spec = ou_spec()
     times = np.array([1.0])
-    small = simulate(spec, np.array([1.0]), x_obs(spec), times, 10000, 1e-2, seed=5)
-    large = simulate(spec, np.array([1.0]), x_obs(spec), times, 40000, 1e-2, seed=5)
+    small = simulate(spec, np.array([1.0]), x_obs(spec), times, 10000, 1e-2, seed=5,
+                     n_threads=N_THREADS)
+    large = simulate(spec, np.array([1.0]), x_obs(spec), times, 40000, 1e-2, seed=5,
+                     n_threads=N_THREADS)
     ratio = small.se[0] / large.se[0]
     assert 2.0 * 0.8 <= ratio <= 2.0 * 1.2
 
@@ -142,7 +149,8 @@ def test_weak_first_order_convergence():
     dts = (0.2, 0.1, 0.05)
     for dt in dts:
         run = simulate(spec, np.array([1.0]), x_obs(spec), np.array([t]),
-                       n_samples=200000, dt=dt, seed=9, initial_noise=False)
+                       n_samples=200000, dt=dt, seed=9, initial_noise=False,
+                       n_threads=N_THREADS)
         biases.append(abs(run.mean[0] - math.exp(-lam * t)))
     slope = np.polyfit(np.log(dts), np.log(biases), 1)[0]
     assert 0.8 <= slope <= 1.2
@@ -209,7 +217,8 @@ def test_linear_system_within_noise_of_closed_form():
     x0[2 * 2] = 1.0  # clock register at its final slot
     times = np.array([0.0, 0.5, 1.0])
     u0 = MonomialObservable((1,) + (0,) * (spec.n_vars - 1), spec.context)
-    run = simulate(spec, x0, u0, times, n_samples=40000, dt=dt, seed=17)
+    run = simulate(spec, x0, u0, times, n_samples=40000, dt=dt, seed=17,
+                   n_threads=N_THREADS)
     discrete = np.array([(np.linalg.matrix_power(step, round(t / dt)) @ x0)[0]
                          for t in times])
     assert np.all(np.abs(run.mean - discrete) <= 3 * np.maximum(run.se, 1e-12))

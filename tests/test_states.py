@@ -14,8 +14,8 @@ from kolmsim.states import (
     combination_state,
     expectation,
     initial_state,
-    readout_candidates,
     readout_norm_sq,
+    readout_state,
     truncation_order_for,
 )
 
@@ -29,14 +29,6 @@ def basis_for(ctx, K):
     return enumerate_basis(ctx.n_vars,
                            RegularizationScheme.by_max_order(K, ctx.rates),
                            ctx.rates)
-
-
-def readout_state(x, basis, truncation, ctx):
-    """Truncated coherent embedding of x as a vector over the basis."""
-    coeffs = np.zeros(len(basis))
-    for pos, coeff in readout_candidates(x, basis, truncation, ctx):
-        coeffs[pos] = coeff
-    return KEState(coeffs, basis, 0.0)
 
 
 def _exp_series_tail(a, k):
