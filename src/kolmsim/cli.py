@@ -2,7 +2,8 @@
 
 `kolmsim run <config> --out <dir>` executes one experiment and writes its
 artifacts; `kolmsim audit <config>` runs only the bound audits.  Exit
-codes: 0 ok, 2 config error, 3 audit failure, 4 numerical failure.
+codes: 0 ok, 2 config error, 3 audit failure (any false boolean in the
+audit payload, named by `experiments.failed_checks`), 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import sys
 import tempfile
 
 from .errors import ConfigError, KolmsimError
-from .experiments import load_config, run_experiment
+from .experiments import failed_checks, load_config, run_experiment
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -28,47 +29,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run an experiment from a config file")
-    run_p.add_argument("config", help="path to the JSON run configuration")
     run_p.add_argument("--out", required=True, help="output directory")
-    run_p.add_argument("--seed", type=int, default=None, help="seed override")
-    run_p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for Monte Carlo sampling")
-
     audit_p = sub.add_parser("audit", help="run only the bound audits")
-    audit_p.add_argument("config", help="path to the JSON run configuration")
     audit_p.add_argument("--out", default=None,
                          help="output directory (default: temporary)")
-    audit_p.add_argument("--seed", type=int, default=None, help="seed override")
-    audit_p.add_argument("--threads", type=int, default=1)
+    for p in (run_p, audit_p):
+        p.add_argument("config", help="path to the JSON run configuration")
+        p.add_argument("--seed", type=int, default=None, help="seed override")
+        p.add_argument("--threads", type=int, default=1,
+                       help="worker threads for Monte Carlo sampling")
     return parser
 
 
 def _error_record(kind: str, message: str):
     json.dump({"error": kind, "detail": message}, sys.stderr)
     sys.stderr.write("\n")
-
-
-def _audit_failures(audit: dict, prefix: str = "") -> list:
-    """Paths of every false verdict below the root.
-
-    A false `passed` flag names the check that holds it; any other false
-    boolean names itself, e.g. `bqp/bound_satisfied`.
-    """
-    bad = []
-    if isinstance(audit, dict):
-        for key, value in audit.items():
-            path = f"{prefix}/{key}" if prefix else key
-            if isinstance(value, bool):
-                if not value and key != "passed":
-                    bad.append(path)
-                elif not value and prefix:
-                    bad.append(prefix)
-            else:
-                bad.extend(_audit_failures(value, path))
-    elif isinstance(audit, list):
-        for i, value in enumerate(audit):
-            bad.extend(_audit_failures(value, f"{prefix}[{i}]"))
-    return bad
 
 
 def main(argv=None) -> int:
@@ -79,9 +54,8 @@ def main(argv=None) -> int:
             raise ConfigError("the audit command needs an 'audits' experiment config")
         out_dir = args.out or tempfile.mkdtemp(prefix="kolmsim-audit-")
         audit = run_experiment(cfg, out_dir, seed=args.seed, threads=args.threads)
-        failures = _audit_failures(audit)
-        if not audit.get("passed", True) or failures:
-            _error_record("audit", "failed checks: " + "; ".join(failures or ["root"]))
+        if failures := failed_checks(audit):
+            _error_record("audit", "failed checks: " + "; ".join(failures))
             return EXIT_AUDIT
         print(f"ok: artifacts in {out_dir}")
         return EXIT_OK

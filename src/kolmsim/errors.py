@@ -18,7 +18,7 @@ class ResourceLimitError(KolmsimError):
 
 
 class DriftError(KolmsimError):
-    """Drift specification violates the divergence-free conditions."""
+    """Drift spec that is malformed, not divergence-free, or unresolved by its quadrature."""
 
 
 class NumericalError(KolmsimError):

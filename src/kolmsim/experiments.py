@@ -1,11 +1,15 @@
 """Config-driven experiments: system building, runs, and the audit bundle.
 
-Each experiment consumes the config `validate_config` normalised and writes
-the same artifact set: galerkin_curve.csv, mc_curve.csv, comparison.csv,
-audit.json, and manifest.json (column meanings vary per experiment and
-are documented in the README).  Audits aggregate every bound check that
-applies to the configured system; checks that need a finite drift
-strength J are reported as not applicable when J is infinite.
+Each runner consumes the config `validate_config` normalised and only
+computes: it returns its audit payload and its CSV tables.
+`run_experiment` writes the tables (galerkin_curve.csv, mc_curve.csv and
+comparison.csv for every experiment but `audits`; column meanings are
+documented in the README), then audit.json and manifest.json.  Every
+boolean in the audit payload is a verdict, and `run_experiment` sets the
+root `passed` flag true iff `failed_checks` finds none false.  Audits
+aggregate every bound check that applies to the configured system; checks
+that need a finite drift strength J are reported as not applicable when J
+is infinite.
 """
 
 from __future__ import annotations
@@ -314,6 +318,29 @@ def _default_observable(spec) -> MonomialObservable:
 # ---------------------------------------------------------------- audit bundle
 
 
+def failed_checks(audit, prefix: str = "") -> list:
+    """Paths of every false verdict below the root of an audit payload.
+
+    Every boolean is a verdict. A false `passed` flag names the check that
+    holds it; any other false boolean names itself, e.g. `bqp/bound_satisfied`.
+    """
+    bad = []
+    if isinstance(audit, dict):
+        for key, value in audit.items():
+            path = f"{prefix}/{key}" if prefix else key
+            if isinstance(value, (bool, np.bool_)):
+                if not value and key != "passed":
+                    bad.append(path)
+                elif not value and prefix:
+                    bad.append(prefix)
+            else:
+                bad.extend(failed_checks(value, path))
+    elif isinstance(audit, list):
+        for i, value in enumerate(audit):
+            bad.extend(failed_checks(value, f"{prefix}[{i}]"))
+    return bad
+
+
 def run_audits(spec, basis_order: int, seed: int = 0,
                options: dict = AUDIT_DEFAULTS) -> dict:
     """Every report-producing check that applies to the system, as JSON.
@@ -429,15 +456,7 @@ def run_audits(spec, basis_order: int, seed: int = 0,
     report["norm_monotonicity"] = {"t_max": horizon,
                                    "passed": check_norm_monotone(trajectory)}
 
-    applicable = [report["divergence_free"]["passed"],
-                  *(o["passed"] for o in operators.values()),
-                  report["smoothing"]["passed"],
-                  report["readout_norm_identity"]["passed"],
-                  report["initial_state_norm"]["passed"],
-                  report["norm_monotonicity"]["passed"]]
-    if isinstance(report["regularization"], dict):
-        applicable.append(report["regularization"]["passed"])
-    report["passed"] = all(applicable)
+    report["passed"] = not failed_checks(report)
     return report
 
 
@@ -456,7 +475,10 @@ def _evolve_curve(evolution: dict, psi0, ops, times):
     return states
 
 
-def run_oscillator(cfg: dict, out_dir: str, seed: int, threads: int) -> dict:
+MC_HEADER = ["t", "mean", "se", "n_blowups"]  # mc_curve.csv; header-only without a Monte Carlo leg
+
+
+def run_oscillator(cfg: dict, seed: int, threads: int) -> tuple:
     system = cfg["system"]
     spec = build_system("oscillator" if system["profile"] == "cubic"
                         else "bounded_oscillator", system)
@@ -468,9 +490,6 @@ def run_oscillator(cfg: dict, out_dir: str, seed: int, threads: int) -> dict:
 
     run = simulate(spec, x0, u0, times, cfg["mc"]["samples"], cfg["mc"]["dt"],
                    seed=seed, n_threads=threads)
-    write_csv(os.path.join(out_dir, "mc_curve.csv"),
-              ["t", "mean", "se", "n_blowups"],
-              [(t, m, s, run.n_blowups) for t, m, s in run.as_rows()])
 
     curve_rows, comparison_rows = [], []
     summary = []
@@ -491,20 +510,20 @@ def run_oscillator(cfg: dict, out_dir: str, seed: int, threads: int) -> dict:
         summary.append({"order": order, "max_gap": report.max_gap,
                         "noise_floor": report.noise_floor})
 
-    write_csv(os.path.join(out_dir, "galerkin_curve.csv"),
-              ["t", "order", "value"], curve_rows)
-    write_csv(os.path.join(out_dir, "comparison.csv"),
-              ["t", "order", "galerkin", "mc_mean", "mc_se", "abs_gap",
-               "gap_over_se"], comparison_rows)
     audit = run_audits(spec, max(orders), seed=seed)
     audit["comparison_summary"] = summary
-    return audit
+    return audit, {
+        "mc_curve": (MC_HEADER, [(t, m, s, run.n_blowups) for t, m, s in run.as_rows()]),
+        "galerkin_curve": (["t", "order", "value"], curve_rows),
+        "comparison": (["t", "order", "galerkin", "mc_mean", "mc_se", "abs_gap",
+                        "gap_over_se"], comparison_rows),
+    }
 
 
 TAYLOR_GREEN_TOLERANCE = 0.05  # max |galerkin - taylor_green| over the probes
 
 
-def run_nse_taylor_green(cfg: dict, out_dir: str, seed: int, threads: int) -> dict:
+def run_nse_taylor_green(cfg: dict, seed: int, threads: int) -> tuple:
     system = cfg["system"]
     n_modes, nu = system["modes"], system["nu"]
     spec = build_system("nse", system)
@@ -538,22 +557,19 @@ def run_nse_taylor_green(cfg: dict, out_dir: str, seed: int, threads: int) -> di
         curve_rows.append((t_final, f"u1@({xi1:.4f},{xi2:.4f})", value))
         comparison_rows.append((xi1, xi2, t_final, value, truth, err))
 
-    write_csv(os.path.join(out_dir, "galerkin_curve.csv"),
-              ["t", "observable", "value"], curve_rows)
-    write_csv(os.path.join(out_dir, "mc_curve.csv"),
-              ["t", "mean", "se", "n_blowups"], [])  # no Monte Carlo leg here
-    write_csv(os.path.join(out_dir, "comparison.csv"),
-              ["xi1", "xi2", "t", "galerkin", "taylor_green", "abs_error"],
-              comparison_rows)
     audit = run_audits(spec, min(order, 2), seed=seed,
                        options={**AUDIT_DEFAULTS, "smoothing_times": [0.01, 0.05, 0.1]})
     audit["taylor_green_max_error"] = max_err
     audit["taylor_green_within_tolerance"] = bool(max_err <= TAYLOR_GREEN_TOLERANCE)
-    audit["passed"] = audit["passed"] and audit["taylor_green_within_tolerance"]
-    return audit
+    return audit, {
+        "galerkin_curve": (["t", "observable", "value"], curve_rows),
+        "mc_curve": (MC_HEADER, []),
+        "comparison": (["xi1", "xi2", "t", "galerkin", "taylor_green", "abs_error"],
+                       comparison_rows),
+    }
 
 
-def run_bqp_circuit(cfg: dict, out_dir: str, seed: int, threads: int) -> dict:
+def run_bqp_circuit(cfg: dict, seed: int, threads: int) -> tuple:
     circuits = cfg["circuits"]
     lam, q, t = cfg["system"]["lam"], cfg["system"]["q"], cfg["time"]
     rng = np.random.default_rng(seed)
@@ -577,6 +593,8 @@ def run_bqp_circuit(cfg: dict, out_dir: str, seed: int, threads: int) -> dict:
     worst_identity = 0.0
     for idx, (circuit, n) in enumerate(jobs):
         spec = clock_system(circuit, n, lam=lam, q=q)
+        if idx == 0:
+            audited = spec  # the audit bundle runs on the first circuit's system
         ctx = spec.context
         basis = enumerate_basis(spec.n_vars,
                                 RegularizationScheme.by_max_order(1, spec.rates),
@@ -594,26 +612,22 @@ def run_bqp_circuit(cfg: dict, out_dir: str, seed: int, threads: int) -> dict:
         rows.append((idx, n, m_gates, amplitude, value, identity_gap,
                      abs(amplitude - value)))
 
-    write_csv(os.path.join(out_dir, "comparison.csv"),
-              ["circuit", "qubits", "gates", "amplitude", "readout",
-               "identity_gap", "bound_gap"], rows)
-    write_csv(os.path.join(out_dir, "galerkin_curve.csv"),
-              ["t", "observable", "value"],
-              [(t, f"circuit{r[0]}", r[4]) for r in rows])
-    write_csv(os.path.join(out_dir, "mc_curve.csv"),
-              ["t", "mean", "se", "n_blowups"], [])
-    spec = clock_system(jobs[0][0], jobs[0][1], lam=lam, q=q)
-    audit = run_audits(spec, 1, seed=seed)
+    audit = run_audits(audited, 1, seed=seed)
     audit["bqp"] = {
         "worst_identity_gap": worst_identity,
         "bound_satisfied": all(r[6] <= 0.1 + 1e-12 for r in rows),
         "circuits": len(rows),
     }
-    audit["passed"] = audit["passed"] and audit["bqp"]["bound_satisfied"]
-    return audit
+    return audit, {
+        "comparison": (["circuit", "qubits", "gates", "amplitude", "readout",
+                        "identity_gap", "bound_gap"], rows),
+        "galerkin_curve": (["t", "observable", "value"],
+                           [(t, f"circuit{r[0]}", r[4]) for r in rows]),
+        "mc_curve": (MC_HEADER, []),
+    }
 
 
-def run_ou_sanity(cfg: dict, out_dir: str, seed: int, threads: int) -> dict:
+def run_ou_sanity(cfg: dict, seed: int, threads: int) -> tuple:
     system = cfg["system"]
     lam, q, n_vars = system["lam"], system["q"], system["n_vars"]
     spec = build_system("ou", system)
@@ -634,38 +648,34 @@ def run_ou_sanity(cfg: dict, out_dir: str, seed: int, threads: int) -> dict:
     exact_sq = q / (2 * lam) + x0[0] ** 2 * np.exp(-2 * lam * times)
     rep_sq = compare(run_sq, exact_sq)
 
-    write_csv(os.path.join(out_dir, "mc_curve.csv"),
-              ["t", "mean", "se", "n_blowups"],
-              [(t, m, s, run_mean.n_blowups) for t, m, s in run_mean.as_rows()])
-    write_csv(os.path.join(out_dir, "galerkin_curve.csv"),
-              ["t", "observable", "value"],
-              [(t, "exact_mean", v) for t, v in zip(times, exact_mean)])
-    write_csv(os.path.join(out_dir, "comparison.csv"),
-              ["t", "observable", "mc_mean", "mc_se", "exact", "abs_gap",
-               "gap_over_se"],
-              [(t, "x1", m, s, e, g, r) for t, m, s, e, g, r in zip(
-                  times, run_mean.mean, run_mean.se, exact_mean,
-                  rep_mean.gap, rep_mean.gap_over_se)]
-              + [(t, "x1^2", m, s, e, g, r) for t, m, s, e, g, r in zip(
-                  times, run_sq.mean, run_sq.se, exact_sq,
-                  rep_sq.gap, rep_sq.gap_over_se)])
-
     audit = run_audits(spec, 4, seed=seed)
     audit["ou_sanity"] = {
-        "mean_within_3se": bool(np.all(rep_mean.gap <= 3 * np.maximum(
-            rep_mean.times * 0 + run_mean.se, 1e-12))),
+        "mean_within_3se": bool(np.all(rep_mean.gap <= 3 * np.maximum(run_mean.se, 1e-12))),
         "second_moment_within_3se": bool(np.all(rep_sq.gap <= 3 * run_sq.se)),
     }
-    audit["passed"] = (audit["passed"] and audit["ou_sanity"]["mean_within_3se"]
-                       and audit["ou_sanity"]["second_moment_within_3se"])
-    return audit
+    return audit, {
+        "mc_curve": (MC_HEADER, [(t, m, s, run_mean.n_blowups)
+                                 for t, m, s in run_mean.as_rows()]),
+        "galerkin_curve": (["t", "observable", "value"],
+                           [(t, "exact_mean", v) for t, v in zip(times, exact_mean)]),
+        "comparison": (["t", "observable", "mc_mean", "mc_se", "exact", "abs_gap",
+                        "gap_over_se"],
+                       [(t, "x1", m, s, e, g, r) for t, m, s, e, g, r in zip(
+                           times, run_mean.mean, run_mean.se, exact_mean,
+                           rep_mean.gap, rep_mean.gap_over_se)]
+                       + [(t, "x1^2", m, s, e, g, r) for t, m, s, e, g, r in zip(
+                           times, run_sq.mean, run_sq.se, exact_sq,
+                           rep_sq.gap, rep_sq.gap_over_se)]),
+    }
 
 
-def run_audits_experiment(cfg: dict, out_dir: str, seed: int, threads: int) -> dict:
+def run_audits_experiment(cfg: dict, seed: int, threads: int) -> tuple:
     spec = build_system(cfg["system"]["kind"], cfg["system"])
-    return run_audits(spec, cfg["basis"]["order"], seed=seed, options=cfg)
+    return run_audits(spec, cfg["basis"]["order"], seed=seed, options=cfg), {}
 
 
+# each runner maps (cfg, seed, threads) to (audit, tables), where tables maps
+# an artifact stem to the (header, rows) of its CSV
 RUNNERS = {
     "oscillator": run_oscillator,
     "nse_taylor_green": run_nse_taylor_green,
@@ -677,11 +687,19 @@ RUNNERS = {
 
 def run_experiment(cfg: dict, out_dir: str, seed: int | None = None,
                    threads: int = 1) -> dict:
-    """Execute one experiment on a `validate_config` result; returns its audit payload."""
+    """Execute one experiment on a `validate_config` result; returns its audit payload.
+
+    The root `passed` flag is true iff `failed_checks` finds no false verdict.
+    Each table the runner returns is written as `<stem>.csv`, then audit.json
+    and manifest.json.
+    """
     effective_seed = cfg["seed"] if seed is None else _normalise(_SEED, seed, "--seed")
     _normalise(_count(), threads, "--threads")
     os.makedirs(out_dir, exist_ok=True)
-    audit = RUNNERS[cfg["experiment"]](cfg, out_dir, effective_seed, threads)
+    audit, tables = RUNNERS[cfg["experiment"]](cfg, effective_seed, threads)
+    audit["passed"] = not failed_checks(audit)
+    for stem, (header, rows) in tables.items():
+        write_csv(os.path.join(out_dir, f"{stem}.csv"), header, rows)
     write_json(os.path.join(out_dir, "audit.json"), audit)
     write_manifest(out_dir, cfg, effective_seed, threads)
     return audit

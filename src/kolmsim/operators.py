@@ -23,7 +23,7 @@ from .errors import BasisError, DriftError
 from .hermite import HermiteContext, gauss_hermite_rule, he_table
 from .multiindex import BasisSet
 
-ASYMMETRY_TOL = 1e-10  # relative; larger raw asymmetry signals a bad drift spec
+ASYMMETRY_TOL = 1e-10  # relative; above it, a bad drift spec or an unresolved quadrature
 
 
 @dataclass(frozen=True)
@@ -134,12 +134,10 @@ class QuadratureDrift:
     """
 
     def __init__(self, funcs: dict, supports: dict, ctx: HermiteContext,
-                 strength: float = math.inf, divergence_fn=None,
-                 radial_fn=None, n_nodes: int = 200):
+                 divergence_fn=None, radial_fn=None, n_nodes: int = 200):
         self.funcs = funcs
         self.supports = {i: tuple(s) for i, s in supports.items()}
         self.ctx = ctx
-        self.strength = float(strength)
         self.divergence_fn = divergence_fn
         self.radial_fn = radial_fn
         self.n_nodes = n_nodes
@@ -273,8 +271,10 @@ def assemble_nonlinear_drift(basis: BasisSet, spec,
     """Skew operator from the nonlinear drift.
 
     The raw assembly is symmetrized as (M - M^T)/2; a relative raw
-    asymmetry above `asym_tol` means the drift spec is not divergence-free
-    and is rejected rather than silently repaired.
+    asymmetry above `asym_tol` is rejected rather than silently repaired.
+    It means the drift spec is not divergence-free or, for a
+    `QuadratureDrift`, that its Gauss-Hermite rule does not resolve the
+    drift against the Gaussian measure (which widens with q / lambda).
     """
     _check_spec_basis(basis, spec)
     n = len(basis)
@@ -285,9 +285,13 @@ def assemble_nonlinear_drift(basis: BasisSet, spec,
     if scale > 0.0:
         asym = abs((raw + raw.T).data).max(initial=0.0) / scale
         if asym > asym_tol:
-            raise DriftError(
-                f"raw drift matrix asymmetry {asym:.3e} exceeds {asym_tol:.1e}; "
-                "the drift spec violates the divergence-free conditions")
+            drift = spec.nonlinear
+            cause = (f"the {drift.n_nodes}-node Gauss-Hermite rule does not resolve the "
+                     f"drift at q/lambda_1 = {spec.noise / spec.rates[0]:.4g}"
+                     if isinstance(drift, QuadratureDrift)
+                     else "the drift spec violates the divergence-free conditions")
+            raise DriftError(f"raw drift matrix asymmetry {asym:.3e} exceeds {asym_tol:.1e}; "
+                             + cause)
     mat = ((raw - raw.T) * 0.5).tocsr()
     mat.eliminate_zeros()
     return SparseOperator(mat, "nonlinear", basis)

@@ -35,10 +35,7 @@ class OscillatorLadderDrift:
     """
 
     def __init__(self, lam: float, q: float):
-        self.lam = float(lam)
-        self.q = float(q)
         self.eta = q / (2.0 * lam)
-        self.strength = math.inf  # sup r*(1+r^2) diverges
         self.sparsity = 2
 
     def value(self, x, out=None):
@@ -105,7 +102,7 @@ def oscillator_system(lam: float = 0.1, q: float = 0.02,
     ctx = HermiteContext(rates=rates, noise=q)
     if profile == "cubic":
         drift = OscillatorLadderDrift(lam, q)
-        strength = math.inf
+        strength = math.inf  # sup r (1 + r^2) diverges
     elif profile == "bounded":
         def omega(x):
             return 1.0 / (1.0 + x[..., 0] ** 2 + x[..., 1] ** 2)
@@ -114,8 +111,7 @@ def oscillator_system(lam: float = 0.1, q: float = 0.02,
                  1: lambda x: -x[..., 0] * omega(x)}
         zero = lambda x: np.zeros(np.asarray(x).shape[:-1])
         drift = QuadratureDrift(funcs, {0: (0, 1), 1: (0, 1)}, ctx,
-                                strength=0.5, divergence_fn=zero,
-                                radial_fn=zero)
+                                divergence_fn=zero, radial_fn=zero)
         strength = 0.5
     else:
         raise DriftError(f"unknown oscillator profile {profile!r}")
@@ -171,7 +167,6 @@ class SpectralAdvectionDrift:
         self.q = float(q)
         self.lam_raw = 4.0 * math.pi ** 2 * (self.table ** 2).sum(axis=1).astype(float)
         self.rates = self.nu * self.lam_raw
-        self.strength = math.inf
         self._build_triples()
         self.sparsity = self._support_sparsity()
 

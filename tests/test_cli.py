@@ -8,6 +8,7 @@ import json
 import os
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -207,9 +208,35 @@ def test_audit_failure_exit_code(tmp_path, monkeypatch):
         return {"passed": False, "operators": {"linear": {"passed": False}}}
 
     monkeypatch.setitem(experiments.RUNNERS, "audits",
-                        lambda cfg, out, seed, threads: failing_audit())
+                        lambda cfg, seed, threads: (failing_audit(), {}))
     cfg_path = write_cfg(tmp_path, AUDITS_CFG)
     assert cli.main(["audit", cfg_path, "--out", str(tmp_path / "o")]) == cli.EXIT_AUDIT
+
+
+@pytest.mark.parametrize("verdict", [False, np.False_], ids=["bool", "numpy_bool"])
+def test_every_false_boolean_fails_the_run(tmp_path, monkeypatch, capsys, verdict):
+    # a runner only reports its verdicts; run_experiment derives the root flag
+    monkeypatch.setitem(experiments.RUNNERS, "audits", lambda cfg, seed, threads: (
+        {"passed": True, "extra": {"ok": True, "within_bound": verdict}}, {}))
+    out = tmp_path / "o"
+    assert cli.main(["audit", write_cfg(tmp_path, AUDITS_CFG), "--out", str(out)]) \
+        == cli.EXIT_AUDIT
+    assert json.loads((out / "audit.json").read_text())["passed"] is False
+    assert error_record(capsys) == {"error": "audit",
+                                    "detail": "failed checks: extra/within_bound"}
+
+
+def test_unresolved_quadrature_exit_code(tmp_path, capsys):
+    cfg = {**AUDITS_CFG, "system": {"kind": "bounded_oscillator", "lam": 0.1, "q": 0.5},
+           "basis": {"order": 3}}
+    assert cli.main(["audit", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")]) \
+        == cli.EXIT_NUMERICAL
+    record = error_record(capsys)
+    assert record["error"] == "numerical"
+    measured, cause = record["detail"].removeprefix("raw drift matrix asymmetry ").split(
+        " exceeds 1.0e-10; ")
+    assert float(measured) > 1e-9  # 1.07e-8 measured
+    assert cause == "the 200-node Gauss-Hermite rule does not resolve the drift at q/lambda_1 = 5"
 
 
 @pytest.mark.parametrize("shifted_call, verdict", [(1, "mean_within_3se"),
@@ -379,8 +406,12 @@ def small_config(name):
 def test_small_configs_run_clean(tmp_path):
     for name in SMALL_CONFIGS:
         out = tmp_path / name
-        assert cli.main(["run", write_cfg(tmp_path, small_config(name)), "--out", str(out)]) \
+        cfg = small_config(name)
+        assert cli.main(["run", write_cfg(tmp_path, cfg), "--out", str(out)]) \
             == cli.EXIT_OK, name
+        tables = set() if cfg["experiment"] == "audits" else {
+            "galerkin_curve.csv", "mc_curve.csv", "comparison.csv"}
+        assert set(os.listdir(out)) == tables | {"audit.json", "manifest.json"}, name
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

@@ -41,8 +41,7 @@ class CoefficientTableDrift:
     Hermite basis, so c_i(x) = sum coeff * prod_v He_{p_v}(x_v s_v)/sqrt(p_v!).
     """
 
-    def __init__(self, supports: dict, terms: dict, ctx: HermiteContext,
-                 strength: float = math.inf):
+    def __init__(self, supports: dict, terms: dict, ctx: HermiteContext):
         for i, sup in supports.items():
             for orders, _ in terms.get(i, []):
                 if len(orders) != len(sup):
@@ -55,7 +54,6 @@ class CoefficientTableDrift:
         self.supports = {i: tuple(sup) for i, sup in supports.items()}
         self.terms = {i: [(tuple(p), float(c)) for p, c in tt] for i, tt in terms.items()}
         self.ctx = ctx
-        self.strength = float(strength)
         self.sparsity = max((len(s) for s in self.supports.values()), default=0)
 
     def _factor_values(self, i, x):
