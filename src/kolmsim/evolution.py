@@ -128,14 +128,10 @@ def _exp_steps(matrix, vector, t0: float, times) -> list:
     return out
 
 
-def evolve_expm(state: KEState, ops: KEOperators, t: float, t_eval=None):
+def evolve_expm(state: KEState, ops: KEOperators, t: float) -> KEState:
     """Exact exponential action of the full generator (spot-check oracle)."""
-    gen = ops.generator()
-    if t_eval is None:
-        return KEState(_propagator(gen, t)(state.coefficients), state.basis,
-                       state.t + t)
-    vectors = _exp_steps(gen, state.coefficients, state.t, t_eval)
-    return [KEState(v, state.basis, float(tk)) for v, tk in zip(vectors, t_eval)]
+    return KEState(_propagator(ops.generator(), t)(state.coefficients), state.basis,
+                   state.t + t)
 
 
 def evolve_trotter(state: KEState, ops: KEOperators, t: float, steps: int) -> KEState:
@@ -190,8 +186,8 @@ class RegularizationReport:
         return self.measured_sup_sq <= self.bound
 
 
-def regularization_gap(spec, u0, t: float, r_small: float, r_large: float,
-                       n_times: int = 33) -> RegularizationReport:
+def regularization_gap(spec, u0, t: float, r_small: float,
+                       r_large: float) -> RegularizationReport:
     """Compare evolutions on a small and a large weight-cutoff basis.
 
     The large-basis trajectory stands in for the exact solution; the
@@ -223,7 +219,7 @@ def regularization_gap(spec, u0, t: float, r_small: float, r_large: float,
     small_gen = sp.csr_matrix(gen_big[np.ix_(idx, idx)])
 
     psi0_big = initial_state(u0, basis_big)
-    times = np.linspace(0.0, t, n_times)
+    times = np.linspace(0.0, t, 33)
     big = _exp_steps(gen_big, psi0_big.coefficients, 0.0, times[1:])
     small = _exp_steps(small_gen, psi0_big.coefficients[idx], 0.0, times[1:])
     gaps = [0.0]

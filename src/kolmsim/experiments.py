@@ -166,8 +166,6 @@ EXPERIMENTS = {
         "initial_point": Key([Key(float)], [1.0, 0.0], length=2),
         "observable": Key([_count(low=0)], [1, 0], length=2),
         "basis": Key({"orders": Key([_count()])}),
-        "evolution": Key({"method": Key(("reference", "trotter", "expm"), "reference"),
-                          "steps": _count(64)}, {}),
         "times": _TIMES, "mc": _MC,
     },
     "nse_taylor_green": {
@@ -463,18 +461,6 @@ def run_audits(spec, basis_order: int, seed: int = 0,
 # ---------------------------------------------------------------- experiments
 
 
-def _evolve_curve(evolution: dict, psi0, ops, times):
-    if evolution["method"] == "reference":
-        return evolve_reference(psi0, ops, float(times[-1]), t_eval=times)
-    if evolution["method"] == "expm":
-        return [psi0] + evolve_expm(psi0, ops, float(times[-1]), t_eval=times[1:])
-    states = [psi0]
-    for k in range(1, len(times)):
-        states.append(evolve_trotter(states[-1], ops, float(times[k] - times[k - 1]),
-                                     evolution["steps"]))
-    return states
-
-
 MC_HEADER = ["t", "mean", "se", "n_blowups"]  # mc_curve.csv; header-only without a Monte Carlo leg
 
 
@@ -497,11 +483,9 @@ def run_oscillator(cfg: dict, seed: int, threads: int) -> tuple:
         basis = enumerate_basis(2, RegularizationScheme.by_max_order(order, spec.rates),
                                 spec.rates)
         ops = assemble_all(basis, spec)
-        psi0 = initial_state(u0, basis)
-        states = _evolve_curve(cfg["evolution"], psi0, ops, times)
-        values = np.array([expectation(s, x0, order, ctx,
-                                       include_mean=True, mean=u0.mean())
-                           for s in states])
+        states = evolve_reference(initial_state(u0, basis), ops, float(times[-1]),
+                                  t_eval=times)
+        values = expectation(states, x0, order, ctx) + u0.mean()
         report = compare(run, values)
         curve_rows.extend((t, order, v) for t, v in zip(times, values))
         comparison_rows.extend(
@@ -605,7 +589,7 @@ def run_bqp_circuit(cfg: dict, seed: int, threads: int) -> tuple:
         m_gates = len(circuit)
         x = np.zeros(spec.n_vars)
         x[m_gates * 2 ** n] = 1.0
-        value = expectation(psi, x, 1, ctx)
+        value = expectation([psi], x, 1, ctx)[0]
         amplitude = circuit_amplitude(circuit, n)
         identity_gap = abs(amplitude - math.exp(lam * t) * value)
         worst_identity = max(worst_identity, identity_gap)

@@ -134,12 +134,10 @@ class QuadratureDrift:
     """
 
     def __init__(self, funcs: dict, supports: dict, ctx: HermiteContext,
-                 divergence_fn=None, radial_fn=None, n_nodes: int = 200):
+                 n_nodes: int = 200):
         self.funcs = funcs
         self.supports = {i: tuple(s) for i, s in supports.items()}
         self.ctx = ctx
-        self.divergence_fn = divergence_fn
-        self.radial_fn = radial_fn
         self.n_nodes = n_nodes
         self.sparsity = max((len(s) for s in self.supports.values()), default=0)
 
@@ -152,8 +150,7 @@ class QuadratureDrift:
         return out
 
     def divergence(self, x, step: float = 1e-5):
-        if self.divergence_fn is not None:
-            return self.divergence_fn(np.asarray(x, dtype=float))
+        """Central-difference divergence sum_i d c_i / d x_i."""
         x = np.asarray(x, dtype=float)
         total = np.zeros(x.shape[:-1])
         for i, f in self.funcs.items():
@@ -163,8 +160,7 @@ class QuadratureDrift:
         return total
 
     def weighted_radial(self, x):
-        if self.radial_fn is not None:
-            return self.radial_fn(np.asarray(x, dtype=float))
+        """sum_i lambda_i x_i c_i(x)."""
         x = np.asarray(x, dtype=float)
         vals = self.value(x)
         return np.einsum("...i,...i->...", x * self.ctx.rates, vals)
@@ -266,12 +262,11 @@ def _ladder_hits(basis: BasisSet, cols, moves):
     return rows[hit], hit
 
 
-def assemble_nonlinear_drift(basis: BasisSet, spec,
-                             asym_tol: float = ASYMMETRY_TOL) -> SparseOperator:
+def assemble_nonlinear_drift(basis: BasisSet, spec) -> SparseOperator:
     """Skew operator from the nonlinear drift.
 
     The raw assembly is symmetrized as (M - M^T)/2; a relative raw
-    asymmetry above `asym_tol` is rejected rather than silently repaired.
+    asymmetry above `ASYMMETRY_TOL` is rejected rather than silently repaired.
     It means the drift spec is not divergence-free or, for a
     `QuadratureDrift`, that its Gauss-Hermite rule does not resolve the
     drift against the Gaussian measure (which widens with q / lambda).
@@ -284,13 +279,13 @@ def assemble_nonlinear_drift(basis: BasisSet, spec,
     scale = abs(raw.data).max(initial=0.0)
     if scale > 0.0:
         asym = abs((raw + raw.T).data).max(initial=0.0) / scale
-        if asym > asym_tol:
+        if asym > ASYMMETRY_TOL:
             drift = spec.nonlinear
             cause = (f"the {drift.n_nodes}-node Gauss-Hermite rule does not resolve the "
                      f"drift at q/lambda_1 = {spec.noise / spec.rates[0]:.4g}"
                      if isinstance(drift, QuadratureDrift)
                      else "the drift spec violates the divergence-free conditions")
-            raise DriftError(f"raw drift matrix asymmetry {asym:.3e} exceeds {asym_tol:.1e}; "
+            raise DriftError(f"raw drift matrix asymmetry {asym:.3e} exceeds {ASYMMETRY_TOL:.1e}; "
                              + cause)
     mat = ((raw - raw.T) * 0.5).tocsr()
     mat.eliminate_zeros()

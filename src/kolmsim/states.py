@@ -1,11 +1,12 @@
-"""Initial states, the coherent readout state, and expectation readout.
+"""Initial states, the coherent readout vector, and expectation readout.
 
 A monomial observable prod x_i^{d_i} expands into finitely many Hermite
 coefficients; the solver always evolves the centered part (the constant
-term is the analytic mean and is re-added at readout on request).  The
+term is the analytic mean, which callers add to the readout).  The
 readout state is the coherent embedding of the initial point x, truncated
 per variable; its inner product with the evolved coefficient vector is the
-noise-averaged expectation v(t, x).
+noise-averaged expectation v(t, x), and `expectation` takes that product
+with a whole trajectory at once.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import BasisError
 from .evolution import KEState
@@ -30,7 +32,6 @@ class MonomialObservable:
 
     exponents: tuple
     ctx: HermiteContext
-    degree_cap: int = DEFAULT_DEGREE_CAP
 
     def __post_init__(self):
         exps = tuple(int(d) for d in self.exponents)
@@ -38,9 +39,8 @@ class MonomialObservable:
             raise BasisError("exponent vector does not match the variable count")
         if any(d < 0 for d in exps):
             raise BasisError("exponents must be non-negative")
-        if not 1 <= sum(exps) <= self.degree_cap:
-            raise BasisError(
-                f"total degree must lie in [1, {self.degree_cap}]")
+        if not 1 <= sum(exps) <= DEFAULT_DEGREE_CAP:
+            raise BasisError(f"total degree must lie in [1, {DEFAULT_DEGREE_CAP}]")
         object.__setattr__(self, "exponents", exps)
 
     @property
@@ -103,7 +103,7 @@ def _monomial_terms(u0: MonomialObservable):
 
 def initial_state(u0: MonomialObservable, basis: BasisSet) -> KEState:
     """Coefficient vector of the centered observable u0 - mean(u0)."""
-    # the degree-0 term is the mean, re-added at readout on request
+    # the degree-0 term is the mean, which callers add to the readout
     terms = {orders: value for orders, value in _monomial_terms(u0).items() if sum(orders)}
     pos = basis.positions(np.array(list(terms), dtype=np.int64).reshape(-1, basis.n_vars))
     if np.any(pos < 0):
@@ -128,46 +128,44 @@ def _support(x) -> list:
     return [int(i) for i in np.nonzero(np.asarray(x))[0]]
 
 
-def readout_candidates(x, basis: BasisSet, truncation: int, ctx: HermiteContext):
-    """Sparse (position, coefficient) pairs of the truncated coherent state.
+def readout_state(x, basis: BasisSet, truncation: int, ctx: HermiteContext) -> KEState:
+    """Truncated coherent embedding of x as a vector over the basis.
 
-    Candidates live on the support of x with per-variable order at most
-    `truncation`; there are at most (truncation+1)^s of them, so the state
-    is never materialized over the whole basis.
+    Its entries live on the support of x with per-variable order at most
+    `truncation`, at most (truncation+1)^s of them; the entry of orders p
+    is prod_i a_i^{p_i} / sqrt(p_i!) with a_i = x_i * scaling_i.
     """
     x = np.asarray(x, dtype=float)
+    if x.size != basis.n_vars:
+        raise BasisError("readout point dimension does not match the basis")
     support = _support(x)
-    amps = {i: x[i] * ctx.scalings[i] for i in support}
-    candidates = [orders for orders in
-                  itertools.product(range(truncation + 1), repeat=len(support))
-                  if sum(orders)]
-    rows = np.zeros((len(candidates), basis.n_vars), dtype=np.int64)
-    rows[:, support] = candidates
-    for orders, pos in zip(candidates, basis.positions(rows)):
-        if pos >= 0:
-            coeff = 1.0
-            for i, p in zip(support, orders):
-                coeff *= amps[i] ** p / math.sqrt(math.factorial(p))
-            yield int(pos), coeff
-
-
-def readout_state(x, basis: BasisSet, truncation: int, ctx: HermiteContext) -> KEState:
-    """Truncated coherent embedding of x as a vector over the basis."""
+    shape = (truncation + 1,) * len(support)
+    grid = np.indices(shape).reshape(len(support), math.prod(shape)).T
+    rows = np.zeros((len(grid), basis.n_vars), dtype=np.int64)
+    rows[:, support] = grid
+    pos = basis.positions(rows)
+    hit = pos >= 0
+    amps = x[support] * ctx.scalings[support]
+    # factors[j, p] = a_j^p / sqrt(p!); scalar pow, because numpy's array
+    # power can differ from it in the last bit
+    factors = np.array([[a ** p / math.sqrt(math.factorial(p)) for p in range(truncation + 1)]
+                        for a in amps]).reshape(len(support), truncation + 1)
     coeffs = np.zeros(len(basis))
-    for pos, coeff in readout_candidates(x, basis, truncation, ctx):
-        coeffs[pos] = coeff
+    coeffs[pos[hit]] = np.prod(factors[np.arange(len(support)), grid[hit]], axis=1)
     return KEState(coeffs, basis, 0.0)
 
 
-def expectation(psi_t: KEState, x, truncation: int, ctx: HermiteContext,
-                include_mean: bool = False, mean: float = 0.0) -> float:
-    """v(t, x) = <readout(x), psi(t)>, optionally re-adding the observable mean."""
-    if psi_t.basis.n_vars != np.asarray(x).size:
-        raise BasisError("readout point dimension does not match the basis")
-    total = 0.0
-    for pos, coeff in readout_candidates(x, psi_t.basis, truncation, ctx):
-        total += coeff * psi_t.coefficients[pos]
-    return total + (mean if include_mean else 0.0)
+def expectation(states, x, truncation: int, ctx: HermiteContext) -> np.ndarray:
+    """v(t, x) = <readout(x), psi(t)> for each state of a trajectory on one basis.
+
+    The readout acts as a sparse vector on the stacked trajectory, so each
+    value sums its terms in basis order whatever the number of states (BLAS
+    products do not).
+    """
+    readout = readout_state(x, states[0].basis, truncation, ctx).coefficients
+    nz = np.flatnonzero(readout)
+    row = sp.csr_array((readout[nz], nz, [0, nz.size]), shape=readout.shape)
+    return row @ np.stack([s.coefficients for s in states], axis=1)
 
 
 def readout_norm_sq(x, ctx: HermiteContext, truncation: int | None = None) -> float:

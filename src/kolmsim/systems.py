@@ -109,9 +109,7 @@ def oscillator_system(lam: float = 0.1, q: float = 0.02,
 
         funcs = {0: lambda x: x[..., 1] * omega(x),
                  1: lambda x: -x[..., 0] * omega(x)}
-        zero = lambda x: np.zeros(np.asarray(x).shape[:-1])
-        drift = QuadratureDrift(funcs, {0: (0, 1), 1: (0, 1)}, ctx,
-                                divergence_fn=zero, radial_fn=zero)
+        drift = QuadratureDrift(funcs, {0: (0, 1), 1: (0, 1)}, ctx)
         strength = 0.5
     else:
         raise DriftError(f"unknown oscillator profile {profile!r}")

@@ -98,7 +98,7 @@ def oscillator_curves(oscillator_mc):
         basis = basis_for(spec, order)
         ops = assemble_all(basis, spec)
         states = evolve_reference(initial_state(u0, basis), ops, 25.0, t_eval=times)
-        curves[order] = np.array([expectation(s, x0, order, ctx) for s in states])
+        curves[order] = expectation(states, x0, order, ctx)
         trajectories[order] = states
     return curves, trajectories
 
@@ -152,7 +152,7 @@ def test_criterion_2_taylor_green():
             tuple(1 if j == k else 0 for j in range(40)), ctx))
             for k, c in enumerate(coefs) if abs(c) > 1e-14]
         psi = evolve_reference(combination_state(terms, basis), ops, t_final)
-        value = expectation(psi, x0, order, ctx)
+        value = expectation([psi], x0, order, ctx)[0]
         truth = float(taylor_green(t_final, xi1, 0.25, nu)[0])
         errors.append(abs(value - truth))
     ok = report(2, "Taylor-Green validation (N=40, K=3, 10 probes)",
@@ -176,7 +176,7 @@ def test_criterion_3_bqp_identity():
         psi = evolve_expm(initial_state(u0, basis), ops, 1.0)
         x = np.zeros(spec.n_vars)
         x[m * 2 ** n] = 1.0
-        value = expectation(psi, x, 1, ctx)
+        value = expectation([psi], x, 1, ctx)[0]
         amplitude = circuit_amplitude(circuit, n)
         worst_identity = max(worst_identity, abs(amplitude - math.exp(0.1) * value))
         worst_bound = max(worst_bound, abs(amplitude - value))

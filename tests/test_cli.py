@@ -338,8 +338,8 @@ def with_block(cfg, block, **values):
     (with_block(OU_CFG, "mc", dt=0), "mc.dt"),
     (with_block(OU_CFG, "mc", samples=0), "mc.samples"),
     (with_block(OSC_CFG, "system", profile="bogus"), "system.profile"),
-    (with_block(OSC_CFG, "evolution", method="magnus"), "evolution.method"),
-    (with_block(OSC_CFG, "evolution", method="trotter", steps=0), "evolution.steps"),
+    (with_block(OSC_CFG, "evolution", method="reference"), "config: unknown keys ['evolution']"),
+    (with_block(OSC_CFG, "times", t_max=0), "times.t_max"),
     (with_block(NSE_CFG, "probe", count=0), "probe.count"),
     (with_block(NSE_CFG, "probe", xi1_range=[0.1]), "probe.xi1_range"),
     # malformed circuit files

@@ -209,7 +209,7 @@ def test_adjoint_readout_matches_forward_solves():
                  for k, c in enumerate(rng.normal(size=6))]
         psi0 = combination_state(terms, basis)
         value = adjoint @ psi0.coefficients
-        forward = expectation(evolve_reference(psi0, ops, t, rtol=1e-11), x0, 3, ctx)
+        forward = expectation([evolve_reference(psi0, ops, t, rtol=1e-11)], x0, 3, ctx)[0]
         assert value == pytest.approx(forward, rel=1e-9)
         assert value == pytest.approx(dense @ psi0.coefficients, rel=1e-9)
 

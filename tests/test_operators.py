@@ -399,6 +399,21 @@ def test_divergence_free_table_drift_numeric():
     assert report.passed
 
 
+def test_divergence_free_bounded_profile_measures_its_drift():
+    # the audit differentiates the drift functions; an added 0.3 x1 in c_1
+    # gives divergence 0.3 everywhere and must fail it
+    spec = oscillator_system(lam=0.1, q=0.1, profile="bounded")
+    report = verify_divergence_free(spec)
+    assert report.passed
+    assert 0.0 < report.divergence_residual < 1e-9
+    funcs = spec.nonlinear.funcs
+    intact = funcs[0]
+    funcs[0] = lambda x: intact(x) + 0.3 * x[..., 0]
+    broken = verify_divergence_free(spec)
+    assert not broken.passed
+    assert broken.divergence_residual == pytest.approx(0.3, rel=1e-6)
+
+
 def test_divergence_free_detects_broken_linear_part():
     b = sp.csr_matrix(np.array([[0.0, 0.3], [0.3, 0.0]]))
     spec = SystemSpec(name="bad", rates=np.array([0.5, 0.5]), noise=0.1,

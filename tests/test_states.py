@@ -146,6 +146,24 @@ def test_readout_unit_coefficient(ctx):
     assert state.coefficients[basis.position((1, 0))] == pytest.approx(expected)
 
 
+def test_readout_state_matches_entrywise_loop(ctx):
+    # reference: every basis row on the support of x with orders <= k gets
+    # prod_i a_i^p_i / sqrt(p_i!), multiplied in variable order
+    basis = basis_for(ctx, 6)
+    k = 4
+    for x in ([0.4, -0.3], [0.0, 0.7], [-1.1, 0.0]):
+        x = np.array(x)
+        want = np.zeros(len(basis))
+        for pos, orders in enumerate(basis.orders):
+            if all(p == 0 or (x[i] != 0 and p <= k) for i, p in enumerate(orders)):
+                coeff = 1.0
+                for i, p in enumerate(orders):
+                    if x[i]:
+                        coeff *= (x[i] * ctx.scalings[i]) ** p / math.sqrt(math.factorial(p))
+                want[pos] = coeff
+        assert np.array_equal(readout_state(x, basis, k, ctx).coefficients, want)
+
+
 def test_readout_zero_point(ctx):
     basis = basis_for(ctx, 3)
     state = readout_state(np.zeros(2), basis, truncation=3, ctx=ctx)
@@ -190,20 +208,20 @@ def test_expectation_time_zero_linear(ctx):
     psi0 = initial_state(MonomialObservable((1, 0), ctx), basis)
     for x1 in (0.7, -1.2, 0.0):
         x = np.array([x1, 0.0])
-        assert expectation(psi0, x, truncation=3, ctx=ctx) == pytest.approx(x1, abs=1e-14)
+        assert expectation([psi0], x, truncation=3, ctx=ctx)[0] == pytest.approx(x1, abs=1e-14)
 
 
 def test_expectation_zero_state(ctx):
     basis = basis_for(ctx, 2)
     psi = KEState(np.zeros(len(basis)), basis)
-    assert expectation(psi, np.array([0.3, 0.4]), 2, ctx) == 0.0
+    assert expectation([psi], np.array([0.3, 0.4]), 2, ctx)[0] == 0.0
 
 
 def test_expectation_dimension_mismatch(ctx):
     basis = basis_for(ctx, 2)
     psi = initial_state(MonomialObservable((1, 0), ctx), basis)
     with pytest.raises(BasisError):
-        expectation(psi, np.array([1.0, 0.0, 0.0]), 2, ctx)
+        expectation([psi], np.array([1.0, 0.0, 0.0]), 2, ctx)
 
 
 def test_expectation_umbral_consistency(ctx):
@@ -214,7 +232,28 @@ def test_expectation_umbral_consistency(ctx):
         u0 = MonomialObservable(exponents, ctx)
         psi0 = initial_state(u0, basis)
         x = rng.normal(size=2) * 0.5
-        got = expectation(psi0, x, truncation=4, ctx=ctx,
-                          include_mean=True, mean=u0.mean())
+        got = expectation([psi0], x, truncation=4, ctx=ctx)[0] + u0.mean()
         want = gaussian_quadrature(lambda pts: u0(pts + x), ctx, 64)
         assert got == pytest.approx(want, abs=1e-8)
+
+
+@pytest.mark.parametrize("x", [[0.4, -0.3, 0.0], [0.5, 0.0, -0.7], [0.3, -0.2, 0.6]])
+def test_readout_state_norm_matches_truncated_identity(x):
+    # the basis holds every order up to k per support variable, so the
+    # readout vector is the whole truncated coherent state but its constant 1
+    ctx = HermiteContext(rates=np.array([0.1, 0.2, 0.4]), noise=0.05)
+    x = np.array(x)
+    for k in (1, 3, 5):
+        basis = basis_for(ctx, np.count_nonzero(x) * k)
+        got = readout_state(x, basis, k, ctx).norm_sq() + 1.0
+        assert got == pytest.approx(readout_norm_sq(x, ctx, truncation=k), rel=1e-13)
+
+
+def test_expectation_reads_each_state_of_a_trajectory(ctx):
+    basis = basis_for(ctx, 5)
+    rng = np.random.default_rng(4)
+    states = [KEState(rng.normal(size=len(basis)), basis, t) for t in range(7)]
+    x = np.array([0.6, -0.3])
+    together = expectation(states, x, 5, ctx)
+    one_by_one = np.array([expectation([s], x, 5, ctx)[0] for s in states])
+    assert np.array_equal(together, one_by_one)
