@@ -186,13 +186,12 @@ class RegularizationReport:
         return self.measured_sup_sq <= self.bound
 
 
-def regularization_gap(spec, u0, t: float, r_small: float,
-                       r_large: float) -> RegularizationReport:
-    """Compare evolutions on a small and a large weight-cutoff basis.
+def regularization_gap(spec, u0, t: float, r_values, r_large: float) -> list:
+    """One RegularizationReport per small weight cutoff r_small in `r_values`.
 
-    The large-basis trajectory stands in for the exact solution; the
-    small-basis one is zero-padded into it.  The bound is
-    3 gamma^2 / (2 r_small) * ||psi(0)||^2, which requires finite J.
+    The `r_large` basis is enumerated, assembled and evolved once; its trajectory
+    stands in for the exact solution, and each small-basis one is zero-padded
+    into it.  The bound is 3 gamma^2 / (2 r_small) * ||psi(0)||^2 (finite J).
     """
     from .states import initial_state  # deferred: states imports evolution types
 
@@ -201,36 +200,37 @@ def regularization_gap(spec, u0, t: float, r_small: float,
         raise NumericalError(
             "regularization bound needs a finite drift strength J; "
             f"system {spec.name} declares J = inf")
-    if not (0 < r_small <= r_large):
+    if not all(0 < r_small <= r_large for r_small in r_values):
         raise NumericalError("need 0 < r_small <= r_large")
-    if spec.linear is not None and sp.csr_matrix(spec.linear).nnz:
+    if spec.linear is not None and spec.linear.nnz:
         raise NumericalError("weight-cutoff regularization requires b == 0")
 
     basis_big = enumerate_basis(spec.n_vars, RegularizationScheme.by_weight(r_large),
                                 spec.rates)
-    basis_small = enumerate_basis(spec.n_vars, RegularizationScheme.by_weight(r_small),
-                                  spec.rates)
-    ops_big = assemble_all(basis_big, spec)
-    # the small-basis operator is the restriction of the large-basis one
-    idx = basis_big.positions(basis_small.orders)
-    if np.any(idx < 0):
-        raise BasisError("the small weight-cutoff basis is not nested in the large one")
-    gen_big = ops_big.generator()
-    small_gen = sp.csr_matrix(gen_big[np.ix_(idx, idx)])
-
+    gen_big = assemble_all(basis_big, spec).generator()
     psi0_big = initial_state(u0, basis_big)
     times = np.linspace(0.0, t, 33)
     big = _exp_steps(gen_big, psi0_big.coefficients, 0.0, times[1:])
-    small = _exp_steps(small_gen, psi0_big.coefficients[idx], 0.0, times[1:])
-    gaps = [0.0]
-    for psi, phi in zip(big, small):
-        padded = np.zeros(len(basis_big))
-        padded[idx] = phi
-        gaps.append(float(np.sum((psi - padded) ** 2)))
-    gaps = np.array(gaps)
-    bound = 3.0 * gamma ** 2 / (2.0 * r_small) * psi0_big.norm_sq()
-    return RegularizationReport(r_small, r_large, float(gaps.max()), bound,
-                                times, gaps)
+    reports = []
+    for r_small in r_values:
+        basis_small = enumerate_basis(spec.n_vars, RegularizationScheme.by_weight(r_small),
+                                      spec.rates)
+        # the small-basis operator is the restriction of the large-basis one
+        idx = basis_big.positions(basis_small.orders)
+        if np.any(idx < 0):
+            raise BasisError("the small weight-cutoff basis is not nested in the large one")
+        small_gen = sp.csr_matrix(gen_big[np.ix_(idx, idx)])
+        small = _exp_steps(small_gen, psi0_big.coefficients[idx], 0.0, times[1:])
+        gaps = [0.0]
+        for psi, phi in zip(big, small):
+            padded = np.zeros(len(basis_big))
+            padded[idx] = phi
+            gaps.append(float(np.sum((psi - padded) ** 2)))
+        gaps = np.array(gaps)
+        bound = 3.0 * gamma ** 2 / (2.0 * r_small) * psi0_big.norm_sq()
+        reports.append(RegularizationReport(r_small, r_large, float(gaps.max()), bound,
+                                            times, gaps))
+    return reports
 
 
 @dataclass
@@ -254,30 +254,29 @@ class SmoothingAudit:
 
 
 def smoothing_bound_audit(ops: KEOperators, t_grid, gamma: float = math.inf) -> SmoothingAudit:
-    """Power-iteration check of the semigroup smoothing bounds.
+    """Exact check of the semigroup smoothing bounds, Lambda = A - B.
 
     ||A^{1/2} e^{-t Lambda}|| <= 0.5 sqrt(kappa/t) with kappa = lambda_N/lambda_1;
     the drift variant ||C e^{-t Lambda}|| <= 0.5 gamma sqrt(kappa/t) is audited
-    only when gamma is finite.
+    only when gamma is finite.  B must commute with A (NumericalError if not);
+    then e^{tB} is orthogonal and e^{-t Lambda} = e^{-tA} e^{tB}, so the first
+    norm is max_m sqrt(w_m) e^{-t w_m} and the second is ||C e^{-tA}||.
     """
     basis = ops.basis
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(t_grid <= 0):
         raise NumericalError("smoothing bounds hold for t > 0 only")
+    # [A, B] = 0 iff B couples equal weights only; each nonzero of B moves one
+    # quantum from i to j, so row minus column dotted with the rates is lambda_j - lambda_i
+    b = ops.linear.matrix.tocoo()
+    if np.any((basis.orders[b.row] - basis.orders[b.col]) @ basis.rates != 0):
+        raise NumericalError("smoothing audit needs the linear drift to commute with "
+                             "the dissipation: b couples variables of unequal rates")
     kappa = float(basis.rates[-1] / basis.rates[0])
-    lam_half = sp.diags(np.sqrt(basis.weights))
-    gen = (-ops.dissipation.matrix + ops.linear.matrix).toarray()
-
-    d_norms, d_bounds, c_norms, c_bounds = [], [], [], []
-    with_drift = math.isfinite(gamma) and ops.nonlinear.matrix.nnz > 0
-    for t in t_grid:
-        semigroup = expm(t * gen)
-        d_norms.append(operator_norm_estimate(lam_half @ semigroup))
-        d_bounds.append(0.5 * math.sqrt(kappa / t))
-        if with_drift:
-            c_norms.append(operator_norm_estimate(ops.nonlinear.matrix @ semigroup))
-            c_bounds.append(0.5 * gamma * math.sqrt(kappa / t))
-    return SmoothingAudit(
-        t_grid, np.array(d_norms), np.array(d_bounds),
-        np.array(c_norms) if with_drift else None,
-        np.array(c_bounds) if with_drift else None)
+    decay = np.exp(-t_grid[:, None] * basis.weights)
+    d_norms = (np.sqrt(basis.weights) * decay).max(axis=1)
+    bounds = 0.5 * np.sqrt(kappa / t_grid)
+    if not (math.isfinite(gamma) and ops.nonlinear.matrix.nnz > 0):
+        return SmoothingAudit(t_grid, d_norms, bounds, None, None)
+    c_norms = [operator_norm_estimate(ops.nonlinear.matrix @ sp.diags(row)) for row in decay]
+    return SmoothingAudit(t_grid, d_norms, bounds, np.array(c_norms), gamma * bounds)

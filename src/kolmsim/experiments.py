@@ -23,11 +23,11 @@ from functools import partial
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import __version__
 from .errors import ConfigError, DriftError
 from .evolution import (
+    KEOperators,
     assemble_all,
     check_norm_monotone,
     evolve_expm,
@@ -339,22 +339,27 @@ def failed_checks(audit, prefix: str = "") -> list:
     return bad
 
 
-def run_audits(spec, basis_order: int, seed: int = 0,
+def _order_operators(spec, order: int) -> KEOperators:
+    """The operators of `spec` on its basis of every multi-index of degree 1..order."""
+    basis = enumerate_basis(spec.n_vars, RegularizationScheme.by_max_order(order, spec.rates),
+                            spec.rates)
+    return assemble_all(basis, spec)
+
+
+def run_audits(spec, ops: KEOperators, seed: int = 0,
                options: dict = AUDIT_DEFAULTS) -> dict:
     """Every report-producing check that applies to the system, as JSON.
 
+    `ops` are the operators the run used, on an `_order_operators` basis.
     `options` holds the normalised `smoothing_times`, `regularization` and
     `trotter` entries of an `audits` config.
     """
-    basis = enumerate_basis(spec.n_vars,
-                            RegularizationScheme.by_max_order(basis_order, spec.rates),
-                            spec.rates)
-    ops = assemble_all(basis, spec)
+    basis = ops.basis
     u0 = _default_observable(spec)
     psi0 = initial_state(u0, basis)
     gamma = spec.gamma()
     finite_j = math.isfinite(gamma)
-    report: dict = {"system": spec.name, "basis_order": basis_order,
+    report: dict = {"system": spec.name, "basis_order": basis.max_degree,
                     "basis_size": len(basis)}
 
     div = verify_divergence_free(spec, seed=seed)
@@ -389,7 +394,7 @@ def run_audits(spec, basis_order: int, seed: int = 0,
         "passed": smoothing.passed,
     }
 
-    has_linear = spec.linear is not None and sp.csr_matrix(spec.linear).nnz > 0
+    has_linear = spec.linear is not None and spec.linear.nnz > 0
     if finite_j and not has_linear:
         reg = options["regularization"]
         r_values = reg["r_values"] or [k * spec.rates[0] for k in (2, 4, 8)]
@@ -401,11 +406,10 @@ def run_audits(spec, basis_order: int, seed: int = 0,
         if r_ref < max(r_values):
             raise ConfigError(f"config.regularization.r_reference: {float(r_ref)!r} is below "
                               f"max(r_values) = {float(max(r_values))!r}")
-        rows = []
-        for r in r_values:
-            rep = regularization_gap(spec, u0, reg["t"], float(r), float(r_ref))
-            rows.append({"r": float(r), "measured_sup_sq": rep.measured_sup_sq,
-                         "bound": rep.bound, "passed": rep.passed})
+        rows = [{"r": rep.r_small, "measured_sup_sq": rep.measured_sup_sq,
+                 "bound": rep.bound, "passed": rep.passed}
+                for rep in regularization_gap(spec, u0, reg["t"], list(map(float, r_values)),
+                                              float(r_ref))]
         report["regularization"] = {"r_reference": float(r_ref), "t": reg["t"],
                                     "rows": rows,
                                     "passed": all(r["passed"] for r in rows)}
@@ -480,10 +484,10 @@ def run_oscillator(cfg: dict, seed: int, threads: int) -> tuple:
     curve_rows, comparison_rows = [], []
     summary = []
     for order in orders:
-        basis = enumerate_basis(2, RegularizationScheme.by_max_order(order, spec.rates),
-                                spec.rates)
-        ops = assemble_all(basis, spec)
-        states = evolve_reference(initial_state(u0, basis), ops, float(times[-1]),
+        ops = _order_operators(spec, order)
+        if order == max(orders):
+            audited = ops
+        states = evolve_reference(initial_state(u0, ops.basis), ops, float(times[-1]),
                                   t_eval=times)
         values = expectation(states, x0, order, ctx) + u0.mean()
         report = compare(run, values)
@@ -494,7 +498,7 @@ def run_oscillator(cfg: dict, seed: int, threads: int) -> tuple:
         summary.append({"order": order, "max_gap": report.max_gap,
                         "noise_floor": report.noise_floor})
 
-    audit = run_audits(spec, max(orders), seed=seed)
+    audit = run_audits(spec, audited, seed=seed)
     audit["comparison_summary"] = summary
     return audit, {
         "mc_curve": (MC_HEADER, [(t, m, s, run.n_blowups) for t, m, s in run.as_rows()]),
@@ -516,14 +520,11 @@ def run_nse_taylor_green(cfg: dict, seed: int, threads: int) -> tuple:
     order, t_final, xi2 = cfg["basis"]["order"], cfg["time"], cfg["probe"]["xi2"]
     xi1s = np.linspace(*cfg["probe"]["xi1_range"], cfg["probe"]["count"])
 
-    basis = enumerate_basis(n_modes,
-                            RegularizationScheme.by_max_order(order, spec.rates),
-                            spec.rates)
-    ops = assemble_all(basis, spec)
+    ops = _order_operators(spec, order)
     x0 = taylor_green_mode_coefficients(table, 0.0, nu)
     # adjoint readout: <r, e^{tG} psi0> = <e^{tG^T} r, psi0>, so one solve
     # from the readout state r serves every probe
-    readout = evolve_reference(readout_state(x0, basis, order, ctx),
+    readout = evolve_reference(readout_state(x0, ops.basis, order, ctx),
                                ops.transpose(), t_final).coefficients
 
     curve_rows, comparison_rows = [], []
@@ -534,14 +535,14 @@ def run_nse_taylor_green(cfg: dict, seed: int, threads: int) -> tuple:
                   MonomialObservable(tuple(1 if j == k else 0
                                            for j in range(n_modes)), ctx))
                  for k, c in enumerate(coefs) if abs(c) > 1e-14]
-        value = float(readout @ combination_state(terms, basis).coefficients)
+        value = float(readout @ combination_state(terms, ops.basis).coefficients)
         truth = float(taylor_green(t_final, xi1, xi2, nu)[0])
         err = abs(value - truth)
         max_err = max(max_err, err)
         curve_rows.append((t_final, f"u1@({xi1:.4f},{xi2:.4f})", value))
         comparison_rows.append((xi1, xi2, t_final, value, truth, err))
 
-    audit = run_audits(spec, min(order, 2), seed=seed,
+    audit = run_audits(spec, ops, seed=seed,
                        options={**AUDIT_DEFAULTS, "smoothing_times": [0.01, 0.05, 0.1]})
     audit["taylor_green_max_error"] = max_err
     audit["taylor_green_within_tolerance"] = bool(max_err <= TAYLOR_GREEN_TOLERANCE)
@@ -577,15 +578,12 @@ def run_bqp_circuit(cfg: dict, seed: int, threads: int) -> tuple:
     worst_identity = 0.0
     for idx, (circuit, n) in enumerate(jobs):
         spec = clock_system(circuit, n, lam=lam, q=q)
+        ops = _order_operators(spec, 1)
         if idx == 0:
-            audited = spec  # the audit bundle runs on the first circuit's system
+            audited = spec, ops  # the audit bundle runs on the first circuit's system
         ctx = spec.context
-        basis = enumerate_basis(spec.n_vars,
-                                RegularizationScheme.by_max_order(1, spec.rates),
-                                spec.rates)
-        ops = assemble_all(basis, spec)
         u0 = _default_observable(spec)
-        psi = evolve_expm(initial_state(u0, basis), ops, t)
+        psi = evolve_expm(initial_state(u0, ops.basis), ops, t)
         m_gates = len(circuit)
         x = np.zeros(spec.n_vars)
         x[m_gates * 2 ** n] = 1.0
@@ -596,7 +594,7 @@ def run_bqp_circuit(cfg: dict, seed: int, threads: int) -> tuple:
         rows.append((idx, n, m_gates, amplitude, value, identity_gap,
                      abs(amplitude - value)))
 
-    audit = run_audits(audited, 1, seed=seed)
+    audit = run_audits(*audited, seed=seed)
     audit["bqp"] = {
         "worst_identity_gap": worst_identity,
         "bound_satisfied": all(r[6] <= 0.1 + 1e-12 for r in rows),
@@ -632,7 +630,7 @@ def run_ou_sanity(cfg: dict, seed: int, threads: int) -> tuple:
     exact_sq = q / (2 * lam) + x0[0] ** 2 * np.exp(-2 * lam * times)
     rep_sq = compare(run_sq, exact_sq)
 
-    audit = run_audits(spec, 4, seed=seed)
+    audit = run_audits(spec, _order_operators(spec, 4), seed=seed)
     audit["ou_sanity"] = {
         "mean_within_3se": bool(np.all(rep_mean.gap <= 3 * np.maximum(run_mean.se, 1e-12))),
         "second_moment_within_3se": bool(np.all(rep_sq.gap <= 3 * run_sq.se)),
@@ -655,7 +653,8 @@ def run_ou_sanity(cfg: dict, seed: int, threads: int) -> tuple:
 
 def run_audits_experiment(cfg: dict, seed: int, threads: int) -> tuple:
     spec = build_system(cfg["system"]["kind"], cfg["system"])
-    return run_audits(spec, cfg["basis"]["order"], seed=seed, options=cfg), {}
+    return run_audits(spec, _order_operators(spec, cfg["basis"]["order"]), seed=seed,
+                      options=cfg), {}
 
 
 # each runner maps (cfg, seed, threads) to (audit, tables), where tables maps

@@ -192,9 +192,8 @@ def test_criterion_4_regularization_bound():
     u0 = MonomialObservable((1, 0), spec.context)
     rows = []
     passed = True
-    for r in (0.2, 0.4, 0.8):
-        rep = regularization_gap(spec, u0, t=5.0, r_small=r, r_large=1.6)
-        rows.append(f"r={r}: {rep.measured_sup_sq:.3e} <= {rep.bound:.3e}")
+    for rep in regularization_gap(spec, u0, t=5.0, r_values=[0.2, 0.4, 0.8], r_large=1.6):
+        rows.append(f"r={rep.r_small}: {rep.measured_sup_sq:.3e} <= {rep.bound:.3e}")
         passed = passed and rep.passed
     ok = report(4, "truncation gap within 3 gamma^2/(2r) bound", passed,
                 "; ".join(rows))

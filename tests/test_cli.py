@@ -13,9 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kolmsim import cli, experiments
-from kolmsim.errors import ConfigError
+from kolmsim import cli, evolution, experiments
+from kolmsim.errors import ConfigError, NumericalError
 from kolmsim.evolution import assemble_all
+from kolmsim.operators import SystemSpec
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -152,11 +153,57 @@ def test_taylor_green_nonzero_truth(tmp_path, monkeypatch):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 4 and all(abs(float(r["taylor_green"])) > 0.01 for r in rows)
     assert all(float(r["abs_error"]) <= 1e-6 for r in rows)
-    # one adjoint solve serves every probe (the audits solve on an order-2 basis)
-    adjoint = [ops for ops in solves if ops.basis.max_degree == 3]
-    assert len(adjoint) == 1
-    forward = assemble_all(adjoint[0].basis, experiments.build_system("nse", cfg["system"]))
-    assert (adjoint[0].generator() != forward.generator().T).nnz == 0
+    # one adjoint solve serves every probe; the audit's norm check solves forward
+    forward = assemble_all(solves[0].basis, experiments.build_system("nse", cfg["system"]))
+    adjoint = [ops for ops in solves
+               if (ops.generator() != forward.generator().T).nnz == 0]
+    assert len(adjoint) == 1 and len(solves) == 2
+    assert all(ops.basis.max_degree == 3 for ops in solves)
+
+
+@pytest.mark.parametrize("cfg, run_bases", [
+    ({**OSC_CFG, "basis": {"orders": [3, 2]}}, 2),
+    (BQP_CFG, BQP_CFG["circuits"]["count"]),
+    (NSE_CFG, 1),
+    ({**AUDITS_CFG, "regularization": {"r_values": [0.2, 0.4], "r_reference": 0.8}}, 1),
+], ids=["oscillator", "bqp_circuit", "nse_taylor_green", "audits"])
+def test_each_basis_is_assembled_once(tmp_path, monkeypatch, cfg, run_bases):
+    # the audit bundle checks the operators the run used; only the
+    # regularization reference basis is assembled beside them
+    assembled, enumerated = [], []  # the scheme of each basis
+
+    def recording(calls, real, scheme_of):
+        return lambda *args: calls.append(scheme_of(*args)) or real(*args)
+
+    for module in (experiments, evolution):
+        monkeypatch.setattr(module, "assemble_all", recording(
+            assembled, assemble_all, lambda basis, spec: basis.scheme))
+        monkeypatch.setattr(module, "enumerate_basis", recording(
+            enumerated, module.enumerate_basis, lambda n_vars, scheme, rates: scheme))
+    audit = experiments.run_experiment(experiments.validate_config(cfg), str(tmp_path))
+    assert audit["passed"] is True
+    reference = [s for s in assembled if s.rule == "weight"]
+    assert len(assembled) == run_bases + len(reference)
+    assert [s for s in enumerated if s.rule == "order"] == assembled[:run_bases]
+    if cfg["experiment"] == "audits":
+        assert [s.r for s in reference] == [cfg["regularization"]["r_reference"]]
+        assert audit["basis_order"] == cfg["basis"]["order"]
+    else:
+        assert reference == []
+
+
+def test_audits_reject_noncommuting_linear_drift():
+    # divergence-free (lambda_1 b_12 = -lambda_2 b_21), but b moves a quantum
+    # between variables of unequal rates, so [A, B] != 0 and the closed-form
+    # smoothing norms do not apply; no config builds such a system
+    spec = SystemSpec(name="skew", rates=np.array([1.0, 2.0]), noise=0.1,
+                      linear=np.array([[0.0, 2.0], [-1.0, 0.0]]), linear_strength=2.0)
+    ops = experiments._order_operators(spec, 2)
+    assert ops.linear.matrix.nnz
+    with pytest.raises(NumericalError, match="commute"):
+        evolution.smoothing_bound_audit(ops, [1.0])
+    with pytest.raises(NumericalError, match="commute"):
+        experiments.run_audits(spec, ops)
 
 
 def test_taylor_green_verdict_feeds_exit_code(tmp_path, monkeypatch, capsys):

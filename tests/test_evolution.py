@@ -221,7 +221,7 @@ def test_regularization_gap_zero_without_drift():
     spec = SystemSpec(name="ou", rates=np.array([0.1, 0.1]), noise=0.1,
                       strength=0.0)
     u0 = MonomialObservable((1, 0), spec.context)
-    report = regularization_gap(spec, u0, t=2.0, r_small=0.2, r_large=0.8)
+    [report] = regularization_gap(spec, u0, t=2.0, r_values=[0.2], r_large=0.8)
     assert report.measured_sup_sq <= 1e-20
     assert report.passed
 
@@ -230,9 +230,9 @@ def test_regularization_gap_bounded_oscillator():
     spec = oscillator_system(lam=0.1, q=0.1, profile="bounded")
     u0 = MonomialObservable((1, 0), spec.context)
     sups = []
-    for r in (0.2, 0.4, 0.8):
-        report = regularization_gap(spec, u0, t=5.0, r_small=r, r_large=1.6)
-        assert report.passed, (report.measured_sup_sq, report.bound)
+    reports = regularization_gap(spec, u0, t=5.0, r_values=[0.2, 0.4, 0.8], r_large=1.6)
+    for r, report in zip((0.2, 0.4, 0.8), reports):
+        assert report.r_small == r and report.passed, (report.measured_sup_sq, report.bound)
         assert report.bound == pytest.approx(
             3 * spec.gamma() ** 2 / (2 * r) * (spec.noise / (2 * 0.1)))
         sups.append(report.measured_sup_sq)
@@ -244,7 +244,15 @@ def test_regularization_gap_requires_finite_strength():
     spec = oscillator_system(0.1, 0.02)  # cubic profile, J = inf
     u0 = MonomialObservable((1, 0), spec.context)
     with pytest.raises(NumericalError):
-        regularization_gap(spec, u0, t=1.0, r_small=0.2, r_large=0.4)
+        regularization_gap(spec, u0, t=1.0, r_values=[0.2], r_large=0.4)
+
+
+@pytest.mark.parametrize("r_values", [[0.2, 0.8], [0.0]])
+def test_regularization_gap_checks_every_cutoff(r_values):
+    spec = oscillator_system(lam=0.1, q=0.1, profile="bounded")
+    u0 = MonomialObservable((1, 0), spec.context)
+    with pytest.raises(NumericalError, match="0 < r_small <= r_large"):
+        regularization_gap(spec, u0, t=1.0, r_values=r_values, r_large=0.4)
 
 
 # ------------------------------------------------------------------ smoothing bounds
@@ -278,6 +286,45 @@ def test_smoothing_norm_vanishes_at_large_time():
     audit = smoothing_bound_audit(ops, [1.0, 10.0, 40.0])
     assert audit.dissipation_norms[-1] < 1e-15
     assert np.all(np.diff(audit.dissipation_norms) < 0)
+
+
+def dense_smoothing_norms(ops, t_grid):
+    """Oracle: ||A^{1/2} e^{tG}||_2 and ||C e^{tG}||_2 with G = -A + B, by dense
+    `expm` and exact spectral norms; it assumes nothing about [A, B]."""
+    gen = (-ops.dissipation.matrix + ops.linear.matrix).toarray()
+    lam_half = np.sqrt(ops.basis.weights)[:, None]
+    drift = ops.nonlinear.matrix.toarray()
+    d_norms, c_norms = [], []
+    for t in t_grid:
+        semigroup = expm(t * gen)
+        d_norms.append(np.linalg.norm(lam_half * semigroup, 2))
+        c_norms.append(np.linalg.norm(drift @ semigroup, 2))
+    return np.array(d_norms), np.array(c_norms)
+
+
+SMOOTHING_GRID = [0.1, 0.5, 1.0, 5.0]
+
+
+@pytest.mark.parametrize("make_spec, order, grid, with_drift", [
+    (lambda: oscillator_system(lam=0.1, q=0.1, profile="bounded"), 8, SMOOTHING_GRID, True),
+    (lambda: oscillator_system(0.1, 0.02), 6, SMOOTHING_GRID, False),  # J = inf
+    (lambda: clock_system(random_real_circuit(np.random.default_rng(4), 2, 3), 2), 2,
+     SMOOTHING_GRID, False),  # C = 0
+    (lambda: nse_system(20, 0.1, 1e-3), 2, [0.01, 0.05, 0.1], False),  # J = inf
+], ids=["bounded_oscillator", "cubic_oscillator", "clock", "nse20"])
+def test_smoothing_closed_form_matches_dense_oracle(make_spec, order, grid, with_drift):
+    spec = make_spec()
+    ops = assemble_all(basis_for(spec, order), spec)
+    audit = smoothing_bound_audit(ops, grid, gamma=spec.gamma())
+    d_exact, c_exact = dense_smoothing_norms(ops, grid)
+    np.testing.assert_allclose(audit.dissipation_norms, d_exact, rtol=1e-10, atol=0)
+    assert audit.passed
+    assert (audit.drift_norms is not None) == with_drift
+    if with_drift:
+        # power iteration approaches the norm from below and stops once two
+        # estimates agree to 1e-6; here that leaves it up to 1.1e-5 short
+        assert np.all(audit.drift_norms <= c_exact * (1 + 1e-12))
+        np.testing.assert_allclose(audit.drift_norms, c_exact, rtol=5e-5, atol=0)
 
 
 def test_smoothing_rejects_zero_time():
