@@ -27,6 +27,7 @@ from scipy.sparse.linalg import expm_multiply
 from .errors import BasisError, NumericalError
 from .multiindex import BasisSet, RegularizationScheme, enumerate_basis
 from .operators import (
+    NORM_MARGIN,
     SparseOperator,
     assemble_dissipation,
     assemble_linear_drift,
@@ -170,28 +171,13 @@ def check_norm_monotone(states, tol: float = 1e-9) -> bool:
     return all(b <= a * (1.0 + tol) for a, b in zip(norms, norms[1:]))
 
 
-@dataclass
-class RegularizationReport:
-    """Measured truncation gap against the 3 gamma^2 / (2r) bound."""
-
-    r_small: float
-    r_large: float
-    measured_sup_sq: float
-    bound: float
-    times: np.ndarray
-    gaps_sq: np.ndarray
-
-    @property
-    def passed(self) -> bool:
-        return self.measured_sup_sq <= self.bound
-
-
-def regularization_gap(spec, u0, t: float, r_values, r_large: float) -> list:
-    """One RegularizationReport per small weight cutoff r_small in `r_values`.
+def regularization_gap(spec, u0, t: float, r_values, r_large: float) -> dict:
+    """Audit block of the truncation gap: one row per weight cutoff r in `r_values`.
 
     The `r_large` basis is enumerated, assembled and evolved once; its trajectory
     stands in for the exact solution, and each small-basis one is zero-padded
-    into it.  The bound is 3 gamma^2 / (2 r_small) * ||psi(0)||^2 (finite J).
+    into it.  Each row holds sup_t ||gap||^2 against the bound
+    3 gamma^2 / (2 r) * ||psi(0)||^2 (finite J).
     """
     from .states import initial_state  # deferred: states imports evolution types
 
@@ -211,7 +197,7 @@ def regularization_gap(spec, u0, t: float, r_values, r_large: float) -> list:
     psi0_big = initial_state(u0, basis_big)
     times = np.linspace(0.0, t, 33)
     big = _exp_steps(gen_big, psi0_big.coefficients, 0.0, times[1:])
-    reports = []
+    rows = []
     for r_small in r_values:
         basis_small = enumerate_basis(spec.n_vars, RegularizationScheme.by_weight(r_small),
                                       spec.rates)
@@ -221,46 +207,27 @@ def regularization_gap(spec, u0, t: float, r_values, r_large: float) -> list:
             raise BasisError("the small weight-cutoff basis is not nested in the large one")
         small_gen = sp.csr_matrix(gen_big[np.ix_(idx, idx)])
         small = _exp_steps(small_gen, psi0_big.coefficients[idx], 0.0, times[1:])
-        gaps = [0.0]
+        sup_sq = 0.0  # the gap is 0 at t = 0
         for psi, phi in zip(big, small):
             padded = np.zeros(len(basis_big))
             padded[idx] = phi
-            gaps.append(float(np.sum((psi - padded) ** 2)))
-        gaps = np.array(gaps)
+            sup_sq = max(sup_sq, float(np.sum((psi - padded) ** 2)))
         bound = 3.0 * gamma ** 2 / (2.0 * r_small) * psi0_big.norm_sq()
-        reports.append(RegularizationReport(r_small, r_large, float(gaps.max()), bound,
-                                            times, gaps))
-    return reports
+        rows.append({"r": r_small, "measured_sup_sq": sup_sq, "bound": bound,
+                     "passed": sup_sq <= bound})
+    return {"r_reference": r_large, "t": t, "rows": rows,
+            "passed": all(row["passed"] for row in rows)}
 
 
-@dataclass
-class SmoothingAudit:
-    """Norms of A^{1/2} e^{-t Lambda} (and C e^{-t Lambda}) vs 0.5 sqrt(kappa/t)."""
-
-    times: np.ndarray
-    dissipation_norms: np.ndarray
-    dissipation_bounds: np.ndarray
-    drift_norms: np.ndarray | None
-    drift_bounds: np.ndarray | None
-
-    @property
-    def passed(self) -> bool:
-        ok = bool(np.all(self.dissipation_norms
-                         <= self.dissipation_bounds * (1 + 1e-6)))
-        if self.drift_norms is not None:
-            ok = ok and bool(np.all(self.drift_norms
-                                    <= self.drift_bounds * (1 + 1e-6)))
-        return ok
-
-
-def smoothing_bound_audit(ops: KEOperators, t_grid, gamma: float = math.inf) -> SmoothingAudit:
-    """Exact check of the semigroup smoothing bounds, Lambda = A - B.
+def smoothing_bound_audit(ops: KEOperators, t_grid, gamma: float = math.inf) -> dict:
+    """Audit block of the semigroup smoothing bounds, Lambda = A - B: norm/bound ratios.
 
     ||A^{1/2} e^{-t Lambda}|| <= 0.5 sqrt(kappa/t) with kappa = lambda_N/lambda_1;
     the drift variant ||C e^{-t Lambda}|| <= 0.5 gamma sqrt(kappa/t) is audited
-    only when gamma is finite.  B must commute with A (NumericalError if not);
-    then e^{tB} is orthogonal and e^{-t Lambda} = e^{-tA} e^{tB}, so the first
-    norm is max_m sqrt(w_m) e^{-t w_m} and the second is ||C e^{-tA}||.
+    only when gamma is finite and C != 0.  B must commute with A (NumericalError
+    if not); then e^{tB} is orthogonal and e^{-t Lambda} = e^{-tA} e^{tB}, so the
+    first norm is max_m sqrt(w_m) e^{-t w_m} exactly and the second is ||C e^{-tA}||,
+    estimated from below by power iteration.
     """
     basis = ops.basis
     t_grid = np.asarray(t_grid, dtype=float)
@@ -276,7 +243,15 @@ def smoothing_bound_audit(ops: KEOperators, t_grid, gamma: float = math.inf) -> 
     decay = np.exp(-t_grid[:, None] * basis.weights)
     d_norms = (np.sqrt(basis.weights) * decay).max(axis=1)
     bounds = 0.5 * np.sqrt(kappa / t_grid)
-    if not (math.isfinite(gamma) and ops.nonlinear.matrix.nnz > 0):
-        return SmoothingAudit(t_grid, d_norms, bounds, None, None)
-    c_norms = [operator_norm_estimate(ops.nonlinear.matrix @ sp.diags(row)) for row in decay]
-    return SmoothingAudit(t_grid, d_norms, bounds, np.array(c_norms), gamma * bounds)
+    passed = np.all(d_norms <= bounds * (1 + NORM_MARGIN))
+    block = {"times": list(map(float, t_grid)),
+             "dissipation_ratio": list(map(float, d_norms / bounds)),
+             "drift_ratio": "not applicable (J = inf or C = 0)"}
+    if math.isfinite(gamma) and ops.nonlinear.matrix.nnz > 0:
+        c_norms = np.array([operator_norm_estimate(ops.nonlinear.matrix @ sp.diags(row))
+                            for row in decay])
+        c_bounds = gamma * bounds
+        passed = passed and np.all(c_norms <= c_bounds * (1 + NORM_MARGIN))
+        block["drift_ratio"] = list(map(float, c_norms / c_bounds))
+    block["passed"] = bool(passed)
+    return block

@@ -24,6 +24,10 @@ from .hermite import HermiteContext, gauss_hermite_rule, he_table
 from .multiindex import BasisSet
 
 ASYMMETRY_TOL = 1e-10  # relative; above it, a bad drift spec or an unresolved quadrature
+DIVERGENCE_TOL = 1e-8  # absolute, on each divergence-free residual
+# Every audited norm is exact or a power-iteration lower bound, so an estimate
+# above its bound proves a violation; the margin covers rounding only.
+NORM_MARGIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -159,12 +163,6 @@ class QuadratureDrift:
             total += (f(x + ei) - f(x - ei)) / (2 * step)
         return total
 
-    def weighted_radial(self, x):
-        """sum_i lambda_i x_i c_i(x)."""
-        x = np.asarray(x, dtype=float)
-        vals = self.value(x)
-        return np.einsum("...i,...i->...", x * self.ctx.rates, vals)
-
     def assemble(self, basis: BasisSet, spec) -> sp.csr_matrix:
         n_vars = basis.n_vars
         if n_vars > 3:
@@ -225,8 +223,7 @@ def assemble_linear_drift(basis: BasisSet, spec) -> SparseOperator:
     b = sp.coo_matrix(spec.linear)
     rates = spec.rates
     scale = max(abs(b.data).max(initial=0.0), 1.0)
-    lamb = b.multiply(rates[:, None])
-    resid = abs(lamb + lamb.T).max() if lamb.nnz else 0.0
+    resid = _linear_skew_residual(b, rates)
     if resid > 1e-12 * scale * rates.max():
         raise DriftError(
             "linear drift violates lambda_i b_ij = -lambda_j b_ji "
@@ -299,41 +296,34 @@ def _check_spec_basis(basis: BasisSet, spec):
         raise BasisError("basis was enumerated with different rates than the system")
 
 
-@dataclass
-class DivergenceReport:
-    """Pointwise residuals of the divergence-free conditions."""
-
-    divergence_residual: float
-    radial_residual: float
-    linear_residual: float
-    n_points: int
-    tolerance: float = 1e-8
-
-    @property
-    def passed(self) -> bool:
-        return max(self.divergence_residual, self.radial_residual,
-                   self.linear_residual) < self.tolerance
+def _linear_skew_residual(b: sp.coo_matrix, rates) -> float:
+    """max |lambda_i b_ij + lambda_j b_ji| over the linear drift matrix b."""
+    lamb = b.multiply(rates[:, None])
+    return float(abs(lamb + lamb.T).max()) if lamb.nnz else 0.0
 
 
-def verify_divergence_free(spec, n_points: int = 100, seed: int = 0) -> DivergenceReport:
-    """Sample the three divergence-free conditions; report max residuals."""
+def verify_divergence_free(spec, n_points: int = 100, seed: int = 0) -> dict:
+    """Max residuals of the three divergence-free conditions, as an audit block.
+
+    div c = 0 and sum_i lambda_i x_i c_i(x) = 0 are sampled at `n_points`
+    Gaussian points, the second from the drift's own values;
+    lambda_i b_ij = -lambda_j b_ji is checked on every entry of b.
+    """
     rng = np.random.default_rng(seed)
     std = np.sqrt(spec.noise / (2.0 * spec.rates))
     pts = rng.normal(size=(n_points, spec.n_vars)) * (3.0 * std)
 
-    if spec.nonlinear is None:
-        div_res = 0.0
-        rad_res = 0.0
-    else:
+    div_res = rad_res = 0.0
+    if spec.nonlinear is not None:
         div_res = float(np.abs(spec.nonlinear.divergence(pts)).max())
-        rad_res = float(np.abs(spec.nonlinear.weighted_radial(pts)).max())
-
-    if spec.linear is None:
-        lin_res = 0.0
-    else:
-        lamb = sp.coo_matrix(spec.linear).multiply(spec.rates[:, None])
-        lin_res = float(abs(lamb + lamb.T).max()) if lamb.nnz else 0.0
-    return DivergenceReport(div_res, rad_res, lin_res, n_points)
+        radial = np.einsum("...i,...i->...", pts * spec.rates, spec.nonlinear.value(pts))
+        rad_res = float(np.abs(radial).max())
+    lin_res = (0.0 if spec.linear is None
+               else _linear_skew_residual(sp.coo_matrix(spec.linear), spec.rates))
+    block = {"divergence_residual": div_res, "radial_residual": rad_res,
+             "linear_residual": lin_res}
+    block["passed"] = max(block.values()) < DIVERGENCE_TOL
+    return block
 
 
 def operator_norm_estimate(matrix, n_iter: int = 200, tol: float = 1e-6,
@@ -360,47 +350,28 @@ def operator_norm_estimate(matrix, n_iter: int = 200, tol: float = 1e-6,
     return sigma
 
 
-@dataclass
-class SparsityAudit:
-    """Column-sparsity and norm checks for one assembled operator."""
-
-    role: str
-    max_col_nonzeros: int
-    nonzero_bound: float
-    norm_estimate: float
-    norm_bound: float  # inf means "no applicable bound"
-    notes: str = ""
-
-    @property
-    def passed(self) -> bool:
-        ok = self.max_col_nonzeros <= self.nonzero_bound
-        if math.isfinite(self.norm_bound):
-            # power iteration underestimates; 1e-6 covers its tolerance
-            ok = ok and self.norm_estimate <= self.norm_bound * (1 + 1e-6)
-        return ok
-
-
-def sparsity_audit(op: SparseOperator, basis: BasisSet, spec) -> SparsityAudit:
-    """Audit an assembled operator against its declared sparsity/norm bounds."""
+def sparsity_audit(op: SparseOperator, spec) -> dict:
+    """Audit block of an assembled operator against its sparsity and norm bounds."""
+    basis = op.basis
     K = basis.max_degree
     nnz = op.max_column_nonzeros()
     if op.role == "dissipation":
-        norm = float(basis.weights.max())
-        return SparsityAudit("dissipation", nnz, 1, norm, basis.scheme.R)
-    norm = operator_norm_estimate(op.matrix)
-    if op.role == "linear":
+        nonzero_bound, norm, bound = 1, float(basis.weights.max()), basis.scheme.R
+    elif op.role == "linear":
         s = spec.linear_sparsity()
         kappa = float(spec.rates[-1] / spec.rates[0])
+        nonzero_bound = s * K * (K + 1)
+        norm = operator_norm_estimate(op.matrix)
         bound = s * spec.linear_strength * K * math.sqrt(kappa)
-        return SparsityAudit("linear", nnz, s * K * (K + 1), norm, bound)
-    if op.role == "nonlinear":
+    elif op.role == "nonlinear":
         s = spec.nonlinear.sparsity if spec.nonlinear is not None else 0
-        gamma = spec.gamma()
-        if math.isfinite(gamma):
-            bound = gamma * math.sqrt(basis.scheme.R)
-            notes = ""
-        else:
-            bound = math.inf
-            notes = "norm bound not applicable (J = inf)"
-        return SparsityAudit("nonlinear", nnz, K * (K + 1) ** s, norm, bound, notes)
-    raise ValueError(f"unknown operator role {op.role!r}")
+        nonzero_bound = K * (K + 1) ** s
+        norm = operator_norm_estimate(op.matrix)
+        bound = spec.gamma() * math.sqrt(basis.scheme.R)  # inf when J is
+    else:
+        raise ValueError(f"unknown operator role {op.role!r}")
+    finite = math.isfinite(bound)
+    return {"max_col_nonzeros": nnz, "nonzero_bound": nonzero_bound, "norm_estimate": norm,
+            "norm_bound": bound if finite else "not applicable (J = inf)",
+            "passed": bool(nnz <= nonzero_bound
+                           and (not finite or norm <= bound * (1 + NORM_MARGIN)))}

@@ -61,10 +61,6 @@ class OscillatorLadderDrift:
         x = np.asarray(x, dtype=float)
         return np.zeros(x.shape[:-1])
 
-    def weighted_radial(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1])
-
     def assemble(self, basis: BasisSet, spec) -> sp.csr_matrix:
         ext = enumerate_basis(2, RegularizationScheme.by_max_order(basis.max_degree + 2,
                                                                    spec.rates), spec.rates)
@@ -220,11 +216,6 @@ class SpectralAdvectionDrift:
         # c_k never touches x_k (triples exclude i = k and j = k)
         x = np.asarray(x, dtype=float)
         return np.zeros(x.shape[:-1])
-
-    def weighted_radial(self, x):
-        x = np.asarray(x, dtype=float)
-        vals = self.value(x)
-        return np.einsum("...i,...i->...", x * self.rates, vals)
 
     def assemble(self, basis: BasisSet, spec) -> sp.csr_matrix:
         shape = (len(basis),) * 2

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kolmsim import cli, evolution, experiments
+from kolmsim import cli, evolution, experiments, operators
 from kolmsim.errors import ConfigError, NumericalError
 from kolmsim.evolution import assemble_all
 from kolmsim.operators import SystemSpec
@@ -224,6 +224,36 @@ def test_audit_command(tmp_path):
     audit = json.loads((out / "audit.json").read_text())
     assert audit["passed"] is True
     assert audit["regularization"]["rows"][0]["passed"] is True
+
+
+@pytest.mark.parametrize("cfg", [
+    AUDITS_CFG,
+    {**AUDITS_CFG, "system": {"kind": "nse", "modes": 6, "nu": 0.1, "q": 1e-3},
+     "basis": {"order": 2}, "smoothing_times": [0.01, 0.05]},
+], ids=["bounded_oscillator", "nse"])
+def test_audit_blocks_are_the_check_returns(tmp_path, cfg):
+    # each lemma check returns its own audit.json block; run_audits only places it
+    out = tmp_path / "out"
+    assert cli.main(["audit", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+    audit = json.loads((out / "audit.json").read_text())
+    cfg = experiments.validate_config(cfg)
+    spec = experiments.build_system(cfg["system"]["kind"], cfg["system"])
+    ops = experiments._order_operators(spec, cfg["basis"]["order"])
+    expected = {
+        "divergence_free": operators.verify_divergence_free(spec, seed=cfg["seed"]),
+        "operators": {op.role: operators.sparsity_audit(op, spec)
+                      for op in (ops.dissipation, ops.linear, ops.nonlinear)},
+        "smoothing": evolution.smoothing_bound_audit(ops, cfg["smoothing_times"],
+                                                     gamma=spec.gamma()),
+        "regularization": "not applicable (J = inf)",
+    }
+    if cfg["system"]["kind"] == "bounded_oscillator":
+        reg = cfg["regularization"]
+        expected["regularization"] = evolution.regularization_gap(
+            spec, experiments._default_observable(spec), reg["t"], reg["r_values"],
+            reg["r_reference"])
+    for key, block in expected.items():
+        assert audit[key] == json.loads(json.dumps(block)), key
 
 
 def test_audit_command_requires_audits_experiment(tmp_path):

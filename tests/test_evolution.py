@@ -221,21 +221,23 @@ def test_regularization_gap_zero_without_drift():
     spec = SystemSpec(name="ou", rates=np.array([0.1, 0.1]), noise=0.1,
                       strength=0.0)
     u0 = MonomialObservable((1, 0), spec.context)
-    [report] = regularization_gap(spec, u0, t=2.0, r_values=[0.2], r_large=0.8)
-    assert report.measured_sup_sq <= 1e-20
-    assert report.passed
+    block = regularization_gap(spec, u0, t=2.0, r_values=[0.2], r_large=0.8)
+    [row] = block["rows"]
+    assert row["measured_sup_sq"] <= 1e-20
+    assert row["passed"] and block["passed"]
 
 
 def test_regularization_gap_bounded_oscillator():
     spec = oscillator_system(lam=0.1, q=0.1, profile="bounded")
     u0 = MonomialObservable((1, 0), spec.context)
     sups = []
-    reports = regularization_gap(spec, u0, t=5.0, r_values=[0.2, 0.4, 0.8], r_large=1.6)
-    for r, report in zip((0.2, 0.4, 0.8), reports):
-        assert report.r_small == r and report.passed, (report.measured_sup_sq, report.bound)
-        assert report.bound == pytest.approx(
+    block = regularization_gap(spec, u0, t=5.0, r_values=[0.2, 0.4, 0.8], r_large=1.6)
+    assert block["r_reference"] == 1.6 and block["t"] == 5.0 and block["passed"]
+    for r, row in zip((0.2, 0.4, 0.8), block["rows"]):
+        assert row["r"] == r and row["passed"], (row["measured_sup_sq"], row["bound"])
+        assert row["bound"] == pytest.approx(
             3 * spec.gamma() ** 2 / (2 * r) * (spec.noise / (2 * 0.1)))
-        sups.append(report.measured_sup_sq)
+        sups.append(row["measured_sup_sq"])
     # larger r keeps more of the dynamics: the gap shrinks
     assert sups[2] <= sups[1] <= sups[0]
 
@@ -264,9 +266,10 @@ def test_smoothing_single_mode_scalar_value():
     basis = basis_for(spec, 8)
     ops = assemble_all(basis, spec)
     audit = smoothing_bound_audit(ops, [1.0])
-    assert audit.dissipation_norms[0] == pytest.approx(math.exp(-1), rel=1e-6)
-    assert audit.dissipation_bounds[0] == pytest.approx(0.5)
-    assert audit.passed
+    assert audit["times"] == [1.0]
+    # the bound is 0.5 sqrt(kappa / t) = 0.5
+    assert audit["dissipation_ratio"][0] == pytest.approx(math.exp(-1) / 0.5, rel=1e-6)
+    assert audit["passed"]
 
 
 def test_smoothing_bounds_on_grid():
@@ -274,18 +277,20 @@ def test_smoothing_bounds_on_grid():
     basis = basis_for(spec, 8)
     ops = assemble_all(basis, spec)
     audit = smoothing_bound_audit(ops, [0.1, 0.5, 1.0, 5.0], gamma=spec.gamma())
-    assert audit.passed
-    assert audit.drift_norms is not None
-    assert np.all(audit.drift_norms <= audit.drift_bounds)
+    assert audit["passed"]
+    assert len(audit["drift_ratio"]) == 4
+    assert max(audit["drift_ratio"]) <= 1.0
 
 
 def test_smoothing_norm_vanishes_at_large_time():
     spec = SystemSpec(name="single", rates=np.array([1.0]), noise=1.0)
     basis = basis_for(spec, 6)
     ops = assemble_all(basis, spec)
-    audit = smoothing_bound_audit(ops, [1.0, 10.0, 40.0])
-    assert audit.dissipation_norms[-1] < 1e-15
-    assert np.all(np.diff(audit.dissipation_norms) < 0)
+    grid = np.array([1.0, 10.0, 40.0])
+    audit = smoothing_bound_audit(ops, grid)
+    norms = np.array(audit["dissipation_ratio"]) * 0.5 / np.sqrt(grid)  # kappa = 1
+    assert norms[-1] < 1e-15
+    assert np.all(np.diff(norms) < 0)
 
 
 def dense_smoothing_norms(ops, t_grid):
@@ -317,14 +322,30 @@ def test_smoothing_closed_form_matches_dense_oracle(make_spec, order, grid, with
     ops = assemble_all(basis_for(spec, order), spec)
     audit = smoothing_bound_audit(ops, grid, gamma=spec.gamma())
     d_exact, c_exact = dense_smoothing_norms(ops, grid)
-    np.testing.assert_allclose(audit.dissipation_norms, d_exact, rtol=1e-10, atol=0)
-    assert audit.passed
-    assert (audit.drift_norms is not None) == with_drift
+    bounds = 0.5 * np.sqrt(spec.rates[-1] / spec.rates[0] / np.asarray(grid))
+    np.testing.assert_allclose(audit["dissipation_ratio"], d_exact / bounds, rtol=1e-10, atol=0)
+    assert audit["passed"]
     if with_drift:
+        c_ratio = c_exact / (spec.gamma() * bounds)
         # power iteration approaches the norm from below and stops once two
         # estimates agree to 1e-6; here that leaves it up to 1.1e-5 short
-        assert np.all(audit.drift_norms <= c_exact * (1 + 1e-12))
-        np.testing.assert_allclose(audit.drift_norms, c_exact, rtol=5e-5, atol=0)
+        assert np.all(np.array(audit["drift_ratio"]) <= c_ratio * (1 + 1e-12))
+        np.testing.assert_allclose(audit["drift_ratio"], c_ratio, rtol=5e-5, atol=0)
+    else:
+        assert audit["drift_ratio"] == "not applicable (J = inf or C = 0)"
+
+
+def test_smoothing_fails_a_drift_estimate_above_its_bound(monkeypatch):
+    # ||C e^{-tA}|| is estimated from below, so an estimate above its bound,
+    # by however little beyond rounding, proves a violation
+    spec = oscillator_system(lam=0.1, q=0.1, profile="bounded")
+    ops = assemble_all(basis_for(spec, 4), spec)
+    bound = spec.gamma() * 0.5  # 0.5 gamma sqrt(kappa / t) at kappa = t = 1
+    monkeypatch.setattr(evolution, "operator_norm_estimate",
+                        lambda matrix: bound * (1 + 1e-7))
+    audit = smoothing_bound_audit(ops, [1.0], gamma=spec.gamma())
+    assert audit["drift_ratio"][0] == pytest.approx(1 + 1e-7, rel=1e-12)
+    assert not audit["passed"]
 
 
 def test_smoothing_rejects_zero_time():

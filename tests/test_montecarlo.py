@@ -175,9 +175,6 @@ def test_blowup_guard_fails_unstable_run():
         def divergence(self, x):
             return 3.0 * np.sum(np.asarray(x) ** 2, axis=-1)
 
-        def weighted_radial(self, x):
-            return np.sum(np.asarray(x) ** 4, axis=-1)
-
     spec = SystemSpec(name="explosive", rates=np.array([0.1]), noise=0.1,
                       nonlinear=ExplosiveDrift(), strength=math.inf)
     with pytest.raises(NumericalError):

@@ -16,8 +16,10 @@ from kolmsim.hermite import (
     he_table,
     hermite_triple_product,
 )
+from kolmsim import operators
 from kolmsim.multiindex import RegularizationScheme, enumerate_basis
 from kolmsim.operators import (
+    NORM_MARGIN,
     SystemSpec,
     assemble_dissipation,
     assemble_linear_drift,
@@ -26,7 +28,7 @@ from kolmsim.operators import (
     sparsity_audit,
     verify_divergence_free,
 )
-from kolmsim.systems import oscillator_system
+from kolmsim.systems import GATE_MATRICES, clock_system, oscillator_system
 
 
 class CoefficientTableDrift:
@@ -98,12 +100,6 @@ class CoefficientTableDrift:
                 probe = CoefficientTableDrift({i: sup}, {i: lowered}, self.ctx)
                 total += probe._factor_values(i, x)
         return total
-
-    def weighted_radial(self, x):
-        """sum_i lambda_i x_i c_i(x)."""
-        x = np.asarray(x, dtype=float)
-        vals = self.value(x)
-        return np.einsum("...i,...i->...", x * self.ctx.rates, vals)
 
     def assemble(self, basis, spec) -> sp.csr_matrix:
         rates, q = spec.rates, spec.noise
@@ -389,14 +385,35 @@ def test_relative_boundedness_witness_bounded_profile():
 
 def test_divergence_free_oscillator():
     report = verify_divergence_free(oscillator_system(0.1, 0.02))
-    assert report.passed
-    assert report.divergence_residual == 0.0
-    assert report.radial_residual == 0.0
+    assert report["passed"]
+    assert report["divergence_residual"] == 0.0
+    # sum_i lambda_i x_i c_i(x) cancels up to rounding: 4.4e-16 measured
+    assert report["radial_residual"] < 1e-14
+
+
+def test_divergence_free_measures_cubic_radial_drift():
+    # the radial condition is evaluated from the drift's own values: scaling
+    # c_1 by 1.1 leaves div c = 0 (c_1 does not depend on x1) yet breaks
+    # sum_i lambda_i x_i c_i = 0
+    spec = oscillator_system(0.1, 0.02)
+    drift = spec.nonlinear
+    intact = drift.value
+
+    def broken_value(x, out=None):
+        out = intact(x, out=out)
+        out[..., 0] *= 1.1
+        return out
+
+    drift.value = broken_value
+    report = verify_divergence_free(spec)
+    assert not report["passed"]
+    assert report["divergence_residual"] == 0.0
+    assert report["radial_residual"] > 1e-8
 
 
 def test_divergence_free_table_drift_numeric():
     report = verify_divergence_free(table_oscillator_spec(), n_points=50)
-    assert report.passed
+    assert report["passed"]
 
 
 def test_divergence_free_bounded_profile_measures_its_drift():
@@ -404,14 +421,14 @@ def test_divergence_free_bounded_profile_measures_its_drift():
     # gives divergence 0.3 everywhere and must fail it
     spec = oscillator_system(lam=0.1, q=0.1, profile="bounded")
     report = verify_divergence_free(spec)
-    assert report.passed
-    assert 0.0 < report.divergence_residual < 1e-9
+    assert report["passed"]
+    assert 0.0 < report["divergence_residual"] < 1e-9
     funcs = spec.nonlinear.funcs
     intact = funcs[0]
     funcs[0] = lambda x: intact(x) + 0.3 * x[..., 0]
     broken = verify_divergence_free(spec)
-    assert not broken.passed
-    assert broken.divergence_residual == pytest.approx(0.3, rel=1e-6)
+    assert not broken["passed"]
+    assert broken["divergence_residual"] == pytest.approx(0.3, rel=1e-6)
 
 
 def test_divergence_free_detects_broken_linear_part():
@@ -419,8 +436,8 @@ def test_divergence_free_detects_broken_linear_part():
     spec = SystemSpec(name="bad", rates=np.array([0.5, 0.5]), noise=0.1,
                       linear=b, linear_strength=0.3)
     report = verify_divergence_free(spec)
-    assert not report.passed
-    assert report.linear_residual == pytest.approx(2 * 0.3 * 0.5)
+    assert not report["passed"]
+    assert report["linear_residual"] == pytest.approx(2 * 0.3 * 0.5)
 
 
 # ------------------------------------------------------------------ audits
@@ -429,37 +446,65 @@ def test_divergence_free_detects_broken_linear_part():
 def test_sparsity_audit_linear_rotation():
     spec = rotation_spec(omega=1.0)
     basis = basis_for(spec, 3)
-    B = assemble_linear_drift(basis, spec)
-    audit = sparsity_audit(B, basis, spec)
-    assert audit.max_col_nonzeros <= 2
-    assert audit.nonzero_bound == 1 * 3 * 4  # s K (K+1) with s = 1
-    assert audit.passed
+    audit = sparsity_audit(assemble_linear_drift(basis, spec), spec)
+    assert audit["max_col_nonzeros"] <= 2
+    assert audit["nonzero_bound"] == 1 * 3 * 4  # s K (K+1) with s = 1
+    assert audit["passed"]
 
 
 def test_sparsity_audit_dissipation():
     spec = rotation_spec()
     basis = basis_for(spec, 4)
-    audit = sparsity_audit(assemble_dissipation(basis, spec), basis, spec)
-    assert audit.norm_estimate == pytest.approx(basis.weights.max())
-    assert audit.passed
+    audit = sparsity_audit(assemble_dissipation(basis, spec), spec)
+    assert audit["norm_estimate"] == pytest.approx(basis.weights.max())
+    assert audit["passed"]
 
 
 def test_sparsity_audit_bounded_drift_norm():
     spec = oscillator_system(lam=0.1, q=0.1, profile="bounded")
     basis = basis_for(spec, 6)
-    C = assemble_nonlinear_drift(basis, spec)
-    audit = sparsity_audit(C, basis, spec)
-    assert math.isfinite(audit.norm_bound)
-    assert audit.norm_estimate <= audit.norm_bound
-    assert audit.passed
+    audit = sparsity_audit(assemble_nonlinear_drift(basis, spec), spec)
+    assert math.isfinite(audit["norm_bound"])
+    assert audit["norm_estimate"] <= audit["norm_bound"]
+    assert audit["passed"]
 
 
 def test_sparsity_audit_unbounded_drift_marked():
     spec = oscillator_system(0.1, 0.02)
     basis = basis_for(spec, 3)
-    audit = sparsity_audit(assemble_nonlinear_drift(basis, spec), basis, spec)
-    assert not math.isfinite(audit.norm_bound)
-    assert "not applicable" in audit.notes
+    audit = sparsity_audit(assemble_nonlinear_drift(basis, spec), spec)
+    assert audit["norm_bound"] == "not applicable (J = inf)"
+    assert audit["passed"]
+
+
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_sparsity_audit_passes_tight_linear_norm(K):
+    # one X gate: the clock drift's norm equals its bound s J1 K sqrt(kappa), and
+    # power iteration reaches it from below (equal at K = 1, 1.8e-7 short at K = 3)
+    spec = clock_system([(GATE_MATRICES["X"], (0,))], 1)
+    audit = sparsity_audit(assemble_linear_drift(basis_for(spec, K), spec), spec)
+    assert audit["norm_estimate"] <= audit["norm_bound"] * (1 + NORM_MARGIN)
+    assert audit["norm_estimate"] == pytest.approx(audit["norm_bound"], rel=1e-6)
+    assert audit["passed"]
+
+
+@pytest.mark.parametrize("make_spec, role", [
+    (lambda: clock_system([(GATE_MATRICES["X"], (0,))], 1), "linear"),
+    (lambda: oscillator_system(lam=0.1, q=0.1, profile="bounded"), "nonlinear"),
+])
+def test_sparsity_audit_fails_an_estimate_above_its_bound(make_spec, role, monkeypatch):
+    # a power-iteration estimate is a lower bound on the norm, so one above the
+    # bound, by however little beyond rounding, proves a violation
+    spec = make_spec()
+    basis = basis_for(spec, 3)
+    op = {"linear": assemble_linear_drift, "nonlinear": assemble_nonlinear_drift}[role](
+        basis, spec)
+    bound = sparsity_audit(op, spec)["norm_bound"]
+    monkeypatch.setattr(operators, "operator_norm_estimate",
+                        lambda matrix: bound * (1 + 1e-7))
+    audit = sparsity_audit(op, spec)
+    assert audit["norm_estimate"] == bound * (1 + 1e-7)
+    assert not audit["passed"]
 
 
 def test_power_iteration_against_dense_norm():
