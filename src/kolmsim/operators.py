@@ -80,10 +80,8 @@ class SystemSpec:
         """Max nonzeros per row/column of b."""
         if self.linear is None:
             return 0
-        csc = sp.csc_matrix(self.linear)
-        per_col = np.diff(csc.indptr).max(initial=0)
-        per_row = np.diff(csc.T.tocsc().indptr).max(initial=0)
-        return int(max(per_col, per_row))
+        b = self.linear.tocoo()
+        return int(max(np.bincount(b.row).max(initial=0), np.bincount(b.col).max(initial=0)))
 
     def sparsity(self) -> int:
         """Declared s: max drift-function support size and b row/col count."""
@@ -205,7 +203,8 @@ class QuadratureDrift:
 def assemble_dissipation(basis: BasisSet, spec) -> SparseOperator:
     """Diagonal operator with entries lambda_m in basis order."""
     _check_spec_basis(basis, spec)
-    mat = sp.diags(basis.weights, format="csr")
+    n = len(basis)
+    mat = sp.csr_matrix((basis.weights.copy(), np.arange(n), np.arange(n + 1)), shape=(n, n))
     return SparseOperator(mat, "dissipation", basis)
 
 
@@ -228,8 +227,9 @@ def assemble_linear_drift(basis: BasisSet, spec) -> SparseOperator:
         raise DriftError(
             "linear drift violates lambda_i b_ij = -lambda_j b_ji "
             f"(residual {resid:.3e})")
-    beta = b.multiply(np.sqrt(rates)[:, None]).multiply(1.0 / np.sqrt(rates)[None, :])
-    beta = ((beta - beta.T) * 0.5).tocoo()  # exact skewness of the float data
+    beta = b.data * np.sqrt(rates)[b.row] * (1.0 / np.sqrt(rates))[b.col]
+    beta = _plus_transpose(b, beta, -beta).tocoo()  # exact skewness of the float data
+    beta.data *= 0.5
 
     live = beta.data != 0.0
     i_e, j_e, b_e = beta.row[live], beta.col[live], beta.data[live]
@@ -296,10 +296,17 @@ def _check_spec_basis(basis: BasisSet, spec):
         raise BasisError("basis was enumerated with different rates than the system")
 
 
+def _plus_transpose(b: sp.coo_matrix, vals, vals_t) -> sp.csr_matrix:
+    """M + N^T for M, N with `vals`, `vals_t` on b's pattern, in one duplicate-summing build."""
+    return sp.csr_matrix((np.concatenate([vals, vals_t]),
+                          (np.concatenate([b.row, b.col]), np.concatenate([b.col, b.row]))),
+                         shape=b.shape)
+
+
 def _linear_skew_residual(b: sp.coo_matrix, rates) -> float:
     """max |lambda_i b_ij + lambda_j b_ji| over the linear drift matrix b."""
-    lamb = b.multiply(rates[:, None])
-    return float(abs(lamb + lamb.T).max()) if lamb.nnz else 0.0
+    lamb = b.data * rates[b.row]
+    return float(abs(_plus_transpose(b, lamb, lamb).data).max(initial=0.0))
 
 
 def verify_divergence_free(spec, n_points: int = 100, seed: int = 0) -> dict:

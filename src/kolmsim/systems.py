@@ -393,13 +393,18 @@ def clock_drift(circuit, n_qubits: int) -> sp.csr_matrix:
         raise DriftError("circuit must contain at least one gate")
     dim_q = 2 ** n_qubits
     w = chain_walk_weights(m)
-    blocks = sp.lil_matrix(((m + 1) * dim_q, (m + 1) * dim_q))
+    rows, cols, vals = [], [], []
     for j, (u, targets) in enumerate(gates, start=1):
         full = embed_gate(u, targets, n_qubits) if n_qubits else np.array([[1.0]])
+        r, c = np.nonzero(full)
         r0, c0 = (j - 1) * dim_q, j * dim_q
-        blocks[r0:r0 + dim_q, c0:c0 + dim_q] = w[j - 1] * full.T
-        blocks[c0:c0 + dim_q, r0:r0 + dim_q] = -w[j - 1] * full
-    return blocks.tocsr()
+        v = w[j - 1] * full[r, c]
+        # block (j-1, j) holds w U^T, block (j, j-1) holds -w U
+        rows += [r0 + c, c0 + r]
+        cols += [c0 + r, r0 + c]
+        vals += [v, -v]
+    return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=((m + 1) * dim_q,) * 2)
 
 
 def clock_system(circuit, n_qubits: int, lam: float = 0.1,

@@ -28,7 +28,13 @@ from kolmsim.operators import (
     sparsity_audit,
     verify_divergence_free,
 )
-from kolmsim.systems import GATE_MATRICES, clock_system, oscillator_system
+from kolmsim.systems import (
+    GATE_MATRICES,
+    clock_drift,
+    clock_system,
+    oscillator_system,
+    random_real_circuit,
+)
 
 
 class CoefficientTableDrift:
@@ -185,6 +191,14 @@ def basis_for(spec, K):
                            spec.rates)
 
 
+def csr_digest(mat):
+    """sha256 of a CSR matrix's raw data, indices and indptr arrays."""
+    digest = hashlib.sha256()
+    for arr in (mat.data, mat.indices, mat.indptr):
+        digest.update(np.ascontiguousarray(arr).tobytes())
+    return digest.hexdigest()
+
+
 # ------------------------------------------------------------------ dissipation
 
 
@@ -242,30 +256,66 @@ def test_linear_drift_preserves_degree_blocks():
     assert np.all(basis.degrees[rows] == basis.degrees[cols])
 
 
-def test_linear_drift_exact_skewness():
+def unequal_rate_spec(b_of=sp.csr_matrix):
+    """A random b on rates (0.2, 0.5, 0.9) with lambda_i b_ij = -lambda_j b_ji."""
     rng = np.random.default_rng(2)
     rates = np.array([0.2, 0.5, 0.9])
     raw = rng.normal(size=(3, 3))
-    # project onto the divergence-free cone: lambda_i b_ij = -lambda_j b_ji
     b = np.zeros((3, 3))
     for i in range(3):
         for j in range(i + 1, 3):
             b[i, j] = raw[i, j]
             b[j, i] = -rates[i] * raw[i, j] / rates[j]
-    spec = SystemSpec(name="gen", rates=rates, noise=0.1,
-                      linear=sp.csr_matrix(b), linear_strength=abs(b).max())
-    basis = basis_for(spec, 3)
-    B = assemble_linear_drift(basis, spec).matrix
+    return SystemSpec(name="gen", rates=rates, noise=0.1,
+                      linear=b_of(b), linear_strength=abs(b).max())
+
+
+def test_linear_drift_exact_skewness():
+    spec = unequal_rate_spec()
+    B = assemble_linear_drift(basis_for(spec, 3), spec).matrix
     assert abs((B + B.T).toarray()).max() == 0.0
 
 
-def test_linear_drift_rejects_non_skew():
-    b = sp.csr_matrix(np.array([[0.0, 0.3], [0.3, 0.0]]))
-    spec = SystemSpec(name="bad", rates=np.array([0.5, 0.5]), noise=0.1,
-                      linear=b, linear_strength=0.3)
+# sha256 of raw CSR arrays; any change in how the assemblers round or order
+# their entries shows here
+def test_linear_drift_matrix_pinned():
+    spec = unequal_rate_spec()
+    assert csr_digest(assemble_linear_drift(basis_for(spec, 3), spec).matrix) == \
+        "12d9ec6e834d4efe2fa14ea2e895c36ea87e0e29479c57f60e5511a293ced756"
+
+
+def test_clock_matrices_pinned():
+    circuit = random_real_circuit(np.random.default_rng(11), 3, 8)
+    assert csr_digest(clock_drift(circuit, 3)) == \
+        "fee74cd5a0c5ddfee33fa39c91e9ba407daa0438c9ccfe45343328135f5741d9"
+    spec = clock_system(circuit, 3)
     basis = basis_for(spec, 2)
-    with pytest.raises(DriftError):
-        assemble_linear_drift(basis, spec)
+    assert len(basis) == 2700
+    assert csr_digest(assemble_linear_drift(basis, spec).matrix) == \
+        "b41323c42425c6028f83fd841c40522a5c09b949ef0f2232c6f325b40548c36d"
+
+
+def test_linear_drift_ignores_explicit_zeros():
+    def with_zeros(b):
+        # store the whole dense matrix, zeros included
+        rows, cols = np.indices(b.shape).reshape(2, -1)
+        return sp.csr_matrix((b.ravel(), (rows, cols)), shape=b.shape)
+
+    spec, padded = unequal_rate_spec(), unequal_rate_spec(with_zeros)
+    assert padded.linear.nnz == 9 and spec.linear.nnz == 6
+    assert csr_digest(assemble_linear_drift(basis_for(padded, 3), padded).matrix) == \
+        csr_digest(assemble_linear_drift(basis_for(spec, 3), spec).matrix)
+
+
+def test_linear_drift_rejects_non_skew():
+    for b in ([[0.0, 0.3], [0.3, 0.0]],  # symmetric
+              [[0.0, 0.3], [0.0, 0.0]],  # one-sided: b_01 without b_10
+              [[0.2, 0.0], [0.0, 0.0]]):  # nonzero diagonal
+        spec = SystemSpec(name="bad", rates=np.array([0.5, 0.5]), noise=0.1,
+                          linear=sp.csr_matrix(np.array(b)), linear_strength=0.3)
+        basis = basis_for(spec, 2)
+        with pytest.raises(DriftError, match="lambda_i b_ij = -lambda_j b_ji"):
+            assemble_linear_drift(basis, spec)
 
 
 # ------------------------------------------------------------------ nonlinear drift
@@ -296,10 +346,7 @@ def test_cubic_ladder_matrix_pinned():
     # the ladder route rounds or orders its entries shows here
     spec = oscillator_system(0.1, 0.02)
     mat = spec.nonlinear.assemble(basis_for(spec, 16), spec)
-    digest = hashlib.sha256()
-    for arr in (mat.data, mat.indices, mat.indptr):
-        digest.update(np.ascontiguousarray(arr).tobytes())
-    assert digest.hexdigest() == \
+    assert csr_digest(mat) == \
         "7dfcb2d18b493d004ba86555caad5717812b1f3e452a79d044e78194dabfadc2"
 
 
@@ -438,6 +485,16 @@ def test_divergence_free_detects_broken_linear_part():
     report = verify_divergence_free(spec)
     assert not report["passed"]
     assert report["linear_residual"] == pytest.approx(2 * 0.3 * 0.5)
+
+
+def test_divergence_free_one_sided_linear_entry():
+    # b_01 = 0.3 with b_10 absent: the swapped copy has nothing to cancel
+    b = sp.csr_matrix(np.array([[0.0, 0.3], [0.0, 0.0]]))
+    spec = SystemSpec(name="one-sided", rates=np.array([0.5, 0.5]), noise=0.1,
+                      linear=b, linear_strength=0.3)
+    report = verify_divergence_free(spec)
+    assert not report["passed"]
+    assert report["linear_residual"] == spec.rates[0] * 0.3
 
 
 # ------------------------------------------------------------------ audits

@@ -395,6 +395,27 @@ def test_embed_gate_cnot_orientation():
     assert out[3] == pytest.approx(1.0)
 
 
+def kron_embedding(u, targets, n_qubits):
+    """Oracle for embed_gate: u (x) I on the qubits (targets, rest), permuted into place."""
+    order = list(targets) + [q for q in range(n_qubits) if q not in targets]
+    dim = 2 ** n_qubits
+    full = np.kron(u, np.eye(dim // u.shape[0])).reshape([2] * (2 * n_qubits))
+    axis_of = list(np.argsort(order))  # axis of qubit q in the kron ordering
+    return full.transpose(axis_of + [n_qubits + a for a in axis_of]).reshape(dim, dim)
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2, 3, 4])
+def test_embed_gate_matches_kron_oracle(n_qubits):
+    rng = np.random.default_rng(n_qubits)
+    cases = [(q,) for q in range(n_qubits)] + \
+        [(a, b) for a in range(n_qubits) for b in range(n_qubits) if a != b]
+    for targets in cases:
+        # a generic matrix, so every entry's destination is checked
+        u = rng.normal(size=(2 ** len(targets),) * 2)
+        np.testing.assert_array_equal(embed_gate(u, targets, n_qubits),
+                                      kron_embedding(u, targets, n_qubits))
+
+
 def test_circuit_amplitude_hadamard_pair():
     circ = [(GATE_MATRICES["H"], (0,)), (GATE_MATRICES["H"], (0,))]
     assert circuit_amplitude(circ, 1) == pytest.approx(1.0)
