@@ -7,8 +7,8 @@ nonlinear drift functions c_i.  Each nonlinear drift object assembles its
 own Galerkin matrix: the closed forms of the cubic oscillator and the
 spectral Navier-Stokes advection live in `systems`, and `QuadratureDrift`
 here integrates non-polynomial drifts of N <= 3 systems with a
-Gauss-Hermite rule.  Every assembler ranks the targets of its ladder
-moves with `BasisSet.positions`.
+sum-factorised Gauss-Hermite rule, one grid axis at a time.  Every
+assembler ranks the targets of its ladder moves with `BasisSet.positions`.
 """
 
 from __future__ import annotations
@@ -132,7 +132,11 @@ class QuadratureDrift:
 
     Assembly integrates each Galerkin matrix element with a tensor
     Gauss-Hermite rule; `n_nodes` must be generous enough that the raw
-    asymmetry stays below the assembly tolerance.
+    asymmetry stays below the assembly tolerance.  Sum-factorised: c_i is
+    evaluated once on the n^N grid (n = n_nodes), which is contracted one
+    axis at a time against the products of two 1-d Hermite factors of
+    degree <= K.  At N = 2 that is 2 n^2 (K+1)^2 + 2 n (K+1)^4 flops per
+    component (9 Mflop at n = 200, K = 8) in n^N + (K+1)^(2N) floats.
     """
 
     def __init__(self, funcs: dict, supports: dict, ctx: HermiteContext,
@@ -168,29 +172,25 @@ class QuadratureDrift:
         rates, q = spec.rates, spec.noise
         y, w = gauss_hermite_rule(self.n_nodes)
         axes = [y / s for s in self.ctx.scalings]
-        grids = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([g.reshape(-1) for g in grids], axis=-1)
-        wts = np.ones(pts.shape[0])
-        for g in np.meshgrid(*([w] * n_vars), indexing="ij"):
-            wts = wts * g.reshape(-1)
+        pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
-        # evaluation table for every index of degree <= K, zero included
-        ext = [np.zeros(n_vars, dtype=np.int32)] + list(basis.orders)
-        max_deg = basis.max_degree
-        per_var = [he_table(max_deg, pts[:, v] * self.ctx.scalings[v]) for v in range(n_vars)]
-        V = np.empty((pts.shape[0], len(ext)))
-        sqw = np.sqrt(wts)
-        for k, orders in enumerate(ext):
-            col = sqw.copy()
-            for v, deg in enumerate(orders):
-                if deg:
-                    col = col * per_var[v][deg] / math.sqrt(math.factorial(deg))
-            V[:, k] = col
+        # every axis (node j of axis v is y_j / s_v) shares one table of factor
+        # pairs: pair[a (K+1) + a', j] = phi[a, j] phi[a', j],
+        # phi[d, j] = sqrt(w_j) He_d(y_j) / sqrt(d!)
+        m = basis.max_degree + 1
+        factorials = np.array([float(math.factorial(d)) for d in range(m)])
+        phi = he_table(m - 1, y) * np.sqrt(w / factorials[:, None])
+        pair = (phi[:, None] * phi[None, :]).reshape(m * m, -1)
+        # every index of degree <= K, zero included; W[k, l] = t[k_1, l_1, ..., k_N, l_N]
+        ext = np.vstack([np.zeros((1, n_vars), dtype=basis.orders.dtype), basis.orders])
+        pick = tuple(o for v in range(n_vars) for o in (ext[:, v, None], ext[None, :, v]))
 
         dense = np.zeros((len(basis), len(basis)))
         for i, f in self.funcs.items():
-            cvals = np.asarray(f(pts), dtype=float)
-            W = V.T @ (cvals[:, None] * V)
+            t = np.asarray(f(pts), dtype=float)
+            for _ in range(n_vars):  # contract the leading grid axis; its pair axis goes last
+                t = np.tensordot(t, pair, axes=([0], [1]))
+            W = t.reshape((m, m) * n_vars)[pick]
             cols = np.nonzero(basis.orders[:, i])[0]
             base = basis.orders[cols]
             factor0 = np.sqrt(2.0 * base[:, i] * rates[i] / q)

@@ -451,7 +451,8 @@ def test_repo_example_configs_validate():
         experiments.load_config(os.path.join(root, name))
 
 
-# The shipped configs, shrunk so that each run takes well under a second.
+# The shipped configs, shrunk so that each run takes well under a second;
+# the bounded audit bundle (about 0.15 s CPU) runs at its shipped size.
 SMALL_CONFIGS = {
     "oscillator.json": {"basis": {"orders": [2]}, "times": {"t_max": 1.0, "n_points": 3},
                         "mc": {"samples": 100, "dt": 0.01}},
@@ -461,8 +462,7 @@ SMALL_CONFIGS = {
                               "basis": {"order": 2},
                               "probe": {"count": 2, "xi2": 0.25, "xi1_range": [0.05, 0.95]}},
     "bqp_circuit.json": {"circuits": {"count": 2, "qubits": 2, "gates": 3, "max_arity": 2}},
-    "audits_bounded_oscillator.json": {"basis": {"order": 3}, "regularization": {
-        "r_values": [0.2], "r_reference": 0.4, "t": 5.0}},
+    "audits_bounded_oscillator.json": {},
     "audits_nse.json": {"system": {"kind": "nse", "modes": 6, "nu": 0.1, "q": 0.001}},
 }
 MUTATIONS = ("delete", "retype", "zero", "negative", "empty", "unknown key")

@@ -11,6 +11,7 @@ import scipy.sparse as sp
 from kolmsim.errors import BasisError, DriftError
 from kolmsim.hermite import (
     HermiteContext,
+    gauss_hermite_rule,
     gaussian_quadrature,
     h_norm,
     he_table,
@@ -20,6 +21,7 @@ from kolmsim import operators
 from kolmsim.multiindex import RegularizationScheme, enumerate_basis
 from kolmsim.operators import (
     NORM_MARGIN,
+    QuadratureDrift,
     SystemSpec,
     assemble_dissipation,
     assemble_linear_drift,
@@ -150,6 +152,49 @@ class CoefficientTableDrift:
         cols, vals = np.array(cols, dtype=np.intp)[hit], np.array(vals)[hit]
         mat = sp.coo_matrix((vals, (rows[hit], cols)), shape=(len(basis),) * 2)
         return mat.tocsr()
+
+
+def quadrature_oracle(drift: QuadratureDrift, basis, spec) -> sp.csr_matrix:
+    """The raw quadrature matrix through one dense evaluation matrix.
+
+    The reference route for the sum-factorised `QuadratureDrift.assemble`:
+    the same rule, but every basis function is tabulated on all n_nodes^N
+    points, V[p, k] = sqrt(w_p) H_k(x_p), and W = V^T diag(c_i) V.
+    """
+    n_vars = basis.n_vars
+    rates, q = spec.rates, spec.noise
+    y, w = gauss_hermite_rule(drift.n_nodes)
+    axes = [y / s for s in drift.ctx.scalings]
+    grids = np.meshgrid(*axes, indexing="ij")
+    pts = np.stack([g.reshape(-1) for g in grids], axis=-1)
+    wts = np.ones(pts.shape[0])
+    for g in np.meshgrid(*([w] * n_vars), indexing="ij"):
+        wts = wts * g.reshape(-1)
+
+    # evaluation table for every index of degree <= K, zero included
+    ext = [np.zeros(n_vars, dtype=np.int32)] + list(basis.orders)
+    max_deg = basis.max_degree
+    per_var = [he_table(max_deg, pts[:, v] * drift.ctx.scalings[v]) for v in range(n_vars)]
+    V = np.empty((pts.shape[0], len(ext)))
+    sqw = np.sqrt(wts)
+    for k, orders in enumerate(ext):
+        col = sqw.copy()
+        for v, deg in enumerate(orders):
+            if deg:
+                col = col * per_var[v][deg] / math.sqrt(math.factorial(deg))
+        V[:, k] = col
+
+    dense = np.zeros((len(basis), len(basis)))
+    for i, f in drift.funcs.items():
+        cvals = np.asarray(f(pts), dtype=float)
+        W = V.T @ (cvals[:, None] * V)
+        cols = np.nonzero(basis.orders[:, i])[0]
+        base = basis.orders[cols]
+        factor0 = np.sqrt(2.0 * base[:, i] * rates[i] / q)
+        base[:, i] -= 1
+        # ext index = basis position + 1; the zero row (position -1) is 0
+        dense[:, cols] += factor0 * W[1:, basis.positions(base) + 1]
+    return sp.csr_matrix(dense)
 
 
 def oscillator_coefficient_tables(lam, q):
@@ -425,6 +470,73 @@ def test_relative_boundedness_witness_bounded_profile():
         lhs = abs(phi @ (C @ psi))
         rhs = gamma * math.sqrt((phi @ phi) * (psi @ (A @ psi)))
         assert lhs <= rhs * (1 + 1e-12)
+
+
+# ------------------------------------------------------------------ quadrature assembly
+
+
+@pytest.mark.parametrize("scheme", [RegularizationScheme.by_max_order(8, [0.1, 0.1]),
+                                    RegularizationScheme.by_weight(1.6)],
+                         ids=["K8", "r1.6"])
+def test_quadrature_matches_dense_oracle(scheme):
+    # the shipped audit bundle's two bases: 44 rows at K = 8, 152 rows at r = 1.6
+    spec = oscillator_system(lam=0.1, q=0.1, profile="bounded")
+    basis = enumerate_basis(2, scheme, spec.rates)
+    fast = spec.nonlinear.assemble(basis, spec).toarray()
+    np.testing.assert_allclose(fast, quadrature_oracle(spec.nonlinear, basis, spec).toarray(),
+                               rtol=0.0, atol=1e-13)
+
+
+def test_quadrature_three_variables_matches_dense_oracle():
+    # rotation in the (x1, x2) plane at speed 1/(1 + |x|^2), |x| over all three
+    # variables; divergence-free for lambda_1 = lambda_2, since
+    # div c = x2 d_1 omega - x1 d_2 omega = 0 and sum_i lambda_i x_i c_i = 0
+    rates = np.array([0.1, 0.1, 0.2])
+    ctx = HermiteContext(rates=rates, noise=0.1)
+
+    def omega(x):
+        return 1.0 / (1.0 + x[..., 0] ** 2 + x[..., 1] ** 2 + x[..., 2] ** 2)
+
+    drift = QuadratureDrift({0: lambda x: x[..., 1] * omega(x),
+                             1: lambda x: -x[..., 0] * omega(x)},
+                            {0: (0, 1, 2), 1: (0, 1, 2)}, ctx, n_nodes=24)
+    spec = SystemSpec(name="rotation-3d", rates=rates, noise=0.1, nonlinear=drift,
+                      strength=0.5)
+    basis = basis_for(spec, 4)
+    fast = drift.assemble(basis, spec).toarray()
+    oracle = quadrature_oracle(drift, basis, spec).toarray()
+    assert abs(oracle).max() > 0.1
+    np.testing.assert_allclose(fast, oracle, rtol=0.0, atol=1e-13)
+    # the x3 dependence reaches the matrix: rows and columns differing in m_3 couple
+    x3 = basis.orders[:, 2]
+    assert abs(fast[x3[:, None] != x3[None, :]]).max() > 1e-3
+
+
+def test_quadrature_rejects_more_than_three_variables():
+    rates = np.full(4, 0.1)
+    ctx = HermiteContext(rates=rates, noise=0.1)
+    drift = QuadratureDrift({0: lambda x: x[..., 1], 1: lambda x: -x[..., 0]},
+                            {0: (1,), 1: (0,)}, ctx, n_nodes=8)
+    spec = SystemSpec(name="four", rates=rates, noise=0.1, nonlinear=drift, strength=1.0)
+    with pytest.raises(DriftError, match="quadrature assembly is limited to N <= 3"):
+        assemble_nonlinear_drift(basis_for(spec, 1), spec)
+
+
+# Relative raw asymmetry at lambda = 0.1 (tolerance 1e-10), measured:
+# 5.1e-14, 6.9e-11, 5.3e-11, 9.4e-11 pass; 1.85e-10, 2.2e-10, 1.79e-10 fail.
+@pytest.mark.parametrize("q_over_lam, K, resolved", [
+    (1, 16, True), (2, 12, True), (2.5, 4, True), (3, 2, True),
+    (2, 16, False), (2.5, 8, False), (3, 3, False)])
+def test_bounded_profile_working_range(q_over_lam, K, resolved):
+    spec = oscillator_system(lam=0.1, q=q_over_lam * 0.1, profile="bounded")
+    basis = basis_for(spec, K)
+    if resolved:
+        assemble_nonlinear_drift(basis, spec)
+        return
+    with pytest.raises(DriftError, match=(
+            r"raw drift matrix asymmetry \S+ exceeds 1\.0e-10; the 200-node Gauss-Hermite "
+            f"rule does not resolve the drift at q/lambda_1 = {q_over_lam:g}$")):
+        assemble_nonlinear_drift(basis, spec)
 
 
 # ------------------------------------------------------------------ divergence checks
