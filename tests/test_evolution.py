@@ -228,18 +228,63 @@ def test_regularization_gap_zero_without_drift():
 
 
 def test_regularization_gap_bounded_oscillator():
+    # the shipped audit bundle's parameters
     spec = oscillator_system(lam=0.1, q=0.1, profile="bounded")
     u0 = MonomialObservable((1, 0), spec.context)
     sups = []
+    pinned = ["0x1.5c42395c306eep-5", "0x1.e139f16155202p-8", "0x1.f728184a1ceb6p-12"]
     block = regularization_gap(spec, u0, t=5.0, r_values=[0.2, 0.4, 0.8], r_large=1.6)
     assert block["r_reference"] == 1.6 and block["t"] == 5.0 and block["passed"]
-    for r, row in zip((0.2, 0.4, 0.8), block["rows"]):
+    for r, row, pin in zip((0.2, 0.4, 0.8), block["rows"], pinned):
         assert row["r"] == r and row["passed"], (row["measured_sup_sq"], row["bound"])
         assert row["bound"] == pytest.approx(
             3 * spec.gamma() ** 2 / (2 * r) * (spec.noise / (2 * 0.1)))
+        # one ulp of slack: the dense expm's matrix products round differently
+        # with the BLAS thread count (row 0 reads 0x1.5c42395c306edp-5 on one thread)
+        pin = float.fromhex(pin)
+        assert abs(row["measured_sup_sq"] - pin) <= math.ulp(pin), row["measured_sup_sq"].hex()
         sups.append(row["measured_sup_sq"])
     # larger r keeps more of the dynamics: the gap shrinks
     assert sups[2] <= sups[1] <= sups[0]
+
+
+def test_regularization_gap_is_zero_at_time_zero():
+    # every step is e^0 = I and psi(0) = x_1 lies in each small basis
+    spec = oscillator_system(lam=0.1, q=0.1, profile="bounded")
+    u0 = MonomialObservable((1, 0), spec.context)
+    block = regularization_gap(spec, u0, t=0.0, r_values=[0.2, 0.4, 0.8], r_large=1.6)
+    assert [row["measured_sup_sq"] for row in block["rows"]] == [0.0] * 3
+    assert all(row["passed"] for row in block["rows"]) and block["passed"]
+
+
+def test_regularization_gap_makes_one_exponential_per_generator(monkeypatch):
+    calls = []
+    monkeypatch.setattr(evolution, "expm", lambda a: calls.append(a.shape) or expm(a))
+    spec = oscillator_system(lam=0.1, q=0.1, profile="bounded")
+    u0 = MonomialObservable((1, 0), spec.context)
+    r_values = [0.2, 0.4, 0.8]
+    regularization_gap(spec, u0, t=5.0, r_values=r_values, r_large=1.6)
+    assert len(calls) == 1 + len(r_values), calls
+
+
+@pytest.mark.parametrize("t", [5.0, 1.7])  # t/32 is exact at 5, rounded at 1.7
+def test_regularization_steps_match_direct_exponentials(t):
+    spec = oscillator_system(lam=0.1, q=0.1, profile="bounded")
+    basis_big = enumerate_basis(spec.n_vars, RegularizationScheme.by_weight(1.6), spec.rates)
+    gen_big = assemble_all(basis_big, spec).generator()
+    psi0 = initial_state(MonomialObservable((1, 0), spec.context), basis_big).coefficients
+    cases = [(gen_big, psi0)]
+    for r in (0.2, 0.4, 0.8):
+        idx = basis_big.positions(enumerate_basis(
+            spec.n_vars, RegularizationScheme.by_weight(r), spec.rates).orders)
+        cases.append((gen_big[np.ix_(idx, idx)], psi0[idx]))
+    for gen, v in cases:
+        stepped = evolution._exp_steps(gen, v, t)
+        assert len(stepped) == 32
+        for k, psi in enumerate(stepped, start=1):
+            direct = expm(k * t / 32 * gen.toarray()) @ v
+            np.testing.assert_allclose(psi, direct, rtol=1e-12,
+                                       atol=1e-12 * np.linalg.norm(direct))
 
 
 def test_regularization_gap_requires_finite_strength():
