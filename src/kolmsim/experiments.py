@@ -156,15 +156,18 @@ _AUDIT_OPTIONS = {
     "trotter": Key({"t": _nonnegative(1.0), "steps": _count(32)}, {}),
 }
 AUDIT_DEFAULTS = _normalise(Key(_AUDIT_OPTIONS), {}, "config")
-# the system kinds of an `audits` config; each block accepts only its own keys
+# the system kinds that `build_system` makes; each block accepts only its own keys
 SYSTEM_KINDS = {"oscillator": _OSCILLATOR, "nse": _NSE, "ou": _OU,
                 "bounded_oscillator": {**_OSCILLATOR, "q": _positive(0.1)},
                 "clock": {"qubits": _count(2), "gates": _count(3), **_CLOCK_RATES}}
+_SYSTEM = Key({kind: {"kind": Key(str), **keys} for kind, keys in SYSTEM_KINDS.items()},
+              pick=lambda block: block.get("kind"))
 EXPERIMENTS = {
     "oscillator": {
-        "system": Key({**_OSCILLATOR, "profile": Key(("cubic", "bounded"), "cubic")}),
-        "initial_point": Key([Key(float)], [1.0, 0.0], length=2),
-        "observable": Key([_count(low=0)], [1, 0], length=2),
+        "system": _SYSTEM,
+        # n_vars entries each; null: x1 = 1 and the others 0, and u0 = x1
+        "initial_point": Key([Key(float)], None),
+        "observable": Key([_count(low=0)], None),
         "basis": Key({"orders": Key([_count()])}),
         "times": _TIMES, "mc": _MC,
     },
@@ -186,12 +189,11 @@ EXPERIMENTS = {
     },
     "ou_sanity": {
         "system": Key(_OU),
-        "initial_point": Key([Key(float)], None),  # null: x1 = 1, the others 0
+        "initial_point": Key([Key(float)], None),  # n_vars entries; null: x1 = 1, others 0
         "times": _TIMES, "mc": _MC,
     },
     "audits": {
-        "system": Key({kind: {"kind": Key(str), **keys} for kind, keys in SYSTEM_KINDS.items()},
-                      pick=lambda block: block.get("kind")),
+        "system": _SYSTEM,
         "basis": Key({"order": _count()}),
         **_AUDIT_OPTIONS,
     },
@@ -205,19 +207,22 @@ def validate_config(cfg: dict) -> dict:
     """The config with every default filled in; ConfigError on a missing,
     mistyped, out-of-range or unknown key at any level."""
     cfg = _normalise(_CONFIG, cfg, "config")
-    if cfg["experiment"] == "oscillator":
+    if cfg["experiment"] == "oscillator" and cfg["observable"]:
         # the solver evolves u0 on every basis, so its degree must fit the smallest
         cap = min(DEFAULT_DEGREE_CAP, *cfg["basis"]["orders"])
         if not 1 <= sum(cfg["observable"]) <= cap:
             raise ConfigError(f"config.observable {cfg['observable']!r}: the total degree must "
                               f"lie in [1, {cap}], at most {DEFAULT_DEGREE_CAP} and at most "
                               "min(basis.orders)")
-    if cfg["experiment"] == "ou_sanity":
-        n_vars = cfg["system"]["n_vars"]
-        point = cfg["initial_point"] = cfg["initial_point"] or [1.0] + [0.0] * (n_vars - 1)
-        if len(point) != n_vars:
-            raise ConfigError(f"config.initial_point needs {n_vars} entries (system.n_vars)")
     return cfg
+
+
+def _per_variable(cfg: dict, key: str, n_vars: int, one) -> list:
+    """cfg[key], or (one, 0, ..., 0) if it is null; ConfigError unless n_vars long."""
+    value = cfg[key] or [one] + [0 * one] * (n_vars - 1)
+    if len(value) != n_vars:
+        raise ConfigError(f"config.{key} needs n_vars = {n_vars} entries, got {len(value)}")
+    return value
 
 
 def load_config(path: str) -> dict:
@@ -296,7 +301,7 @@ def build_system(kind: str, system: dict) -> SystemSpec:
     """The SystemSpec of a normalised system block of the given kind."""
     if kind in ("oscillator", "bounded_oscillator"):
         return oscillator_system(system["lam"], system["q"],
-                                 profile="cubic" if kind == "oscillator" else "bounded")
+                                 "cubic" if kind == "oscillator" else "bounded")
     if kind == "nse":
         return nse_system(system["modes"], system["nu"], system["q"])
     if kind == "ou":
@@ -439,12 +444,11 @@ MC_HEADER = ["t", "mean", "se", "n_blowups"]  # mc_curve.csv; header-only withou
 
 
 def run_oscillator(cfg: dict, seed: int, threads: int) -> tuple:
-    system = cfg["system"]
-    spec = build_system("oscillator" if system["profile"] == "cubic"
-                        else "bounded_oscillator", system)
+    """Each order's Galerkin curve against the Monte Carlo oracle, for any system kind."""
+    spec = build_system(cfg["system"]["kind"], cfg["system"])
     ctx = spec.context
-    x0 = np.array(cfg["initial_point"])
-    u0 = MonomialObservable(tuple(cfg["observable"]), ctx)
+    x0 = np.array(_per_variable(cfg, "initial_point", spec.n_vars, 1.0))
+    u0 = MonomialObservable(tuple(_per_variable(cfg, "observable", spec.n_vars, 1)), ctx)
     times = np.linspace(0.0, cfg["times"]["t_max"], cfg["times"]["n_points"])
     orders = cfg["basis"]["orders"]
 
@@ -509,7 +513,7 @@ def run_nse_taylor_green(cfg: dict, seed: int, threads: int) -> tuple:
         truth = float(taylor_green(t_final, xi1, xi2, nu)[0])
         err = abs(value - truth)
         max_err = max(max_err, err)
-        curve_rows.append((t_final, f"u1@({xi1:.4f},{xi2:.4f})", value))
+        curve_rows.append((t_final, f"u1@({xi1:.4f};{xi2:.4f})", value))
         comparison_rows.append((xi1, xi2, t_final, value, truth, err))
 
     audit = run_audits(spec, ops, seed=seed,
@@ -584,7 +588,7 @@ def run_ou_sanity(cfg: dict, seed: int, threads: int) -> tuple:
     lam, q, n_vars = system["lam"], system["q"], system["n_vars"]
     spec = build_system("ou", system)
     ctx = spec.context
-    x0 = np.array(cfg["initial_point"])
+    x0 = np.array(_per_variable(cfg, "initial_point", n_vars, 1.0))
     times = np.linspace(0.0, cfg["times"]["t_max"], cfg["times"]["n_points"])
     samples, dt = cfg["mc"]["samples"], cfg["mc"]["dt"]
 
@@ -648,7 +652,10 @@ def run_experiment(cfg: dict, out_dir: str, seed: int | None = None,
     """
     effective_seed = cfg["seed"] if seed is None else _normalise(_SEED, seed, "--seed")
     _normalise(_count(), threads, "--threads")
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {out_dir}: {exc.strerror}") from exc
     audit, tables = RUNNERS[cfg["experiment"]](cfg, effective_seed, threads)
     audit["passed"] = not failed_checks(audit)
     for stem, (header, rows) in tables.items():

@@ -117,10 +117,6 @@ class SparseOperator:
     role: str  # "dissipation" | "linear" | "nonlinear"
     basis: BasisSet
 
-    @property
-    def shape(self):
-        return self.matrix.shape
-
     def max_column_nonzeros(self) -> int:
         if self.matrix.nnz == 0:
             return 0

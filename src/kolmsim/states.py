@@ -43,10 +43,6 @@ class MonomialObservable:
             raise BasisError(f"total degree must lie in [1, {DEFAULT_DEGREE_CAP}]")
         object.__setattr__(self, "exponents", exps)
 
-    @property
-    def degree(self) -> int:
-        return sum(self.exponents)
-
     def mean(self) -> float:
         """Gaussian mean, zero unless every exponent is even."""
         if any(d % 2 for d in self.exponents):

@@ -3,6 +3,7 @@
 import contextlib
 import copy
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -39,7 +40,7 @@ BQP_CFG = {
 
 OSC_CFG = {
     "experiment": "oscillator",
-    "system": {"lam": 0.1, "q": 0.02, "profile": "cubic"},
+    "system": {"kind": "oscillator", "lam": 0.1, "q": 0.02},
     "initial_point": [1.0, 0.0],
     "observable": [1, 0],
     "basis": {"orders": [2]},
@@ -372,6 +373,34 @@ def test_initial_point_length_exit_code(tmp_path, capsys, cfg):
     assert "initial_point" in error_record(capsys)["detail"]
 
 
+@pytest.mark.parametrize("below", [(), ("sub",)], ids=["an existing file", "below a file"])
+def test_bad_out_exit_code(tmp_path, capsys, below):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker.joinpath(*below)
+    argv = ["run", write_cfg(tmp_path, OU_CFG), "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    record = error_record(capsys)
+    assert record["error"] == "config" and record["detail"].startswith(f"--out {out}: ")
+
+
+def test_oscillator_null_point_and_observable_are_derived(tmp_path):
+    # null: x1 = 1 with the others 0, and u0 = x1, for any system kind
+    explicit, derived = tmp_path / "explicit", tmp_path / "derived"
+    experiments.run_experiment(experiments.validate_config(OSC_CFG), str(explicit))
+    nulls = {**OSC_CFG, "initial_point": None, "observable": None}
+    experiments.run_experiment(experiments.validate_config(nulls), str(derived))
+    for name in ("mc_curve.csv", "galerkin_curve.csv", "comparison.csv", "audit.json"):
+        assert (explicit / name).read_bytes() == (derived / name).read_bytes(), name
+    nse = {**OSC_CFG, "system": {"kind": "nse", "modes": 6, "q": 0.1},
+           "mc": {"samples": 200, "dt": 0.0025}}
+    del nse["initial_point"], nse["observable"]
+    audit = experiments.run_experiment(experiments.validate_config(nse), str(tmp_path / "nse"))
+    assert audit["basis_size"] == 27  # every degree-1..2 index over 6 variables
+    with open(tmp_path / "nse" / "galerkin_curve.csv") as fh:
+        assert float(next(csv.DictReader(fh))["value"]) == 1.0  # u0(x0) at t = 0
+
+
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_bad_threads_exit_code(tmp_path, capsys, threads):
     argv = ["run", write_cfg(tmp_path, OU_CFG), "--out", str(tmp_path / "o"),
@@ -414,7 +443,7 @@ def with_block(cfg, block, **values):
     (with_block(AUDITS_CFG, "basis", order=-1), "basis.order"),
     (with_block(OU_CFG, "mc", dt=0), "mc.dt"),
     (with_block(OU_CFG, "mc", samples=0), "mc.samples"),
-    (with_block(OSC_CFG, "system", profile="bogus"), "system.profile"),
+    (with_block(OSC_CFG, "system", kind="bogus"), "config.system: 'bogus'"),
     (with_block(OSC_CFG, "evolution", method="reference"), "config: unknown keys ['evolution']"),
     (with_block(OSC_CFG, "times", t_max=0), "times.t_max"),
     (with_block(NSE_CFG, "probe", count=0), "probe.count"),
@@ -431,7 +460,11 @@ def with_block(cfg, block, **values):
     (with_block(AUDITS_CFG, "regularization", r_reference=0.2),
      "config.regularization.r_reference: 0.2 is below max(r_values) = 0.4"),
     (with_block(AUDITS_CFG, "system", lam=1.5),
-     "config.regularization.r_values: 0.4 is below the system's first rate 1.5")])
+     "config.regularization.r_values: 0.4 is below the system's first rate 1.5"),
+    # per-variable lists whose length is not the n_vars of the system kind
+    ({**OSC_CFG, "observable": [1, 0, 0]}, "config.observable needs n_vars = 2 entries, got 3"),
+    ({**OSC_CFG, "system": {"kind": "nse", "modes": 6}},
+     "config.initial_point needs n_vars = 6 entries, got 2")])
 def test_malformed_value_exit_code(tmp_path, monkeypatch, capsys, cfg, detail):
     monkeypatch.chdir(tmp_path)
     for name, text in CIRCUIT_FILES.items():
@@ -464,6 +497,8 @@ SMALL_CONFIGS = {
     "bqp_circuit.json": {"circuits": {"count": 2, "qubits": 2, "gates": 3, "max_arity": 2}},
     "audits_bounded_oscillator.json": {},
     "audits_nse.json": {"system": {"kind": "nse", "modes": 6, "nu": 0.1, "q": 0.001}},
+    "nse_mc.json": {"basis": {"orders": [2]}, "times": {"t_max": 0.1, "n_points": 3},
+                    "mc": {"samples": 100, "dt": 0.0025}},
 }
 MUTATIONS = ("delete", "retype", "zero", "negative", "empty", "unknown key")
 
@@ -480,15 +515,55 @@ def small_config(name):
         return {**json.load(fh), **copy.deepcopy(SMALL_CONFIGS[name])}
 
 
-def test_small_configs_run_clean(tmp_path):
+@pytest.fixture(scope="module")
+def small_runs(tmp_path_factory):
+    """Each small config's exit code and output directory, from one CLI run each."""
+    tmp = tmp_path_factory.mktemp("small")
+    runs = {}
     for name in SMALL_CONFIGS:
-        out = tmp_path / name
-        cfg = small_config(name)
-        assert cli.main(["run", write_cfg(tmp_path, cfg), "--out", str(out)]) \
-            == cli.EXIT_OK, name
-        tables = set() if cfg["experiment"] == "audits" else {
+        out = tmp / name
+        runs[name] = cli.main(["run", write_cfg(tmp, small_config(name)), "--out", str(out)]), out
+    return runs
+
+
+def test_small_configs_run_clean(small_runs):
+    for name, (code, out) in small_runs.items():
+        assert code == cli.EXIT_OK, name
+        tables = set() if small_config(name)["experiment"] == "audits" else {
             "galerkin_curve.csv", "mc_curve.csv", "comparison.csv"}
         assert set(os.listdir(out)) == tables | {"audit.json", "manifest.json"}, name
+
+
+def test_csv_rows_match_their_header(small_runs):
+    # every experiment's CSVs parse with as many fields per row as in the header
+    for name, (_, out) in small_runs.items():
+        for csv_name in sorted(n for n in os.listdir(out) if n.endswith(".csv")):
+            with open(out / csv_name, newline="") as fh:
+                header, *rows = csv.reader(fh)
+            assert {len(row) for row in rows} <= {len(header)}, (name, csv_name)
+
+
+@pytest.mark.parametrize("broken", [None, "negated", "transposed"])
+def test_nse_comparison_sees_the_nonlinear_operator(monkeypatch, broken):
+    # the shipped NSE comparison observes a mode whose mean is purely
+    # nonlinear, so it tracks Monte Carlo with the true C and leaves it
+    # (13 SE measured) with -C or C^T = -C
+    with open(os.path.join(CONFIG_DIR, "nse_mc.json")) as fh:
+        cfg = json.load(fh)
+    cfg["mc"]["samples"] = 6000
+    cfg = experiments.validate_config(cfg)
+    if broken:
+        def breaking(basis, spec):
+            ops = assemble_all(basis, spec)
+            if broken == "transposed":
+                return ops.transpose()
+            return dataclasses.replace(ops, nonlinear=dataclasses.replace(
+                ops.nonlinear, matrix=-ops.nonlinear.matrix))
+        monkeypatch.setattr(experiments, "assemble_all", breaking)
+    _, tables = experiments.run_oscillator(cfg, cfg["seed"], 1)
+    header, rows = tables["comparison"]
+    worst = max(row[header.index("gap_over_se")] for row in rows)
+    assert (worst <= 5.0) == (broken is None), worst
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
