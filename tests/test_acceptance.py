@@ -19,9 +19,8 @@ import pytest
 
 from kolmsim.evolution import (
     assemble_all,
-    check_norm_monotone,
     evolve_expm,
-    evolve_reference,
+    evolve_rk45,
     evolve_trotter,
     regularization_gap,
     smoothing_bound_audit,
@@ -97,7 +96,7 @@ def oscillator_curves(oscillator_mc):
     for order in (2, 3, 4, 5, 6, 8, 12, 16):
         basis = basis_for(spec, order)
         ops = assemble_all(basis, spec)
-        states = evolve_reference(initial_state(u0, basis), ops, 25.0, t_eval=times)
+        states = evolve_rk45(initial_state(u0, basis), ops, 25.0, t_eval=times)
         curves[order] = expectation(states, x0, order, ctx)
         trajectories[order] = states
     return curves, trajectories
@@ -151,7 +150,7 @@ def test_criterion_2_taylor_green():
         terms = [(float(c), MonomialObservable(
             tuple(1 if j == k else 0 for j in range(40)), ctx))
             for k, c in enumerate(coefs) if abs(c) > 1e-14]
-        psi = evolve_reference(combination_state(terms, basis), ops, t_final)
+        psi = evolve_rk45(combination_state(terms, basis), ops, t_final)
         value = expectation([psi], x0, order, ctx)[0]
         truth = float(taylor_green(t_final, xi1, 0.25, nu)[0])
         errors.append(abs(value - truth))
@@ -278,8 +277,8 @@ def test_criterion_6_lemma_audits():
 
 def test_criterion_7_dynamics_invariants(oscillator_curves):
     _, trajectories = oscillator_curves
-    monotone = all(check_norm_monotone(states, tol=1e-9)
-                   for states in trajectories.values())
+    monotone = all(b.norm() <= a.norm() * (1 + 1e-9)
+                   for states in trajectories.values() for a, b in zip(states, states[1:]))
 
     spec = oscillator_system(OSC_LAM, OSC_Q)
     basis = basis_for(spec, 4)

@@ -7,6 +7,8 @@ import dataclasses
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -14,12 +16,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kolmsim
 from kolmsim import cli, evolution, experiments, operators
 from kolmsim.errors import ConfigError, NumericalError
 from kolmsim.evolution import assemble_all
 from kolmsim.operators import SystemSpec
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+SRC_DIR = os.path.dirname(os.path.dirname(kolmsim.__file__))
 
 OU_CFG = {
     "experiment": "ou_sanity",
@@ -66,6 +70,10 @@ NSE_CFG = {
     "time": 0.25,
 }
 
+# reaches order 16, where expm_multiply takes several steps per grid interval
+OSC16_CFG = {**OSC_CFG, "basis": {"orders": [2, 16]}, "times": {"t_max": 5.0, "n_points": 51},
+             "mc": {"samples": 200, "dt": 0.001}}
+
 # circuit files that the malformed-value cases read from their working directory
 CIRCUIT_FILES = {"ry_abc.txt": "H 0\nRY(abc) 0\n", "foo.txt": "FOO 0\n"}
 
@@ -78,6 +86,16 @@ def write_cfg(tmp_path, cfg, name="cfg.json"):
 
 def error_record(capsys) -> dict:
     return json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+
+
+def run_python(args, **env) -> subprocess.CompletedProcess:
+    """`python <args>` in a fresh process on this kolmsim, with `env` added."""
+    path = os.pathsep.join(filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, **env, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc
 
 
 def test_validate_rejects_unknown_keys():
@@ -107,17 +125,46 @@ def test_run_ou_writes_artifacts(tmp_path):
 
 
 def test_rerun_is_bit_identical(tmp_path):
-    cfg_path = write_cfg(tmp_path, OU_CFG)
-    out1, out2, out3 = tmp_path / "a", tmp_path / "b", tmp_path / "c"
-    assert cli.main(["run", cfg_path, "--out", str(out1)]) == 0
-    assert cli.main(["run", cfg_path, "--out", str(out2)]) == 0
-    # estimates must not depend on the worker thread count either
-    assert cli.main(["run", cfg_path, "--out", str(out3), "--threads", "2"]) == 0
-    for name in ("mc_curve.csv", "comparison.csv", "galerkin_curve.csv",
-                 "manifest.json", "audit.json"):
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+    for cfg in (OU_CFG, OSC16_CFG, NSE_CFG):
+        cfg_path = write_cfg(tmp_path, cfg)
+        out1, out2, out3 = (tmp_path / cfg["experiment"] / run for run in "abc")
+        assert cli.main(["run", cfg_path, "--out", str(out1)]) == 0
+        assert cli.main(["run", cfg_path, "--out", str(out2)]) == 0
+        # estimates must not depend on the worker thread count either
+        assert cli.main(["run", cfg_path, "--out", str(out3), "--threads", "2"]) == 0
+        for name in ("mc_curve.csv", "comparison.csv", "galerkin_curve.csv",
+                     "manifest.json", "audit.json"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+        for name in ("mc_curve.csv", "comparison.csv", "galerkin_curve.csv"):
+            assert (out1 / name).read_bytes() == (out3 / name).read_bytes(), name
+
+
+def test_curves_do_not_depend_on_blas_threads(tmp_path):
+    # expm_multiply's sparse products round the same on any BLAS thread
+    # count; dense expm steps of the order-16 generator would not
+    cfg_path = write_cfg(tmp_path, OSC16_CFG)
+    outs = {threads: tmp_path / f"blas{threads}" for threads in ("1", "2")}
+    for threads, out in outs.items():
+        run_python(["-m", "kolmsim.cli", "run", cfg_path, "--out", str(out)],
+                   OPENBLAS_NUM_THREADS=threads)
     for name in ("mc_curve.csv", "comparison.csv", "galerkin_curve.csv"):
-        assert (out1 / name).read_bytes() == (out3 / name).read_bytes(), name
+        assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes(), name
+
+
+def test_runs_do_not_import_scipy_integrate(tmp_path):
+    # scipy.integrate, with the optimize, special, spatial and fft modules it
+    # loads, was a third of a cold start; only the tests' RK45 oracle uses it
+    script = ("import sys\n"
+              "import kolmsim.cli as cli\n"
+              "loaded = ['scipy.integrate' in sys.modules]\n"
+              "for cfg, out in zip(sys.argv[1::2], sys.argv[2::2]):\n"
+              "    assert cli.main(['run', cfg, '--out', out]) == 0\n"
+              "    loaded.append('scipy.integrate' in sys.modules)\n"
+              "print(loaded)\n")
+    audits = os.path.join(CONFIG_DIR, "audits_bounded_oscillator.json")
+    proc = run_python(["-c", script, audits, str(tmp_path / "audits"),
+                       write_cfg(tmp_path, NSE_CFG), str(tmp_path / "nse")])
+    assert proc.stdout.splitlines()[-1] == "[False, False, False]"
 
 
 def test_seed_override_changes_estimates(tmp_path):
@@ -154,12 +201,11 @@ def test_taylor_green_nonzero_truth(tmp_path, monkeypatch):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 4 and all(abs(float(r["taylor_green"])) > 0.01 for r in rows)
     assert all(float(r["abs_error"]) <= 1e-6 for r in rows)
-    # one adjoint solve serves every probe; the audit's norm check solves forward
+    # one adjoint solve serves every probe, and the audit solves nothing
     forward = assemble_all(solves[0].basis, experiments.build_system("nse", cfg["system"]))
-    adjoint = [ops for ops in solves
-               if (ops.generator() != forward.generator().T).nnz == 0]
-    assert len(adjoint) == 1 and len(solves) == 2
-    assert all(ops.basis.max_degree == 3 for ops in solves)
+    [adjoint] = solves
+    assert (adjoint.generator() != forward.generator().T).nnz == 0
+    assert adjoint.basis.max_degree == 3
 
 
 @pytest.mark.parametrize("cfg, run_bases", [
@@ -227,13 +273,22 @@ def test_audit_command(tmp_path):
     assert audit["regularization"]["rows"][0]["passed"] is True
 
 
-@pytest.mark.parametrize("cfg", [
-    AUDITS_CFG,
-    {**AUDITS_CFG, "system": {"kind": "nse", "modes": 6, "nu": 0.1, "q": 1e-3},
-     "basis": {"order": 2}, "smoothing_times": [0.01, 0.05]},
-], ids=["bounded_oscillator", "nse"])
+AUDIT_BLOCK_CASES = {  # one audits config per system kind
+    "bounded_oscillator": AUDITS_CFG,
+    "nse": {**AUDITS_CFG, "system": {"kind": "nse", "modes": 6, "nu": 0.1, "q": 1e-3},
+            "basis": {"order": 2}, "smoothing_times": [0.01, 0.05]},
+    "oscillator": {**AUDITS_CFG, "system": {"kind": "oscillator"}},
+    "ou": {**AUDITS_CFG, "system": {"kind": "ou", "n_vars": 2},
+           "regularization": {"r_values": [1.0], "r_reference": 2.0, "t": 2.0}},
+    "clock": {**AUDITS_CFG, "system": {"kind": "clock"}, "basis": {"order": 1}},
+}
+
+
+@pytest.mark.parametrize("cfg", AUDIT_BLOCK_CASES.values(), ids=AUDIT_BLOCK_CASES.keys())
 def test_audit_blocks_are_the_check_returns(tmp_path, cfg):
     # each lemma check returns its own audit.json block; run_audits only places it
+    assert {c["system"]["kind"] for c in AUDIT_BLOCK_CASES.values()} \
+        == set(experiments.SYSTEM_KINDS)
     out = tmp_path / "out"
     assert cli.main(["audit", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
     audit = json.loads((out / "audit.json").read_text())
@@ -246,15 +301,39 @@ def test_audit_blocks_are_the_check_returns(tmp_path, cfg):
                       for op in (ops.dissipation, ops.linear, ops.nonlinear)},
         "smoothing": evolution.smoothing_bound_audit(ops, cfg["smoothing_times"],
                                                      gamma=spec.gamma()),
-        "regularization": "not applicable (J = inf)",
+        "norm_monotonicity": evolution.norm_monotonicity(ops),
     }
-    if cfg["system"]["kind"] == "bounded_oscillator":
+    # the weight-cutoff audit needs a finite J and b = 0
+    not_applicable = {"nse": "J = inf", "oscillator": "J = inf",
+                      "clock": "b != 0 (weight cutoff invalid)"}
+    if (kind := cfg["system"]["kind"]) in not_applicable:
+        expected["regularization"] = f"not applicable ({not_applicable[kind]})"
+    else:
         reg = cfg["regularization"]
         expected["regularization"] = evolution.regularization_gap(
             spec, experiments._default_observable(spec), reg["t"], reg["r_values"],
             reg["r_reference"])
     for key, block in expected.items():
         assert audit[key] == json.loads(json.dumps(block)), key
+    # B and C are skew in their float data, so the certificate is exact
+    assert audit["norm_monotonicity"] == {"symmetric_part_residual": 0.0, "passed": True}
+
+
+def test_norm_certificate_feeds_exit_code(tmp_path, monkeypatch, capsys):
+    # the raw quadrature matrix is skew only up to rounding (5.6e-16 here);
+    # assemble_nonlinear_drift's (M - M^T)/2 makes it skew exactly
+    def raw_drift(basis, spec):
+        raw = spec.nonlinear.assemble(basis, spec).tocsr()
+        return operators.SparseOperator(raw, "nonlinear", basis)
+
+    monkeypatch.setattr(evolution, "assemble_nonlinear_drift", raw_drift)
+    out = tmp_path / "o"
+    assert cli.main(["run", write_cfg(tmp_path, AUDITS_CFG), "--out", str(out)]) \
+        == cli.EXIT_AUDIT
+    block = json.loads((out / "audit.json").read_text())["norm_monotonicity"]
+    assert block["symmetric_part_residual"] > 0.0 and block["passed"] is False
+    assert error_record(capsys) == {"error": "audit",
+                                    "detail": "failed checks: norm_monotonicity"}
 
 
 def test_audit_command_requires_audits_experiment(tmp_path):
@@ -474,6 +553,26 @@ def test_malformed_value_exit_code(tmp_path, monkeypatch, capsys, cfg, detail):
     record = error_record(capsys)
     assert record["error"] == "config"
     assert detail in record["detail"]
+
+
+@pytest.mark.parametrize("cfg", [
+    {**OSC_CFG, "observable": [1, 0, 0]},
+    {**OU_CFG, "initial_point": [1.0, 2.0]},
+    {**BQP_CFG, "circuits": {"file": "no_such_circuit.txt", "qubits": 1}},
+    with_block(AUDITS_CFG, "system", lam=1.5),
+], ids=["oscillator.observable", "ou_sanity.initial_point", "circuits.file",
+        "regularization.r_values"])
+def test_runner_config_error_leaves_no_directory(tmp_path, monkeypatch, capsys, cfg):
+    # these checks run inside the runner, after --out was made; the run removes it
+    monkeypatch.chdir(tmp_path)
+    argv = ["run", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert error_record(capsys)["error"] == "config"
+    assert not (tmp_path / "o").exists()
+    # a directory the run did not make stays
+    (tmp_path / "o").mkdir()
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert (tmp_path / "o").is_dir()
 
 
 def test_repo_example_configs_validate():

@@ -13,10 +13,11 @@ from kolmsim.evolution import (
     KEOperators,
     KEState,
     assemble_all,
-    check_norm_monotone,
     evolve_expm,
     evolve_reference,
+    evolve_rk45,
     evolve_trotter,
+    norm_monotonicity,
     regularization_gap,
     smoothing_bound_audit,
     trotter_error_bound,
@@ -36,6 +37,12 @@ from kolmsim.systems import (
     oscillator_system,
     random_real_circuit,
 )
+
+
+def check_norm_monotone(states, tol: float = 1e-9) -> bool:
+    """True iff ||psi(t_{i+1})|| <= ||psi(t_i)|| (1 + tol) along the trajectory."""
+    norms = [s.norm() for s in states]
+    return all(b <= a * (1.0 + tol) for a, b in zip(norms, norms[1:]))
 
 
 def basis_for(spec, K):
@@ -58,7 +65,7 @@ def test_pure_decay(oscillator_setup):
     ou = SystemSpec(name="ou", rates=spec.rates, noise=spec.noise)
     ops = assemble_all(basis, ou)
     psi0 = KEState(np.ones(len(basis)), basis)
-    out = evolve_reference(psi0, ops, 3.0)
+    out = evolve_rk45(psi0, ops, 3.0)
     np.testing.assert_allclose(out.coefficients, np.exp(-3.0 * basis.weights),
                                rtol=1e-8)
 
@@ -71,7 +78,7 @@ def test_clock_linear_closed_form():
     ops = assemble_all(basis, spec)
     psi0 = KEState(rng.normal(size=len(basis)), basis)
     t = 1.3
-    out = evolve_reference(psi0, ops, t)
+    out = evolve_rk45(psi0, ops, t)
     # order-1 coefficients evolve by e^{-lam t} e^{t B1} with B1 = b^T
     closed = math.exp(-0.1 * t) * expm(t * spec.linear.toarray().T) @ psi0.coefficients
     np.testing.assert_allclose(out.coefficients, closed, atol=1e-9)
@@ -79,16 +86,32 @@ def test_clock_linear_closed_form():
 
 def test_norm_monotone_along_trajectory(oscillator_setup):
     _, _, ops, psi0 = oscillator_setup
-    states = evolve_reference(psi0, ops, 25.0, t_eval=np.linspace(0, 25, 32))
+    states = evolve_rk45(psi0, ops, 25.0, t_eval=np.linspace(0, 25, 32))
     assert check_norm_monotone(states, tol=1e-9)
     assert states[-1].norm() <= psi0.norm()
+    # the audit's certificate proves it for every t, exactly
+    assert norm_monotonicity(ops) == {"symmetric_part_residual": 0.0, "passed": True}
+
+
+def test_norm_certificate_fails_a_growing_generator(oscillator_setup):
+    _, basis, ops, _ = oscillator_setup
+    c = ops.nonlinear.matrix
+    not_skew = KEOperators(ops.dissipation, ops.linear,
+                           SparseOperator(c + 1e-3 * abs(c), "nonlinear", basis))
+    block = norm_monotonicity(not_skew)
+    assert block["symmetric_part_residual"] == pytest.approx(2e-3 * abs(c).max())
+    assert not block["passed"]
+    # G + G^T + 2A = 0 still holds with A < 0, but then the norm grows
+    negative_a = SparseOperator(-ops.dissipation.matrix, "dissipation", basis)
+    block = norm_monotonicity(KEOperators(negative_a, ops.linear, ops.nonlinear))
+    assert block == {"symmetric_part_residual": 0.0, "passed": False}
 
 
 def test_energy_identity_finite_differences(oscillator_setup):
     # d ||psi||^2 / dt = -2 psi^T A psi along the trajectory
     _, _, ops, psi0 = oscillator_setup
     t0, h = 2.0, 1e-4
-    lo, mid, hi = evolve_reference(psi0, ops, t0 + h, t_eval=[t0 - h, t0, t0 + h])
+    lo, mid, hi = evolve_rk45(psi0, ops, t0 + h, t_eval=[t0 - h, t0, t0 + h])
     fd = (hi.norm_sq() - lo.norm_sq()) / (2 * h)
     quad = -2.0 * mid.coefficients @ (ops.dissipation.matrix @ mid.coefficients)
     assert fd == pytest.approx(quad, rel=1e-4)
@@ -98,7 +121,7 @@ def test_skew_only_evolution_conserves_norm(oscillator_setup):
     _, basis, ops, psi0 = oscillator_setup
     zero_diag = SparseOperator(sp.csr_matrix((len(basis),) * 2), "dissipation", basis)
     skew_only = KEOperators(zero_diag, ops.linear, ops.nonlinear)
-    out = evolve_reference(psi0, skew_only, 5.0)
+    out = evolve_rk45(psi0, skew_only, 5.0)
     assert out.norm() == pytest.approx(psi0.norm(), rel=1e-9)
 
 
@@ -145,9 +168,42 @@ def test_trotter_error_within_analytic_bound():
 
 def test_reference_matches_expm(oscillator_setup):
     _, _, ops, psi0 = oscillator_setup
-    a = evolve_reference(psi0, ops, 4.0, rtol=1e-10)
+    a = evolve_rk45(psi0, ops, 4.0, rtol=1e-10)
     b = evolve_expm(psi0, ops, 4.0)
+    c = evolve_reference(psi0, ops, 4.0)
     np.testing.assert_allclose(a.coefficients, b.coefficients, atol=1e-9)
+    np.testing.assert_allclose(c.coefficients, b.coefficients, rtol=0, atol=1e-12)
+    assert c.t == 4.0
+
+
+def test_reference_grid_matches_final_states(oscillator_setup):
+    # one expm_multiply call over the uniform grid: psi(0) first, then e^{tG} psi(0)
+    _, _, ops, psi0 = oscillator_setup
+    times = np.linspace(0.0, 25.0, 11)
+    states = evolve_reference(psi0, ops, 25.0, n_points=times.size)
+    assert [s.t for s in states] == list(times)
+    np.testing.assert_array_equal(states[0].coefficients, psi0.coefficients)
+    oracle = evolve_rk45(psi0, ops, 25.0, t_eval=times, rtol=1e-11)
+    for state, t, rk in zip(states, times, oracle):
+        final = evolve_reference(psi0, ops, float(t))
+        np.testing.assert_allclose(state.coefficients, final.coefficients, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(state.coefficients, rk.coefficients, rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize("order", [16, 40])
+def test_reference_ignores_the_global_rng(order):
+    # expm_multiply picks its Taylor degree and step count through onenormest,
+    # which draws from numpy's global legacy RNG; the states must not move with it
+    spec = oscillator_system(0.1, 0.02)
+    ops = assemble_all(basis_for(spec, order), spec)
+    psi0 = initial_state(MonomialObservable((1, 0), spec.context), ops.basis)
+    runs = set()
+    for seed in range(4):
+        np.random.seed(seed)
+        states = evolve_reference(psi0, ops, 5.0, n_points=51)
+        runs.add(np.stack([s.coefficients for s in states]).tobytes())
+        assert np.random.get_state()[2] != 624  # onenormest did draw
+    assert len(runs) == 1
 
 
 def test_expm_multiply_action_matches_dense(monkeypatch):
@@ -182,7 +238,7 @@ def test_expm_above_dense_limit_matches_reference():
     ops = assemble_all(basis, spec)
     psi0 = initial_state(MonomialObservable((1,) + (0,) * 23, spec.context), basis)
     t = 0.25
-    ref = evolve_reference(psi0, ops, t, rtol=1e-12)
+    ref = evolve_rk45(psi0, ops, t, rtol=1e-12)
     out = evolve_expm(psi0, ops, t)
     np.testing.assert_allclose(out.coefficients, ref.coefficients, rtol=0, atol=1e-9)
 
@@ -202,14 +258,14 @@ def test_adjoint_readout_matches_forward_solves():
     t = 0.25
     # rtol below the default keeps each solve's own error far under 1e-9
     readout = readout_state(x0, basis, 3, ctx)
-    adjoint = evolve_reference(readout, ops.transpose(), t, rtol=1e-11).coefficients
+    adjoint = evolve_rk45(readout, ops.transpose(), t, rtol=1e-11).coefficients
     dense = readout.coefficients @ expm(t * ops.generator().toarray())
     for _ in range(3):
         terms = [(float(c), MonomialObservable(tuple(int(j == k) for j in range(6)), ctx))
                  for k, c in enumerate(rng.normal(size=6))]
         psi0 = combination_state(terms, basis)
         value = adjoint @ psi0.coefficients
-        forward = expectation([evolve_reference(psi0, ops, t, rtol=1e-11)], x0, 3, ctx)[0]
+        forward = expectation([evolve_rk45(psi0, ops, t, rtol=1e-11)], x0, 3, ctx)[0]
         assert value == pytest.approx(forward, rel=1e-9)
         assert value == pytest.approx(dense @ psi0.coefficients, rel=1e-9)
 
