@@ -648,7 +648,10 @@ def run_experiment(cfg: dict, out_dir: str, seed: int | None = None,
     """
     effective_seed = cfg["seed"] if seed is None else _normalise(_SEED, seed, "--seed")
     _normalise(_count(), threads, "--threads")
-    created = not os.path.exists(out_dir)
+    created, path = [], os.path.abspath(out_dir)  # the directories makedirs makes
+    while not os.path.exists(path):
+        created.append(path)
+        path = os.path.dirname(path)
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
@@ -656,8 +659,8 @@ def run_experiment(cfg: dict, out_dir: str, seed: int | None = None,
     try:
         audit, tables = RUNNERS[cfg["experiment"]](cfg, effective_seed, threads)
     except BaseException:
-        if created:
-            os.rmdir(out_dir)  # still empty: the runner writes no file
+        for path in created:
+            os.rmdir(path)  # still empty: the runner writes no file
         raise
     audit["passed"] = not failed_checks(audit)
     for stem, (header, rows) in tables.items():

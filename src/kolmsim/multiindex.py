@@ -7,29 +7,26 @@ Bases are enumerated in a fixed graded order (ascending total degree,
 ties broken by the multiset order of the variables) so that operator
 block structure by total degree is visible and runs are reproducible.
 
-Graded order gives every multi-index a closed-form rank, so
-`BasisSet.positions` maps a whole array of rows to basis positions with
-array arithmetic and no lookup table.  Among all multi-indices of degree
-1..K, a row m of degree d = |m| sits at
+A row of degree d <= K is also kept as its sorted variable labels
+l_0 <= ... <= l_{d-1}, padded with N to width K (`BasisSet.labels`).  The
+degree-d rows are the degree-(d-1) rows, each extended by one label no
+smaller than its last, which is the graded order; the weight rule drops a
+row above its cutoff before extending it (rates are positive).  Among all
+multi-indices of degree 1..K, a row sits at
 
-    offset[d] + sum_{v < N-1} C(d - S_v + N-2-v, N-1-v),
+    base[d] - sum_{s < d} C(N - l_s + d - s - 2, d - s),   base[d] = C(N+d, d) - 2,
 
-where S_v = m_0 + ... + m_v is the prefix sum of the row and
-offset[d] = C(N+d-1, d-1) - 1 counts the rows of degree 1..d-1.  The sum
-is the combinatorial-number-system rank of m within its degree (Knuth,
-TAOCP 4A, 7.2.1.3): term v counts the degree-d rows that agree with m
-before variable v and hold more of variable v.  An order-rule basis holds
-every multi-index of degree 1..K, so this rank is the position; a
-weight-rule basis looks the rank up among the sorted ranks of its rows.
-
-`positions` is the package's only multi-index lookup: every operator
-assembler ranks its ladder-move targets with it, and a multi-index's
-weight lambda_m is read from `BasisSet.weights`.
+the combinatorial-number-system rank of its labels (Knuth, TAOCP 4A,
+7.2.1.3) after the rows of lower degree: at most K gathers per row.  An
+order-rule basis holds every multi-index of degree 1..K, so this rank is
+the position; a weight-rule basis looks the rank up among the sorted
+ranks of its rows.  `label_positions` is the package's only multi-index
+lookup (`positions` turns dense rows into labels first), and a
+multi-index's weight lambda_m is read from `BasisSet.weights`.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -100,12 +97,14 @@ class BasisSet:
     """Ordered, indexed enumeration of a finite multi-index truncation."""
 
     def __init__(self, orders_array: np.ndarray, rates: np.ndarray,
-                 scheme: RegularizationScheme):
+                 scheme: RegularizationScheme, labels: np.ndarray | None = None):
         self.orders = np.ascontiguousarray(orders_array, dtype=np.int32)
         self.rates = np.asarray(rates, dtype=float)
         self.scheme = scheme
         self.degrees = self.orders.sum(axis=1)
         self.weights = self.orders @ self.rates
+        # sorted variable labels of each row, padded with N to width K
+        self.labels = _labels_of(self.orders, self.max_degree) if labels is None else labels
         self._rank_tables = None  # built on the first lookup
 
     def __len__(self) -> int:
@@ -121,11 +120,11 @@ class BasisSet:
         return int(self.degrees.max()) if len(self) else 0
 
     def _tables(self):
-        """(binom, offset, sorted ranks or None) for the graded rank formula.
+        """(term, base, sorted ranks or None) for the graded label rank.
 
-        binom[v, s] = C(s + N-2-v, N-1-v) for a remaining degree s = d - S_v;
-        sorted ranks (weight rule only) end in a sentinel above every rank,
-        so a search never runs off the end.
+        term[d, s, l] = C(N-l+d-s-2, d-s) for a slot s < d, 0 at the padding
+        label N; base[d] = C(N+d, d) - 2.  Sorted ranks (weight rule only) end
+        in a sentinel above every rank, so a search never runs off the end.
         """
         if self._rank_tables is None:
             n, k = self.n_vars, self.max_degree
@@ -133,16 +132,32 @@ class BasisSet:
             if total > np.iinfo(np.int64).max:
                 raise ResourceLimitError(
                     f"ranks of {total} multi-indices overflow 64-bit integers")
-            binom = np.array([[math.comb(s + n - 2 - v, n - 1 - v) for s in range(k + 1)]
-                              for v in range(n - 1)], dtype=np.int64).reshape(n - 1, k + 1)
-            offset = np.array([0] + [math.comb(n + d - 1, d - 1) - 1
-                                     for d in range(1, k + 1)], dtype=np.int64)
-            sorted_ranks = None
-            if self.scheme.rule == WEIGHT_RULE:
-                ranks = _graded_ranks(self.orders, binom, offset)[0]
-                sorted_ranks = np.append(ranks, total)
-            self._rank_tables = (binom, offset, sorted_ranks)
+            # multisets[j, u + 1] = C(u+j-1, j) multisets of size j over u >= 0 labels
+            multisets = np.zeros((k + 1, n + 3), dtype=np.int64)
+            multisets[0, 1:] = 1
+            for j in range(1, k + 1):
+                multisets[j, 2:] = np.cumsum(multisets[j - 1, 2:])
+            # C(N-l+j-2, j) at label l, 0 at the padding label N (which slots s >= d hold)
+            term = multisets[:, n::-1][np.maximum(np.arange(k + 1)[:, None] - np.arange(k), 0)]
+            self._rank_tables = (term, multisets[:, n + 2] - 2, None)
+            if self.scheme.rule == WEIGHT_RULE:  # the tables so far return bare ranks
+                ranks = np.append(self.label_positions(self.labels), total)
+                self._rank_tables = self._rank_tables[:2] + (ranks,)
         return self._rank_tables
+
+    def label_positions(self, labels) -> np.ndarray:
+        """Basis position of each row of an (M, K) label array; -1 where absent.
+
+        A padding-only row (degree 0) and, weight rule, a row above the cutoff
+        are absent.
+        """
+        term, base, sorted_ranks = self._tables()
+        degree = (labels < self.n_vars).sum(axis=1)
+        ranks = base[degree] - term[degree[:, None], np.arange(labels.shape[1]), labels].sum(axis=1)
+        if sorted_ranks is None:
+            return ranks
+        pos = np.searchsorted(sorted_ranks, ranks)
+        return np.where(sorted_ranks[pos] == ranks, pos, -1)
 
     def positions(self, rows) -> np.ndarray:
         """Basis position of each row of an (M, N) integer array; -1 where absent.
@@ -153,13 +168,7 @@ class BasisSet:
         rows = np.asarray(rows)
         if rows.ndim != 2 or rows.shape[1] != self.n_vars:
             raise BasisError("multi-index dimension mismatch")
-        binom, offset, sorted_ranks = self._tables()
-        ranks, valid = _graded_ranks(rows, binom, offset)
-        if sorted_ranks is not None:
-            pos = np.searchsorted(sorted_ranks, ranks)
-            valid &= sorted_ranks[pos] == ranks
-            ranks = pos
-        return np.where(valid, ranks, -1)
+        return self.label_positions(_labels_of(rows, self.max_degree))
 
     def position(self, orders) -> int:
         pos = int(self.positions(np.asarray(orders)[None])[0])
@@ -172,29 +181,24 @@ class BasisSet:
         return pos if pos >= 0 else default
 
 
-def _graded_ranks(rows, binom, offset):
-    """Closed-form graded ranks of `rows`, and which rows have degree 1..K."""
-    prefix = np.cumsum(rows, axis=1, dtype=np.int64)
-    degree = prefix[:, -1]
-    valid = (degree >= 1) & (degree < len(offset)) & (rows >= 0).all(axis=1)
-    rest = np.where(valid[:, None], degree[:, None] - prefix[:, :-1], 0)
-    ranks = offset[np.where(valid, degree, 0)] \
-        + binom[np.arange(binom.shape[0]), rest].sum(axis=1)
-    return ranks, valid
+def _labels_of(rows, k: int) -> np.ndarray:
+    """Sorted labels of each (M, N) row, padded with N to width K.
 
-
-def _orders_by_degree(n_vars: int, degree: int):
-    """Yield order vectors of fixed total degree in the enumeration order.
-
-    combinations_with_replacement over variable labels lists each degree-g
-    multiset once, lowest variables first, which is the documented tie-break
-    ((1,0) before (0,1), (2,0) before (1,1) before (0,2)).
+    A row of degree above K or with a negative entry gets padding only, so it is absent.
     """
-    for combo in itertools.combinations_with_replacement(range(n_vars), degree):
-        vec = [0] * n_vars
-        for v in combo:
-            vec[v] += 1
-        yield vec
+    degree = rows.sum(axis=1)
+    keep = (degree <= k) & (rows >= 0).all(axis=1)
+    row, var = np.nonzero(rows * keep[:, None])
+    owner, slot = _ragged(np.where(keep, degree, 0))  # each quantum, row by row
+    labels = np.full((len(rows), k), rows.shape[1], dtype=np.intp)
+    labels[owner, slot] = np.repeat(var, rows[row, var])
+    return labels
+
+
+def _ragged(counts):
+    """(owner, step 0, 1, ... within the owner) of counts[o] items per owner o, in order."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    return owner, np.arange(owner.size) - (np.cumsum(counts) - counts)[owner]
 
 
 def enumerate_basis(n_vars: int, scheme: RegularizationScheme, rates,
@@ -217,14 +221,24 @@ def enumerate_basis(n_vars: int, scheme: RegularizationScheme, rates,
             raise ResourceLimitError(
                 f"basis of {total} entries exceeds the cap of {cap}")
 
-    rows = []
     cutoff = scheme.r * (1.0 + _WEIGHT_TOL)
+    level = np.full((1, k_max), n_vars, dtype=np.intp)  # the degree-0 row
+    weight, blocks = np.zeros(1), []
     for degree in range(1, k_max + 1):
-        for vec in _orders_by_degree(n_vars, degree):
-            if scheme.rule == WEIGHT_RULE and float(np.dot(vec, rates)) > cutoff:
-                continue
-            rows.append(vec)
-            if len(rows) > cap:
-                raise ResourceLimitError(
-                    f"basis exceeds the cap of {cap} entries")
-    return BasisSet(np.array(rows, dtype=np.int32), rates, scheme)
+        # each degree-(d-1) row, extended by every label no smaller than its last
+        last = level[:, degree - 2] if degree > 1 else np.zeros(1, dtype=np.intp)
+        parent, step = _ragged(n_vars - last)
+        new = last[parent] + step
+        level = level[parent]
+        level[:, degree - 1] = new
+        if scheme.rule == WEIGHT_RULE:
+            weight = weight[parent] + rates[new]
+            keep = weight <= cutoff  # rates are positive: a dropped row's extensions drop too
+            level, weight = level[keep], weight[keep]
+        blocks.append(level)
+        if sum(map(len, blocks)) > cap:
+            raise ResourceLimitError(f"basis exceeds the cap of {cap} entries")
+    labels = np.vstack(blocks)
+    flat = (np.arange(len(labels))[:, None] * (n_vars + 1) + labels).ravel()
+    orders = np.bincount(flat, minlength=len(labels) * (n_vars + 1))
+    return BasisSet(orders.reshape(-1, n_vars + 1)[:, :n_vars], rates, scheme, labels)

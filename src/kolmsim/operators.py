@@ -7,8 +7,10 @@ nonlinear drift functions c_i.  Each nonlinear drift object assembles its
 own Galerkin matrix: the closed forms of the cubic oscillator and the
 spectral Navier-Stokes advection live in `systems`, and `QuadratureDrift`
 here integrates non-polynomial drifts of N <= 3 systems with a
-sum-factorised Gauss-Hermite rule, one grid axis at a time.  Every
-assembler ranks the targets of its ladder moves with `BasisSet.positions`.
+sum-factorised Gauss-Hermite rule, one grid axis at a time.  The linear
+and NSE assemblers move quanta on sorted variable labels and rank each
+target with at most K gathers (`_ladder_hits`); the oscillator and
+quadrature routes rank dense rows with `BasisSet.positions`.
 """
 
 from __future__ import annotations
@@ -230,27 +232,31 @@ def assemble_linear_drift(basis: BasisSet, spec) -> SparseOperator:
     live = beta.data != 0.0
     i_e, j_e, b_e = beta.row[live], beta.col[live], beta.data[live]
     # (column, b-entry) candidates in column-major order; i == j never
-    # occurs: beta is exactly skew, so its diagonal is 0
+    # occurs: beta is exactly skew, so its diagonal is 0.  The move
+    # relabels one slot holding i as j.
     cols, e = np.nonzero(basis.orders[:, i_e] > 0)
-    rows, hit = _ladder_hits(basis, cols, [(i_e[e], -1), (j_e[e], 1)])
+    slot = np.argmax(basis.labels[cols] == i_e[e, None], axis=1)
+    rows, hit = _ladder_hits(basis, cols, [(slot, j_e[e])])
     cols, e = cols[hit], e[hit]
     vals = b_e[e] * np.sqrt(basis.orders[cols, i_e[e]] * (basis.orders[cols, j_e[e]] + 1))
     mat = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
     return SparseOperator(mat, "linear", basis)
 
 
-def _ladder_hits(basis: BasisSet, cols, moves):
-    """Apply ladder moves to basis rows and rank the targets that land.
+def _ladder_hits(basis: BasisSet, cols, edits):
+    """Apply ladder moves to the labels of basis rows and rank the targets that land.
 
-    Candidate e starts from row cols[e] and adds delta to variable var[e]
-    for each (var, delta) in `moves`.  Returns the basis positions of the
-    targets that lie in the basis, and the indices of those candidates.
+    Candidate e starts from the labels of row cols[e] and writes label[e]
+    into slot[e] for each (slot, label) in `edits` (a lowered variable
+    leaves the padding label N).  Returns the positions of the targets in
+    the basis, and the indices of those candidates.
     """
-    targets = basis.orders[cols]
+    targets = basis.labels[cols]
     e = np.arange(len(cols))
-    for var, delta in moves:
-        targets[e, var] += delta
-    rows = basis.positions(targets)
+    for slot, label in edits:
+        targets[e, slot] = label
+    targets.sort(axis=1)
+    rows = basis.label_positions(targets)
     hit = np.nonzero(rows >= 0)[0]
     return rows[hit], hit
 

@@ -99,24 +99,23 @@ def _monomial_terms(u0: MonomialObservable):
 
 def initial_state(u0: MonomialObservable, basis: BasisSet) -> KEState:
     """Coefficient vector of the centered observable u0 - mean(u0)."""
-    # the degree-0 term is the mean, which callers add to the readout
-    terms = {orders: value for orders, value in _monomial_terms(u0).items() if sum(orders)}
-    pos = basis.positions(np.array(list(terms), dtype=np.int64).reshape(-1, basis.n_vars))
-    if np.any(pos < 0):
-        orders = list(terms)[int(np.argmax(pos < 0))]
-        raise BasisError(
-            f"observable needs index {orders} outside the basis "
-            f"(degree {sum(orders)} > K = {basis.max_degree}?)")
-    coeffs = np.zeros(len(basis))
-    coeffs[pos] = list(terms.values())
-    return KEState(coeffs, basis, 0.0)
+    return combination_state(((1.0, u0),), basis)
 
 
 def combination_state(terms, basis: BasisSet) -> KEState:
-    """Initial state of a linear combination sum_k c_k * u0_k (by linearity)."""
+    """Initial state of sum_k c_k * u0_k (by linearity), summed in term order."""
+    # ranked in one `positions` call; the degree-0 terms (means) are left to callers
+    pairs = [(key, weight_ * value) for weight_, u0 in terms
+             for key, value in _monomial_terms(u0).items() if sum(key)]
+    pos = basis.positions(np.array([key for key, _ in pairs], dtype=np.int64)
+                          .reshape(-1, basis.n_vars))
+    if np.any(pos < 0):
+        key = pairs[int(np.argmax(pos < 0))][0]
+        raise BasisError(
+            f"observable needs index {key} outside the basis "
+            f"(degree {sum(key)} > K = {basis.max_degree}?)")
     coeffs = np.zeros(len(basis))
-    for weight_, u0 in terms:
-        coeffs += weight_ * initial_state(u0, basis).coefficients
+    np.add.at(coeffs, pos, [value for _, value in pairs])
     return KEState(coeffs, basis, 0.0)
 
 

@@ -17,7 +17,7 @@ import scipy.sparse as sp
 
 from .errors import BasisError, DriftError
 from .hermite import HermiteContext
-from .multiindex import BasisSet, RegularizationScheme, enumerate_basis
+from .multiindex import BasisSet, RegularizationScheme, _ragged, enumerate_basis
 from .operators import QuadratureDrift, SystemSpec, _ladder_hits
 
 # ---------------------------------------------------------------------------
@@ -137,10 +137,6 @@ def wavenumber_table(n_modes: int) -> np.ndarray:
         bound *= 2
 
 
-def _perp(v):
-    return np.array([v[1], -v[0]])
-
-
 class SpectralAdvectionDrift:
     """Quadratic advection drift of the Galerkin-projected 2D NSE.
 
@@ -148,7 +144,10 @@ class SpectralAdvectionDrift:
     interacting triple of modes (k, i, j) with k in {i+j, i-j, j-i}
     contributes a geometric factor (i_perp . j)(j . k)/(|i||k||j|^2) and a
     one-up/two-down ladder move, so the operator couples total degrees
-    differing by exactly one.
+    differing by exactly one.  Assembly generates only the moves that can
+    land: raising i and j on columns of degree below K, and lowering a mode
+    x only where x is another label of the column, found by looking the
+    triples up by (k, x).
     """
 
     def __init__(self, table: np.ndarray, nu: float, q: float):
@@ -162,42 +161,36 @@ class SpectralAdvectionDrift:
         self.lam_raw = 4.0 * math.pi ** 2 * (self.table ** 2).sum(axis=1).astype(float)
         self.rates = self.nu * self.lam_raw
         self._build_triples()
-        self.sparsity = self._support_sparsity()
 
     def _build_triples(self):
-        lookup = {tuple(k): idx for idx, k in enumerate(self.table)}
-        triples = []
-        n = len(self.table)
-        for i_idx in range(n):
-            ivec = self.table[i_idx]
-            for j_idx in range(n):
-                if j_idx == i_idx:
-                    continue
-                jvec = self.table[j_idx]
-                for target, sign in ((ivec + jvec, 1.0), (ivec - jvec, 1.0),
-                                     (jvec - ivec, -1.0)):
-                    k_idx = lookup.get(tuple(target), -1)
-                    if k_idx < 0 or k_idx in (i_idx, j_idx):
-                        continue
-                    kvec = self.table[k_idx]
-                    geom = float(_perp(ivec) @ jvec) * float(jvec @ kvec)
-                    if geom == 0.0:
-                        continue
-                    geom /= (math.sqrt(float(ivec @ ivec))
-                             * math.sqrt(float(kvec @ kvec))
-                             * float(jvec @ jvec))
-                    triples.append((k_idx, i_idx, j_idx, sign * geom))
-        self.triples = triples
-        by_k = {}
-        for k_idx, i_idx, j_idx, geo in triples:
-            by_k.setdefault(k_idx, []).append((i_idx, j_idx, geo))
-        # k -> (i indices, j indices, geometric factors) of its triples
-        self._by_k = {k_idx: tuple(np.array(col) for col in zip(*items))
-                      for k_idx, items in by_k.items()}
-
-    def _support_sparsity(self) -> int:
-        return max((len(np.union1d(i_idx, j_idx)) for i_idx, j_idx, _ in self._by_k.values()),
-                   default=0)
+        table, n = self.table, len(self.table)
+        # mode of each wavevector, on a grid wide enough for every i +- j
+        span = 2 * int(np.abs(table).max())
+        grid = np.full((2 * span + 1,) * 2, -1)
+        grid[table[:, 0] + span, table[:, 1] + span] = np.arange(n)
+        # each pair (i, j), i != j, tries k = i + j, i - j, j - i in turn; the
+        # coefficient of i is the triple's sign
+        i_idx, j_idx = (np.repeat(a, 3) for a in np.nonzero(~np.eye(n, dtype=bool)))
+        sign, sign_j = (np.tile(a, n * (n - 1)) for a in ([1, 1, -1], [1, -1, 1]))
+        ivec, jvec = table[i_idx], table[j_idx]
+        kvec = sign[:, None] * ivec + sign_j[:, None] * jvec
+        k_idx = grid[kvec[:, 0] + span, kvec[:, 1] + span]
+        geom = ((ivec[:, 1] * jvec[:, 0] - ivec[:, 0] * jvec[:, 1]).astype(float)
+                * (jvec * kvec).sum(axis=1).astype(float))
+        live = (k_idx >= 0) & (k_idx != i_idx) & (k_idx != j_idx) & (geom != 0.0)
+        norm_sq = [(v * v).sum(axis=1).astype(float) for v in (ivec, kvec, jvec)]
+        geo = sign * geom / (np.sqrt(norm_sq[0]) * np.sqrt(norm_sq[1]) * norm_sq[2])
+        self._k, self._i, self._j, self._geo = (a[live] for a in (k_idx, i_idx, j_idx, geo))
+        self.triples = list(zip(*(a.tolist() for a in (self._k, self._i, self._j, self._geo))))
+        # per lowered mode x = j, then x = i: the triples sorted (stably) by
+        # the key k n + x, and where the run of each key starts
+        self._lowering = []
+        for key in (self._k * n + self._j, self._k * n + self._i):
+            by = np.argsort(key, kind="stable")
+            self._lowering.append((by, np.searchsorted(key[by], np.arange(n * n + 1))))
+        # the support size of c_k is the number of modes in its triples
+        pairs = np.unique(np.concatenate([self._k * n + self._i, self._k * n + self._j]))
+        self.sparsity = int(np.bincount(pairs // n).max(initial=0))
 
     def value(self, x, out=None):
         """c_k(x) = -sum b(e_i, e_j, e_k) x_i x_j over the interacting triples."""
@@ -219,34 +212,49 @@ class SpectralAdvectionDrift:
 
     def assemble(self, basis: BasisSet, spec) -> sp.csr_matrix:
         shape = (len(basis),) * 2
-        if not self._by_k:
+        if not self.triples:
             return sp.csr_matrix(shape)
+        n, top = basis.n_vars, basis.max_degree
         q_eff = self.q / self.nu
         lam = self.lam_raw
-        below_top = basis.degrees < basis.max_degree
-        # the three ladder moves (di, dj) on modes i and j; mode k loses one
-        di, dj = np.array([1, 1, -1]), np.array([1, -1, 1])
         rows, cols, vals = [], [], []
-        for k_idx in sorted(self._by_k):
-            i_idx, j_idx, geo = self._by_k[k_idx]
-            # columns with m_k > 0 against every triple (k, i, j)
+        for k_idx in np.unique(self._k):
+            # columns with m_k > 0; every move lowers k in a slot that holds it
             col = np.nonzero(basis.orders[:, k_idx])[0]
-            sub = basis.orders[col]
-            n_k, n_i, n_j = sub[:, k_idx, None], sub[:, i_idx], sub[:, j_idx]
-            base = -0.5 * np.sqrt(n_k * q_eff * lam[k_idx] / lam[i_idx]) * geo
-            # try a move only where it can land: raising the degree needs
-            # |m| < K, lowering a mode needs a quantum in it
-            can_land = np.stack(np.broadcast_arrays(below_top[col, None], n_j >= 1, n_i >= 1),
-                                axis=-1)
-            c, t, m = np.nonzero(can_land)
-            target, hit = _ladder_hits(basis, col[c],
-                                       [(k_idx, -1), (i_idx[t], di[m]), (j_idx[t], dj[m])])
-            c, t, m = c[hit], t[hit], m[hit]
+            labels = basis.labels[col]
+            # move 0 raises i and j on every triple of k, where |m| < K
+            below, own = np.nonzero(basis.degrees[col] < top)[0], np.nonzero(self._k == k_idx)[0]
+            c, t = [np.repeat(below, own.size)], [np.tile(own, below.size)]
+            slot = [np.full(c[0].size, top - 1)]  # a padding slot
+            # moves 1 and 2 lower j or i: one candidate per other label x of the
+            # column (the first slot of its run) and triple with j = x or i = x
+            first = (labels != k_idx) & (labels < n)
+            first[:, 1:] &= labels[:, 1:] != labels[:, :-1]
+            c_x, s_x = np.nonzero(first)
+            key = k_idx * n + labels[c_x, s_x]
+            for by, ptr in self._lowering:
+                owner, step = _ragged(ptr[key + 1] - ptr[key])
+                c.append(c_x[owner])
+                t.append(by[ptr[key][owner] + step])
+                slot.append(s_x[owner])
+            move = np.repeat([0, 1, 2], [a.size for a in c])
+            c, t, slot = (np.concatenate(a) for a in (c, t, slot))
+            order = np.argsort((c * len(self._k) + t) * 3 + move)  # (column, triple, move)
+            c, t, slot, move = c[order], t[order], slot[order], move[order]
+            i_t, j_t = self._i[t], self._j[t]
+            # k's slot takes the raised mode; the other slot the second raised
+            # mode (move 0) or the padding label (the lowered mode)
+            edits = [(np.argmax(labels[c] == k_idx, axis=1), np.where(move == 2, j_t, i_t)),
+                     (slot, np.where(move == 0, j_t, n))]
+            target, hit = _ladder_hits(basis, col[c], edits)
+            c, i_t, j_t, geo, move = col[c[hit]], i_t[hit], j_t[hit], self._geo[t[hit]], move[hit]
+            n_k, n_i, n_j = (basis.orders[c, v] for v in (k_idx, i_t, j_t))
+            base = -0.5 * np.sqrt(n_k * q_eff * lam[k_idx] / lam[i_t]) * geo
             # raising a mode that holds n quanta gives sqrt(n + 1), lowering it sqrt(n)
-            ladder = np.sqrt((n_i[c, t] + (di[m] > 0)) * (n_j[c, t] + (dj[m] > 0)))
+            ladder = np.sqrt((n_i + (move != 2)) * (n_j + (move != 1)))
             rows.append(target)
-            cols.append(col[c])
-            vals.append(base[c, t] * ladder)
+            cols.append(c)
+            vals.append(base * ladder)
         rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
         # Entries leave the loop in (k, column, triple, move) order.  COO
         # duplicates are summed in the order each row receives them, so a
@@ -299,7 +307,7 @@ def velocity_mode(table: np.ndarray, idx: int, xi) -> np.ndarray:
     k = np.asarray(table)[idx]
     xi = np.asarray(xi, dtype=float)
     phase = math.sqrt(2) * np.sin(2 * math.pi * float(k @ xi))
-    return _perp(k) / math.sqrt(float(k @ k)) * phase
+    return np.array([k[1], -k[0]]) / math.sqrt(float(k @ k)) * phase
 
 
 def probe_functional_coefficients(table: np.ndarray, xi) -> np.ndarray:

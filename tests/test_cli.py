@@ -563,16 +563,23 @@ def test_malformed_value_exit_code(tmp_path, monkeypatch, capsys, cfg, detail):
 ], ids=["oscillator.observable", "ou_sanity.initial_point", "circuits.file",
         "regularization.r_values"])
 def test_runner_config_error_leaves_no_directory(tmp_path, monkeypatch, capsys, cfg):
-    # these checks run inside the runner, after --out was made; the run removes it
+    # these checks run inside the runner, after --out was made; the run removes
+    # every directory it made, the missing parents of a nested --out included
     monkeypatch.chdir(tmp_path)
-    argv = ["run", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")]
-    assert cli.main(argv) == cli.EXIT_CONFIG
-    assert error_record(capsys)["error"] == "config"
+    config = write_cfg(tmp_path, cfg)
+    for out in (str(tmp_path / "o"), "a/b/c"):
+        assert cli.main(["run", config, "--out", out]) == cli.EXIT_CONFIG
+        assert error_record(capsys)["error"] == "config"
     assert not (tmp_path / "o").exists()
+    assert not (tmp_path / "a").exists()
     # a directory the run did not make stays
     (tmp_path / "o").mkdir()
-    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert cli.main(["run", config, "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
     assert (tmp_path / "o").is_dir()
+    (tmp_path / "a").mkdir()
+    assert cli.main(["run", config, "--out", "a/b/c"]) == cli.EXIT_CONFIG
+    assert (tmp_path / "a").is_dir()
+    assert not (tmp_path / "a" / "b").exists()
 
 
 def test_repo_example_configs_validate():

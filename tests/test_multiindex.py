@@ -1,5 +1,6 @@
 """Basis enumeration, truncation rules, and closed-form basis positions."""
 
+import hashlib
 import itertools
 import math
 
@@ -161,6 +162,57 @@ def test_positions_match_brute_force_lookup(n_vars, k, by_weight, data):
                                        max_size=n_vars), min_size=1, max_size=30))
     expected = [table.get(tuple(row), -1) for row in rows]
     np.testing.assert_array_equal(basis.positions(np.array(rows)), expected)
+
+
+def legacy_enumeration(n_vars, rates, scheme):
+    """Every multiset of each degree in combinations_with_replacement order, filtered."""
+    rows = []
+    for degree in range(1, scheme.max_order(rates) + 1):
+        for combo in itertools.combinations_with_replacement(range(n_vars), degree):
+            vec = np.bincount(combo, minlength=n_vars)
+            if scheme.rule == "order" or float(np.dot(vec, rates)) <= scheme.r * (1 + 1e-9):
+                rows.append(vec)
+    return np.array(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 5), st.booleans(), st.data())
+def test_label_rank_is_enumeration_position(n_vars, k, by_weight, data):
+    if by_weight:
+        rates = np.sort(data.draw(st.lists(st.floats(0.1, 1.0), min_size=n_vars,
+                                           max_size=n_vars)))
+        scheme = RegularizationScheme.by_weight(k * rates[0])
+    else:
+        rates = np.ones(n_vars)
+        scheme = RegularizationScheme.by_max_order(k, rates)
+    basis = enumerate_basis(n_vars, scheme, rates)
+    np.testing.assert_array_equal(basis.orders, legacy_enumeration(n_vars, rates, scheme))
+    # labels: each row's variables with multiplicity, ascending, padded with N
+    width = basis.max_degree
+    labels = [sorted(np.repeat(np.arange(n_vars), row)) for row in basis.orders]
+    np.testing.assert_array_equal(
+        basis.labels, [lab + [n_vars] * (width - len(lab)) for lab in labels])
+    np.testing.assert_array_equal(basis.label_positions(basis.labels), np.arange(len(basis)))
+
+
+def orders_digest(basis):
+    return hashlib.sha256(np.ascontiguousarray(basis.orders).tobytes()).hexdigest()
+
+
+def test_enumeration_pinned():
+    # sha256 of the int32 orders of the NSE-40 K = 3 basis of
+    # configs/nse_taylor_green.json and of the r = 1.6 weight-rule basis of
+    # configs/audits_bounded_oscillator.json (rates 0.1, 0.1)
+    from kolmsim.systems import nse_system
+
+    rates = nse_system(40, 0.1, 1e-5).rates
+    basis = enumerate_basis(40, RegularizationScheme.by_max_order(3, rates), rates)
+    assert orders_digest(basis) == \
+        "00e8d679e9653f5880f938fcc5df96db2e3807c5cc0d5b3bea336d3ec67e2dc0"
+    wbasis = enumerate_basis(2, RegularizationScheme.by_weight(1.6), (0.1, 0.1))
+    assert len(wbasis) == 152
+    assert orders_digest(wbasis) == \
+        "205bd1a9c405ae5f3864ae4ae3b38d91c1446943d27fd21fd973948229c9150d"
 
 
 def test_monotone_graded_enumeration():

@@ -7,6 +7,8 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kolmsim.errors import BasisError, DriftError
 from kolmsim.hermite import (
@@ -34,6 +36,7 @@ from kolmsim.systems import (
     GATE_MATRICES,
     clock_drift,
     clock_system,
+    nse_system,
     oscillator_system,
     random_real_circuit,
 )
@@ -393,6 +396,54 @@ def test_cubic_ladder_matrix_pinned():
     mat = spec.nonlinear.assemble(basis_for(spec, 16), spec)
     assert csr_digest(mat) == \
         "7dfcb2d18b493d004ba86555caad5717812b1f3e452a79d044e78194dabfadc2"
+
+
+def test_nse_taylor_green_operator_pinned():
+    # sha256 of the NSE-40 K = 3 advection matrix's CSR arrays, raw and
+    # skew-symmetrised (the operator of configs/nse_taylor_green.json); any
+    # change in how the NSE assembly rounds or orders its entries shows here
+    spec = nse_system(40, 0.1, 1e-5)
+    basis = basis_for(spec, 3)
+    raw = spec.nonlinear.assemble(basis, spec)
+    assert csr_digest(raw) == \
+        "89354e0091d6bf2aa6f8324a4b9ced03fb278b9b0c72a58a2fde1153dec87412"
+    op = assemble_nonlinear_drift(basis, spec).matrix
+    assert csr_digest(op) == \
+        "86725e1b020b02466d1effed4184cba6630be004811d24dd54e69445eeadc296"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 4), st.booleans(), st.data())
+def test_ladder_targets_match_dense_lookup(n_vars, k, by_weight, data):
+    # each candidate overwrites one or two label slots of a basis row; its
+    # target is the dense row with the old label's quantum removed and the
+    # new label's added (the padding label N stands for no quantum)
+    rates = np.linspace(0.3, 0.9, n_vars)
+    scheme = (RegularizationScheme.by_weight(0.3 * k + 0.05) if by_weight
+              else RegularizationScheme.by_max_order(k, rates))
+    basis = enumerate_basis(n_vars, scheme, rates)
+    width = basis.max_degree
+    table = {tuple(int(v) for v in row): i for i, row in enumerate(basis.orders)}
+    n_edits = min(2, width)
+    cands = data.draw(st.lists(st.tuples(
+        st.integers(0, len(basis) - 1),
+        st.lists(st.integers(0, width - 1), min_size=n_edits, max_size=n_edits, unique=True),
+        st.lists(st.integers(0, n_vars), min_size=n_edits, max_size=n_edits)),
+        min_size=1, max_size=25))
+    expected = []
+    for col, slots, labels in cands:
+        dense = np.append(basis.orders[col], 0)
+        for slot, label in zip(slots, labels):
+            dense[basis.labels[col, slot]] -= 1
+            dense[label] += 1
+        expected.append(table.get(tuple(int(v) for v in dense[:n_vars]), -1))
+    cols = np.array([c for c, _, _ in cands])
+    edits = [(np.array([s[e] for _, s, _ in cands]), np.array([lb[e] for _, _, lb in cands]))
+             for e in range(n_edits)]
+    rows, hit = operators._ladder_hits(basis, cols, edits)
+    expected = np.array(expected)
+    np.testing.assert_array_equal(hit, np.nonzero(expected >= 0)[0])
+    np.testing.assert_array_equal(rows, expected[hit])
 
 
 def test_nonlinear_skew_exact():

@@ -129,13 +129,17 @@ def test_observable_degree_cap(ctx):
 
 
 def test_combination_state_linearity(ctx):
+    # x1^3 shares its He_1 coefficient with x1, so two terms add into one
+    # entry; they are summed in term order, as the vector sum below does
     basis = basis_for(ctx, 3)
     u_a = MonomialObservable((1, 0), ctx)
     u_b = MonomialObservable((0, 1), ctx)
-    combo = combination_state([(2.0, u_a), (-0.5, u_b)], basis)
+    u_c = MonomialObservable((3, 0), ctx)
+    combo = combination_state([(2.0, u_a), (-0.5, u_b), (1.5, u_c)], basis)
     manual = 2.0 * initial_state(u_a, basis).coefficients \
-        - 0.5 * initial_state(u_b, basis).coefficients
-    np.testing.assert_allclose(combo.coefficients, manual, rtol=1e-15)
+        - 0.5 * initial_state(u_b, basis).coefficients \
+        + 1.5 * initial_state(u_c, basis).coefficients
+    np.testing.assert_array_equal(combo.coefficients, manual)
 
 
 def test_readout_unit_coefficient(ctx):

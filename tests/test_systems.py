@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from kolmsim import systems
 from kolmsim.errors import DriftError
 from kolmsim.multiindex import RegularizationScheme, enumerate_basis
 from kolmsim.operators import assemble_nonlinear_drift, verify_divergence_free
@@ -212,6 +213,46 @@ def test_nse_full_raw_matrix_matches_independent_oracle():
                         for n in basis.orders] for m in basis.orders])
     assert raw.shape == (83, 83)
     np.testing.assert_allclose(raw, oracle, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("rule", ["order", "weight"])
+def test_nse_landing_candidates_match_brute_force(monkeypatch, rule):
+    # the assembly ranks only candidates that can land; a sweep over every
+    # (k, column, triple, move) with a dense target and a dict lookup must
+    # find the same (column, target) pairs, in the same order
+    spec = nse_system(n_modes=12, nu=0.1, q=1e-3)
+    scheme = (RegularizationScheme.by_max_order(3, spec.rates) if rule == "order"
+              else RegularizationScheme.by_weight(3.5 * spec.rates[0]))
+    basis = enumerate_basis(spec.n_vars, scheme, spec.rates)
+    assert basis.max_degree == 3
+    landed, ladder_hits = [], systems._ladder_hits
+
+    def recording(basis_, cols, edits):
+        rows, hit = ladder_hits(basis_, cols, edits)
+        landed.extend(zip(cols[hit].tolist(), rows.tolist()))
+        return rows, hit
+
+    monkeypatch.setattr(systems, "_ladder_hits", recording)
+    spec.nonlinear.assemble(basis, spec)
+
+    table = {tuple(int(v) for v in row): i for i, row in enumerate(basis.orders)}
+    expected = []
+    for k in sorted({t[0] for t in spec.nonlinear.triples}):
+        triples = [t for t in spec.nonlinear.triples if t[0] == k]
+        for col, m in enumerate(basis.orders):
+            if m[k] == 0:
+                continue
+            for _, i, j, _ in triples:
+                for di, dj in ((1, 1), (1, -1), (-1, 1)):
+                    target = m.copy()
+                    target[k] -= 1
+                    target[i] += di
+                    target[j] += dj
+                    pos = table.get(tuple(int(v) for v in target), -1)
+                    if pos >= 0 and target.min() >= 0:
+                        expected.append((col, pos))
+    assert len(expected) > 0
+    assert landed == expected
 
 
 def test_nse_raw_assembly_skew():
