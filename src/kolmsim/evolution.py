@@ -1,6 +1,7 @@
 """Time evolution of the projected Kolmogorov equation.
 
-The coefficient vector obeys d psi/dt = (-A + B + C) psi with A diagonal
+Each evolver maps a `states.KEState` to the state(s) it reaches.  The
+coefficient vector obeys d psi/dt = (-A + B + C) psi with A diagonal
 positive and B, C skew, so the squared norm can only decrease.  Runs evolve
 by exact exponential actions: `evolve_reference` always through `expm_multiply`
 (Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011) 488-511), `evolve_expm` by
@@ -32,31 +33,9 @@ from .operators import (
     assemble_nonlinear_drift,
     operator_norm_estimate,
 )
+from .states import KEState, initial_state
 
 DENSE_EXP_LIMIT = 2000  # above this, exponentials act through expm_multiply
-
-
-@dataclass
-class KEState:
-    """Coefficient vector over a basis at one instant."""
-
-    coefficients: np.ndarray
-    basis: BasisSet
-    t: float = 0.0
-
-    def __post_init__(self):
-        coeff = np.asarray(self.coefficients, dtype=float)
-        if coeff.shape != (len(self.basis),):
-            raise NumericalError("coefficient vector does not match the basis size")
-        if not np.all(np.isfinite(coeff)):
-            raise NumericalError("non-finite coefficients")
-        self.coefficients = coeff
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coefficients))
-
-    def norm_sq(self) -> float:
-        return float(self.coefficients @ self.coefficients)
 
 
 @dataclass(frozen=True)
@@ -197,8 +176,6 @@ def regularization_gap(spec, u0, t: float, r_values, r_large: float) -> dict:
     propagator of step t/32, applied over the uniform 32-step grid.  Each row
     holds sup_t ||gap||^2 against the bound 3 gamma^2 / (2 r) * ||psi(0)||^2 (finite J).
     """
-    from .states import initial_state  # deferred: states imports evolution types
-
     gamma = spec.gamma()
     if not math.isfinite(gamma):
         raise NumericalError(

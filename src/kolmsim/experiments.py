@@ -315,7 +315,7 @@ def build_system(kind: str, system: dict) -> SystemSpec:
 
 
 def _default_observable(spec) -> MonomialObservable:
-    return MonomialObservable((1,) + (0,) * (spec.n_vars - 1), spec.context)
+    return MonomialObservable((1,) + (0,) * (spec.n_vars - 1), spec)
 
 
 # ---------------------------------------------------------------- audit bundle
@@ -413,9 +413,8 @@ def run_audits(spec, ops: KEOperators, seed: int = 0,
         x = np.zeros(spec.n_vars)
         i = int(rng.integers(spec.n_vars))
         x[i] = math.sqrt(rng.uniform(0.5, 6.0) * spec.noise / spec.rates[i])
-        ctx = spec.context
-        k = truncation_order_for(x, ctx, 1e-6 * math.sqrt(readout_norm_sq(x, ctx)))
-        ratio = readout_norm_sq(x, ctx, truncation=k) / readout_norm_sq(x, ctx)
+        k = truncation_order_for(x, spec, 1e-6 * math.sqrt(readout_norm_sq(x, spec)))
+        ratio = readout_norm_sq(x, spec, truncation=k) / readout_norm_sq(x, spec)
         readout_rows.append({"exponent": float(spec.rates[i] * x[i] ** 2 / spec.noise),
                              "truncation": k, "ratio": ratio,
                              "passed": 1 - 1e-10 <= ratio <= 1 + 1e-12})
@@ -442,9 +441,8 @@ MC_HEADER = ["t", "mean", "se", "n_blowups"]  # mc_curve.csv; header-only withou
 def run_oscillator(cfg: dict, seed: int, threads: int) -> tuple:
     """Each order's Galerkin curve against the Monte Carlo oracle, for any system kind."""
     spec = build_system(cfg["system"]["kind"], cfg["system"])
-    ctx = spec.context
     x0 = np.array(_per_variable(cfg, "initial_point", spec.n_vars, 1.0))
-    u0 = MonomialObservable(tuple(_per_variable(cfg, "observable", spec.n_vars, 1)), ctx)
+    u0 = MonomialObservable(tuple(_per_variable(cfg, "observable", spec.n_vars, 1)), spec)
     times = np.linspace(0.0, cfg["times"]["t_max"], cfg["times"]["n_points"])
     orders = cfg["basis"]["orders"]
 
@@ -459,7 +457,7 @@ def run_oscillator(cfg: dict, seed: int, threads: int) -> tuple:
             audited = ops
         states = evolve_reference(initial_state(u0, ops.basis), ops, float(times[-1]),
                                   n_points=times.size)
-        values = expectation(states, x0, order, ctx) + u0.mean()
+        values = expectation(states, x0, order, spec) + u0.mean()
         report = compare(run, values)
         curve_rows.extend((t, order, v) for t, v in zip(times, values))
         comparison_rows.extend(
@@ -485,7 +483,6 @@ def run_nse_taylor_green(cfg: dict, seed: int, threads: int) -> tuple:
     system = cfg["system"]
     n_modes, nu = system["modes"], system["nu"]
     spec = build_system("nse", system)
-    ctx = spec.context
     table = spec.nonlinear.table
     order, t_final, xi2 = cfg["basis"]["order"], cfg["time"], cfg["probe"]["xi2"]
     xi1s = np.linspace(*cfg["probe"]["xi1_range"], cfg["probe"]["count"])
@@ -494,7 +491,7 @@ def run_nse_taylor_green(cfg: dict, seed: int, threads: int) -> tuple:
     x0 = taylor_green_mode_coefficients(table, 0.0, nu)
     # adjoint readout: <r, e^{tG} psi0> = <e^{tG^T} r, psi0>, so one solve
     # from the readout state r serves every probe
-    readout = evolve_reference(readout_state(x0, ops.basis, order, ctx),
+    readout = evolve_reference(readout_state(x0, ops.basis, order, spec),
                                ops.transpose(), t_final).coefficients
 
     curve_rows, comparison_rows = [], []
@@ -503,7 +500,7 @@ def run_nse_taylor_green(cfg: dict, seed: int, threads: int) -> tuple:
         coefs = probe_functional_coefficients(table, (xi1, xi2))
         terms = [(float(c),
                   MonomialObservable(tuple(1 if j == k else 0
-                                           for j in range(n_modes)), ctx))
+                                           for j in range(n_modes)), spec))
                  for k, c in enumerate(coefs) if abs(c) > 1e-14]
         value = float(readout @ combination_state(terms, ops.basis).coefficients)
         truth = float(taylor_green(t_final, xi1, xi2, nu)[0])
@@ -551,13 +548,12 @@ def run_bqp_circuit(cfg: dict, seed: int, threads: int) -> tuple:
         ops = _order_operators(spec, 1)
         if idx == 0:
             audited = spec, ops  # the audit bundle runs on the first circuit's system
-        ctx = spec.context
         u0 = _default_observable(spec)
         psi = evolve_expm(initial_state(u0, ops.basis), ops, t)
         m_gates = len(circuit)
         x = np.zeros(spec.n_vars)
         x[m_gates * 2 ** n] = 1.0
-        value = expectation([psi], x, 1, ctx)[0]
+        value = expectation([psi], x, 1, spec)[0]
         amplitude = circuit_amplitude(circuit, n)
         identity_gap = abs(amplitude - math.exp(lam * t) * value)
         worst_identity = max(worst_identity, identity_gap)
@@ -583,7 +579,6 @@ def run_ou_sanity(cfg: dict, seed: int, threads: int) -> tuple:
     system = cfg["system"]
     lam, q, n_vars = system["lam"], system["q"], system["n_vars"]
     spec = build_system("ou", system)
-    ctx = spec.context
     x0 = np.array(_per_variable(cfg, "initial_point", n_vars, 1.0))
     times = np.linspace(0.0, cfg["times"]["t_max"], cfg["times"]["n_points"])
     samples, dt = cfg["mc"]["samples"], cfg["mc"]["dt"]
@@ -594,7 +589,7 @@ def run_ou_sanity(cfg: dict, seed: int, threads: int) -> tuple:
     exact_mean = x0[0] * np.exp(-lam * times)
     rep_mean = compare(run_mean, exact_mean)
 
-    u_sq = MonomialObservable((2,) + (0,) * (n_vars - 1), ctx)
+    u_sq = MonomialObservable((2,) + (0,) * (n_vars - 1), spec)
     run_sq = simulate(spec, x0, u_sq, times, samples, dt, seed=seed + 1,
                       n_threads=threads)
     exact_sq = q / (2 * lam) + x0[0] ** 2 * np.exp(-2 * lam * times)

@@ -16,14 +16,14 @@ quadrature routes rank dense rows with `BasisSet.positions`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import BasisError, DriftError
-from .hermite import HermiteContext, gauss_hermite_rule, he_table
-from .multiindex import BasisSet
+from .hermite import gauss_hermite_rule, he_table
+from .multiindex import BasisSet, _check_rates
 
 ASYMMETRY_TOL = 1e-10  # relative; above it, a bad drift spec or an unresolved quadrature
 DIVERGENCE_TOL = 1e-8  # absolute, on each divergence-free residual
@@ -37,7 +37,9 @@ class SystemSpec:
     """Full description of one dissipative system.
 
     `rates` are the effective per-variable dissipation rates (any viscosity
-    scaling already applied), sorted non-decreasing.  `strength` is the
+    scaling already applied), sorted non-decreasing; with the noise level q
+    they fix the Gaussian stationary measure, whose Hermite polynomials
+    scale variable i by `scalings[i]` = sqrt(2 lambda_i / q).  `strength` is the
     uniform bound J on ||c(x)|| (may be inf); `linear_strength` bounds
     |b_ij|.  The nonlinear drift object, when present, knows how to
     evaluate itself pointwise and how to assemble its Galerkin matrix.
@@ -50,14 +52,14 @@ class SystemSpec:
     nonlinear: object = None  # drift model, or None
     strength: float = 0.0  # J
     linear_strength: float = 0.0  # J1
+    scalings: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        rates = np.asarray(self.rates, dtype=float)
-        if np.any(rates <= 0) or np.any(np.diff(rates) < 0):
-            raise BasisError("rates must be positive and sorted non-decreasing")
+        rates = _check_rates(self.rates)
         if self.noise <= 0:
             raise BasisError("noise rate q must be positive")
         object.__setattr__(self, "rates", rates)
+        object.__setattr__(self, "scalings", np.sqrt(2.0 * rates / self.noise))
         if self.linear is not None:
             linear = sp.csr_matrix(self.linear)
             if linear.shape != (rates.size, rates.size):
@@ -67,10 +69,6 @@ class SystemSpec:
     @property
     def n_vars(self) -> int:
         return self.rates.size
-
-    @property
-    def context(self) -> HermiteContext:
-        return HermiteContext(rates=self.rates, noise=self.noise)
 
     def gamma(self) -> float:
         """Relative-boundedness constant J * sqrt(2/q); inf when J is."""
@@ -137,11 +135,9 @@ class QuadratureDrift:
     component (9 Mflop at n = 200, K = 8) in n^N + (K+1)^(2N) floats.
     """
 
-    def __init__(self, funcs: dict, supports: dict, ctx: HermiteContext,
-                 n_nodes: int = 200):
+    def __init__(self, funcs: dict, supports: dict, n_nodes: int = 200):
         self.funcs = funcs
         self.supports = {i: tuple(s) for i, s in supports.items()}
-        self.ctx = ctx
         self.n_nodes = n_nodes
         self.sparsity = max((len(s) for s in self.supports.values()), default=0)
 
@@ -169,7 +165,7 @@ class QuadratureDrift:
             raise DriftError("quadrature assembly is limited to N <= 3")
         rates, q = spec.rates, spec.noise
         y, w = gauss_hermite_rule(self.n_nodes)
-        axes = [y / s for s in self.ctx.scalings]
+        axes = [y / s for s in spec.scalings]
         pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
         # every axis (node j of axis v is y_j / s_v) shares one table of factor

@@ -1,12 +1,15 @@
-"""Initial states, the coherent readout vector, and expectation readout.
+"""Coefficient states: initial states, the coherent readout vector, and readout.
 
-A monomial observable prod x_i^{d_i} expands into finitely many Hermite
-coefficients; the solver always evolves the centered part (the constant
-term is the analytic mean, which callers add to the readout).  The
-readout state is the coherent embedding of the initial point x, truncated
-per variable; its inner product with the evolved coefficient vector is the
-noise-averaged expectation v(t, x), and `expectation` takes that product
-with a whole trajectory at once.
+A `KEState` is a coefficient vector over a basis at one instant; `evolution`
+maps states to states.  Everything here is expressed against the Gaussian
+measure of a `SystemSpec` (its rates, noise and scalings).  A monomial
+observable prod x_i^{d_i} expands into finitely many Hermite coefficients;
+the solver always evolves the centered part (the constant term is the
+analytic mean, which callers add to the readout).  The readout state is the
+coherent embedding of the initial point x, truncated per variable; its inner
+product with the evolved coefficient vector is the noise-averaged
+expectation v(t, x), and `expectation` takes that product with a whole
+trajectory at once.
 """
 
 from __future__ import annotations
@@ -18,12 +21,35 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import BasisError
-from .evolution import KEState
-from .hermite import HermiteContext, monomial_in_hermite
+from .errors import BasisError, NumericalError
+from .hermite import monomial_in_hermite
 from .multiindex import BasisSet
+from .operators import SystemSpec
 
 DEFAULT_DEGREE_CAP = 6
+
+
+@dataclass
+class KEState:
+    """Coefficient vector over a basis at one instant."""
+
+    coefficients: np.ndarray
+    basis: BasisSet
+    t: float = 0.0
+
+    def __post_init__(self):
+        coeff = np.asarray(self.coefficients, dtype=float)
+        if coeff.shape != (len(self.basis),):
+            raise NumericalError("coefficient vector does not match the basis size")
+        if not np.all(np.isfinite(coeff)):
+            raise NumericalError("non-finite coefficients")
+        self.coefficients = coeff
+
+    def norm(self) -> float:
+        return float(np.linalg.norm(self.coefficients))
+
+    def norm_sq(self) -> float:
+        return float(self.coefficients @ self.coefficients)
 
 
 @dataclass(frozen=True)
@@ -31,11 +57,11 @@ class MonomialObservable:
     """u0(x) = prod_i x_i^{d_i} with a small total degree."""
 
     exponents: tuple
-    ctx: HermiteContext
+    spec: SystemSpec  # the measure u0 is expanded against
 
     def __post_init__(self):
         exps = tuple(int(d) for d in self.exponents)
-        if len(exps) != self.ctx.n_vars:
+        if len(exps) != self.spec.n_vars:
             raise BasisError("exponent vector does not match the variable count")
         if any(d < 0 for d in exps):
             raise BasisError("exponents must be non-negative")
@@ -52,7 +78,7 @@ class MonomialObservable:
             if d == 0:
                 continue
             half = d // 2
-            sigma_sq = self.ctx.noise / (2.0 * self.ctx.rates[i])
+            sigma_sq = self.spec.noise / (2.0 * self.spec.rates[i])
             out *= math.factorial(d) / (2 ** half * math.factorial(half)) * sigma_sq ** half
         return out
 
@@ -62,7 +88,7 @@ class MonomialObservable:
         for i, d in enumerate(self.exponents):
             if d == 0:
                 continue
-            sigma_sq = self.ctx.noise / (2.0 * self.ctx.rates[i])
+            sigma_sq = self.spec.noise / (2.0 * self.spec.rates[i])
             out *= math.factorial(2 * d) / (2 ** d * math.factorial(d)) * sigma_sq ** d
         return out - self.mean() ** 2
 
@@ -82,7 +108,7 @@ def _monomial_terms(u0: MonomialObservable):
         if d == 0:
             per_var.append([(i, 0, 1.0)])
             continue
-        s = u0.ctx.scalings[i]
+        s = u0.spec.scalings[i]
         entries = []
         for p, coeff in monomial_in_hermite(d):
             entries.append((i, p, coeff * math.sqrt(math.factorial(p)) / s ** d))
@@ -123,47 +149,45 @@ def _support(x) -> list:
     return [int(i) for i in np.nonzero(np.asarray(x))[0]]
 
 
-def readout_state(x, basis: BasisSet, truncation: int, ctx: HermiteContext) -> KEState:
+def readout_state(x, basis: BasisSet, truncation: int, spec: SystemSpec) -> KEState:
     """Truncated coherent embedding of x as a vector over the basis.
 
-    Its entries live on the support of x with per-variable order at most
-    `truncation`, at most (truncation+1)^s of them; the entry of orders p
-    is prod_i a_i^{p_i} / sqrt(p_i!) with a_i = x_i * scaling_i.
+    Its entries sit on the basis rows that live on the support of x with
+    every order at most `truncation` (at most len(basis) of them, however
+    many variables x touches); the entry of orders p is
+    prod_i a_i^{p_i} / sqrt(p_i!) with a_i = x_i * scaling_i.
     """
     x = np.asarray(x, dtype=float)
     if x.size != basis.n_vars:
         raise BasisError("readout point dimension does not match the basis")
     support = _support(x)
-    shape = (truncation + 1,) * len(support)
-    grid = np.indices(shape).reshape(len(support), math.prod(shape)).T
-    rows = np.zeros((len(grid), basis.n_vars), dtype=np.int64)
-    rows[:, support] = grid
-    pos = basis.positions(rows)
-    hit = pos >= 0
-    amps = x[support] * ctx.scalings[support]
+    orders = basis.orders[:, support]
+    hit = np.flatnonzero((orders.sum(axis=1) == basis.degrees)
+                         & (orders <= truncation).all(axis=1))
+    amps = x[support] * spec.scalings[support]
     # factors[j, p] = a_j^p / sqrt(p!); scalar pow, because numpy's array
     # power can differ from it in the last bit
     factors = np.array([[a ** p / math.sqrt(math.factorial(p)) for p in range(truncation + 1)]
                         for a in amps]).reshape(len(support), truncation + 1)
     coeffs = np.zeros(len(basis))
-    coeffs[pos[hit]] = np.prod(factors[np.arange(len(support)), grid[hit]], axis=1)
+    coeffs[hit] = np.prod(factors[np.arange(len(support)), orders[hit]], axis=1)
     return KEState(coeffs, basis, 0.0)
 
 
-def expectation(states, x, truncation: int, ctx: HermiteContext) -> np.ndarray:
+def expectation(states, x, truncation: int, spec: SystemSpec) -> np.ndarray:
     """v(t, x) = <readout(x), psi(t)> for each state of a trajectory on one basis.
 
     The readout acts as a sparse vector on the stacked trajectory, so each
     value sums its terms in basis order whatever the number of states (BLAS
     products do not).
     """
-    readout = readout_state(x, states[0].basis, truncation, ctx).coefficients
+    readout = readout_state(x, states[0].basis, truncation, spec).coefficients
     nz = np.flatnonzero(readout)
     row = sp.csr_array((readout[nz], nz, [0, nz.size]), shape=readout.shape)
     return row @ np.stack([s.coefficients for s in states], axis=1)
 
 
-def readout_norm_sq(x, ctx: HermiteContext, truncation: int | None = None) -> float:
+def readout_norm_sq(x, spec: SystemSpec, truncation: int | None = None) -> float:
     """Squared norm of the (truncated) coherent state.
 
     Untruncated, this is exactly exp(2 ||x||_lambda^2 / q); the truncated
@@ -172,15 +196,15 @@ def readout_norm_sq(x, ctx: HermiteContext, truncation: int | None = None) -> fl
     """
     x = np.asarray(x, dtype=float)
     if truncation is None:
-        return float(np.exp(2.0 * (ctx.rates @ x ** 2) / ctx.noise))
+        return float(np.exp(2.0 * (spec.rates @ x ** 2) / spec.noise))
     out = 1.0
     for i in _support(x):
-        a = 2.0 * ctx.rates[i] * x[i] ** 2 / ctx.noise
+        a = 2.0 * spec.rates[i] * x[i] ** 2 / spec.noise
         out *= sum(a ** m / math.factorial(m) for m in range(truncation + 1))
     return out
 
 
-def truncation_order_for(x, ctx: HermiteContext, eps: float) -> int:
+def truncation_order_for(x, spec: SystemSpec, eps: float) -> int:
     """Per-variable order sufficient for ||psi_out - phi_out|| <= eps.
 
     k = max_i 8 lambda_i x_i^2 / (q ln 2) + 2 log2(1/delta) with
@@ -189,8 +213,8 @@ def truncation_order_for(x, ctx: HermiteContext, eps: float) -> int:
     x = np.asarray(x, dtype=float)
     support = _support(x)
     s = max(len(support), 1)
-    norm = math.sqrt(readout_norm_sq(x, ctx))
+    norm = math.sqrt(readout_norm_sq(x, spec))
     delta = eps / (s * norm)
-    peak = max((8.0 * ctx.rates[i] * x[i] ** 2 / (ctx.noise * math.log(2))
+    peak = max((8.0 * spec.rates[i] * x[i] ** 2 / (spec.noise * math.log(2))
                 for i in support), default=0.0)
     return max(int(math.ceil(peak + 2.0 * math.log2(1.0 / delta))), 0)

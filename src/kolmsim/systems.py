@@ -16,7 +16,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import BasisError, DriftError
-from .hermite import HermiteContext
 from .multiindex import BasisSet, RegularizationScheme, _ragged, enumerate_basis
 from .operators import QuadratureDrift, SystemSpec, _ladder_hits
 
@@ -95,7 +94,6 @@ def oscillator_system(lam: float = 0.1, q: float = 0.02,
     (J = 1/2) and is routed to quadrature assembly.
     """
     rates = np.array([lam, lam], dtype=float)
-    ctx = HermiteContext(rates=rates, noise=q)
     if profile == "cubic":
         drift = OscillatorLadderDrift(lam, q)
         strength = math.inf  # sup r (1 + r^2) diverges
@@ -105,7 +103,7 @@ def oscillator_system(lam: float = 0.1, q: float = 0.02,
 
         funcs = {0: lambda x: x[..., 1] * omega(x),
                  1: lambda x: -x[..., 0] * omega(x)}
-        drift = QuadratureDrift(funcs, {0: (0, 1), 1: (0, 1)}, ctx)
+        drift = QuadratureDrift(funcs, {0: (0, 1), 1: (0, 1)})
         strength = 0.5
     else:
         raise DriftError(f"unknown oscillator profile {profile!r}")

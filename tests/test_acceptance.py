@@ -25,7 +25,6 @@ from kolmsim.evolution import (
     regularization_gap,
     smoothing_bound_audit,
 )
-from kolmsim.hermite import HermiteContext, gaussian_quadrature, h_norm
 from kolmsim.montecarlo import compare, simulate
 from kolmsim.multiindex import RegularizationScheme, enumerate_basis
 from kolmsim.operators import (
@@ -53,6 +52,7 @@ from kolmsim.systems import (
     taylor_green,
     taylor_green_mode_coefficients,
 )
+from oracles import gaussian_quadrature, h_norm
 
 OSC_LAM, OSC_Q = 0.1, 0.02
 MC_SAMPLES = 250_000
@@ -79,7 +79,7 @@ def basis_for(spec, order):
 @pytest.fixture(scope="module")
 def oscillator_mc():
     spec = oscillator_system(OSC_LAM, OSC_Q)
-    u0 = MonomialObservable((1, 0), spec.context)
+    u0 = MonomialObservable((1, 0), spec)
     times = np.linspace(0.0, 25.0, 101)
     run = simulate(spec, np.array([1.0, 0.0]), u0, times, MC_SAMPLES, MC_DT,
                    seed=20240501, n_threads=N_THREADS)
@@ -89,7 +89,6 @@ def oscillator_mc():
 @pytest.fixture(scope="module")
 def oscillator_curves(oscillator_mc):
     spec, u0, times, _ = oscillator_mc
-    ctx = spec.context
     x0 = np.array([1.0, 0.0])
     curves = {}
     trajectories = {}
@@ -97,7 +96,7 @@ def oscillator_curves(oscillator_mc):
         basis = basis_for(spec, order)
         ops = assemble_all(basis, spec)
         states = evolve_rk45(initial_state(u0, basis), ops, 25.0, t_eval=times)
-        curves[order] = expectation(states, x0, order, ctx)
+        curves[order] = expectation(states, x0, order, spec)
         trajectories[order] = states
     return curves, trajectories
 
@@ -139,7 +138,6 @@ def test_supplementary_oscillator_convergence(oscillator_mc, oscillator_curves):
 def test_criterion_2_taylor_green():
     nu, q, order, t_final = 0.1, 1e-5, 3, 0.25
     spec = nse_system(40, nu, q)
-    ctx = spec.context
     table = spec.nonlinear.table
     basis = basis_for(spec, order)
     ops = assemble_all(basis, spec)
@@ -148,10 +146,10 @@ def test_criterion_2_taylor_green():
     for xi1 in np.linspace(0.05, 0.95, 10):
         coefs = probe_functional_coefficients(table, (xi1, 0.25))
         terms = [(float(c), MonomialObservable(
-            tuple(1 if j == k else 0 for j in range(40)), ctx))
+            tuple(1 if j == k else 0 for j in range(40)), spec))
             for k, c in enumerate(coefs) if abs(c) > 1e-14]
         psi = evolve_rk45(combination_state(terms, basis), ops, t_final)
-        value = expectation([psi], x0, order, ctx)[0]
+        value = expectation([psi], x0, order, spec)[0]
         truth = float(taylor_green(t_final, xi1, 0.25, nu)[0])
         errors.append(abs(value - truth))
     ok = report(2, "Taylor-Green validation (N=40, K=3, 10 probes)",
@@ -168,14 +166,13 @@ def test_criterion_3_bqp_identity():
         m = int(rng.integers(1, 5))
         circuit = random_real_circuit(rng, n, m, max_arity=2)
         spec = clock_system(circuit, n, lam=0.1, q=0.1)
-        ctx = spec.context
         basis = basis_for(spec, 1)
         ops = assemble_all(basis, spec)
-        u0 = MonomialObservable((1,) + (0,) * (spec.n_vars - 1), ctx)
+        u0 = MonomialObservable((1,) + (0,) * (spec.n_vars - 1), spec)
         psi = evolve_expm(initial_state(u0, basis), ops, 1.0)
         x = np.zeros(spec.n_vars)
         x[m * 2 ** n] = 1.0
-        value = expectation([psi], x, 1, ctx)[0]
+        value = expectation([psi], x, 1, spec)[0]
         amplitude = circuit_amplitude(circuit, n)
         worst_identity = max(worst_identity, abs(amplitude - math.exp(0.1) * value))
         worst_bound = max(worst_bound, abs(amplitude - value))
@@ -188,7 +185,7 @@ def test_criterion_3_bqp_identity():
 
 def test_criterion_4_regularization_bound():
     spec = oscillator_system(lam=0.1, q=0.1, profile="bounded")
-    u0 = MonomialObservable((1, 0), spec.context)
+    u0 = MonomialObservable((1, 0), spec)
     block = regularization_gap(spec, u0, t=5.0, r_values=[0.2, 0.4, 0.8], r_large=1.6)
     rows = [f"r={row['r']}: {row['measured_sup_sq']:.3e} <= {row['bound']:.3e}"
             for row in block["rows"]]
@@ -199,16 +196,16 @@ def test_criterion_4_regularization_bound():
 
 def test_criterion_5_exact_identities():
     # readout norm identity
-    ctx = HermiteContext(rates=np.array([0.1, 0.1]), noise=0.02)
+    spec = SystemSpec(name="measure", rates=np.array([0.1, 0.1]), noise=0.02)
     x = np.array([1.0, 0.0])
-    k = truncation_order_for(x, ctx, 1e-7 * math.sqrt(readout_norm_sq(x, ctx)))
-    ratio = readout_norm_sq(x, ctx, k) / math.exp(10.0)
+    k = truncation_order_for(x, spec, 1e-7 * math.sqrt(readout_norm_sq(x, spec)))
+    ratio = readout_norm_sq(x, spec, k) / math.exp(10.0)
     readout_ok = abs(ratio - 1.0) <= 1e-10
     rng = np.random.default_rng(2)
     for _ in range(10):
         rates = np.sort(rng.uniform(0.05, 0.6, size=3))
         q = rng.uniform(0.05, 0.3)
-        c = HermiteContext(rates=rates, noise=q)
+        c = SystemSpec(name="measure", rates=rates, noise=q)
         xv = np.zeros(3)
         i = int(rng.integers(3))
         xv[i] = math.sqrt(rng.uniform(0.5, 6.0) * q / rates[i])
@@ -218,24 +215,24 @@ def test_criterion_5_exact_identities():
 
     # initial-state norms against the closed form
     norm_ok = True
-    basis = enumerate_basis(2, RegularizationScheme.by_max_order(8, ctx.rates),
-                            ctx.rates)
+    basis = enumerate_basis(2, RegularizationScheme.by_max_order(8, spec.rates),
+                            spec.rates)
     for exponents in [(1, 0), (0, 2), (2, 1), (2, 2), (1, 3), (0, 4)]:
-        u0 = MonomialObservable(exponents, ctx)
+        u0 = MonomialObservable(exponents, spec)
         psi = initial_state(u0, basis)
         closed = u0.centered_norm_sq()
         norm_ok = norm_ok and abs(psi.norm_sq() - closed) <= 1e-12 * closed
 
     # orthonormality by quadrature
     ortho_err = 0.0
-    small = enumerate_basis(2, RegularizationScheme.by_max_order(4, ctx.rates),
-                            ctx.rates)
+    small = enumerate_basis(2, RegularizationScheme.by_max_order(4, spec.rates),
+                            spec.rates)
     rows = small.orders.tolist()
     for a in rows:
         for b in rows:
             val = gaussian_quadrature(
-                lambda pts: h_norm(a, pts, ctx) * h_norm(b, pts, ctx),
-                ctx, 64)
+                lambda pts: h_norm(a, pts, spec) * h_norm(b, pts, spec),
+                spec, 64)
             ortho_err = max(ortho_err, abs(val - (1.0 if a == b else 0.0)))
     ok = report(5, "exact identities (readout norm, initial norms, orthonormality)",
                 readout_ok and norm_ok and ortho_err <= 1e-10,
@@ -283,7 +280,7 @@ def test_criterion_7_dynamics_invariants(oscillator_curves):
     spec = oscillator_system(OSC_LAM, OSC_Q)
     basis = basis_for(spec, 4)
     ops = assemble_all(basis, spec)
-    psi0 = initial_state(MonomialObservable((1, 0), spec.context), basis)
+    psi0 = initial_state(MonomialObservable((1, 0), spec), basis)
     t = 2.0
     ref = evolve_expm(psi0, ops, t)
     steps = np.array([8, 16, 32, 64, 128])
@@ -299,16 +296,15 @@ def test_criterion_7_dynamics_invariants(oscillator_curves):
 def test_criterion_8_mc_oracle_sanity():
     lam, q = 0.5, 0.2
     spec = SystemSpec(name="ou", rates=np.array([lam]), noise=q)
-    ctx = spec.context
     times = np.array([0.0, 0.5, 1.0, 2.0, 4.0])
 
-    mean_run = simulate(spec, np.array([1.0]), MonomialObservable((1,), ctx),
+    mean_run = simulate(spec, np.array([1.0]), MonomialObservable((1,), spec),
                         times, 100_000, MC_DT, seed=31, n_threads=N_THREADS)
     mean_gap = np.abs(mean_run.mean - np.exp(-lam * times))
     mean_ok = bool(np.all(mean_gap <= 3 * np.maximum(mean_run.se, 1e-12)))
 
     # x0 = 0 with stationary initial noise keeps E X^2 = q/(2 lam) at all times
-    var_run = simulate(spec, np.array([0.0]), MonomialObservable((2,), ctx),
+    var_run = simulate(spec, np.array([0.0]), MonomialObservable((2,), spec),
                        times, 100_000, MC_DT, seed=32, n_threads=N_THREADS)
     var_gap = np.abs(var_run.mean - q / (2 * lam))
     var_ok = bool(np.all(var_gap <= 3 * var_run.se))

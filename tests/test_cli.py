@@ -167,6 +167,13 @@ def test_runs_do_not_import_scipy_integrate(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[False, False, False]"
 
 
+def test_states_do_not_import_evolution():
+    # evolution maps states to states, so it imports `states` and not the reverse
+    proc = run_python(["-c", "import sys, kolmsim.states\n"
+                             "print('kolmsim.evolution' in sys.modules)"])
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 def test_seed_override_changes_estimates(tmp_path):
     cfg_path = write_cfg(tmp_path, OU_CFG)
     out1, out2 = tmp_path / "a", tmp_path / "b"

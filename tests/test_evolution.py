@@ -11,7 +11,6 @@ from kolmsim import evolution
 from kolmsim.errors import NumericalError
 from kolmsim.evolution import (
     KEOperators,
-    KEState,
     assemble_all,
     evolve_expm,
     evolve_reference,
@@ -25,6 +24,7 @@ from kolmsim.evolution import (
 from kolmsim.multiindex import RegularizationScheme, enumerate_basis
 from kolmsim.operators import SparseOperator, SystemSpec
 from kolmsim.states import (
+    KEState,
     MonomialObservable,
     combination_state,
     expectation,
@@ -56,7 +56,7 @@ def oscillator_setup():
     spec = oscillator_system(0.1, 0.02)
     basis = basis_for(spec, 6)
     ops = assemble_all(basis, spec)
-    psi0 = initial_state(MonomialObservable((1, 0), spec.context), basis)
+    psi0 = initial_state(MonomialObservable((1, 0), spec), basis)
     return spec, basis, ops, psi0
 
 
@@ -154,7 +154,7 @@ def test_trotter_error_within_analytic_bound():
     spec = oscillator_system(lam=0.1, q=0.1, profile="bounded")
     basis = basis_for(spec, 6)
     ops = assemble_all(basis, spec)
-    psi0 = initial_state(MonomialObservable((1, 0), spec.context), basis)
+    psi0 = initial_state(MonomialObservable((1, 0), spec), basis)
     t, steps = 1.0, 32
     ref = evolve_expm(psi0, ops, t)
     tro = evolve_trotter(psi0, ops, t, steps)
@@ -196,7 +196,7 @@ def test_reference_ignores_the_global_rng(order):
     # which draws from numpy's global legacy RNG; the states must not move with it
     spec = oscillator_system(0.1, 0.02)
     ops = assemble_all(basis_for(spec, order), spec)
-    psi0 = initial_state(MonomialObservable((1, 0), spec.context), ops.basis)
+    psi0 = initial_state(MonomialObservable((1, 0), spec), ops.basis)
     runs = set()
     for seed in range(4):
         np.random.seed(seed)
@@ -236,7 +236,7 @@ def test_expm_above_dense_limit_matches_reference():
     basis = basis_for(spec, 3)
     assert len(basis) > evolution.DENSE_EXP_LIMIT
     ops = assemble_all(basis, spec)
-    psi0 = initial_state(MonomialObservable((1,) + (0,) * 23, spec.context), basis)
+    psi0 = initial_state(MonomialObservable((1,) + (0,) * 23, spec), basis)
     t = 0.25
     ref = evolve_rk45(psi0, ops, t, rtol=1e-12)
     out = evolve_expm(psi0, ops, t)
@@ -248,7 +248,6 @@ def test_adjoint_readout_matches_forward_solves():
     # under the transposed operators answers every linear observable at x0.
     # x0 is random (not Taylor-Green), so the nonlinear operator contributes.
     spec = nse_system(6, 0.1, 1e-5)
-    ctx = spec.context
     basis = basis_for(spec, 3)
     ops = assemble_all(basis, spec)
     assert ops.nonlinear.matrix.nnz
@@ -257,15 +256,15 @@ def test_adjoint_readout_matches_forward_solves():
     x0 = rng.normal(scale=0.3, size=6)
     t = 0.25
     # rtol below the default keeps each solve's own error far under 1e-9
-    readout = readout_state(x0, basis, 3, ctx)
+    readout = readout_state(x0, basis, 3, spec)
     adjoint = evolve_rk45(readout, ops.transpose(), t, rtol=1e-11).coefficients
     dense = readout.coefficients @ expm(t * ops.generator().toarray())
     for _ in range(3):
-        terms = [(float(c), MonomialObservable(tuple(int(j == k) for j in range(6)), ctx))
+        terms = [(float(c), MonomialObservable(tuple(int(j == k) for j in range(6)), spec))
                  for k, c in enumerate(rng.normal(size=6))]
         psi0 = combination_state(terms, basis)
         value = adjoint @ psi0.coefficients
-        forward = expectation([evolve_rk45(psi0, ops, t, rtol=1e-11)], x0, 3, ctx)[0]
+        forward = expectation([evolve_rk45(psi0, ops, t, rtol=1e-11)], x0, 3, spec)[0]
         assert value == pytest.approx(forward, rel=1e-9)
         assert value == pytest.approx(dense @ psi0.coefficients, rel=1e-9)
 
@@ -276,7 +275,7 @@ def test_adjoint_readout_matches_forward_solves():
 def test_regularization_gap_zero_without_drift():
     spec = SystemSpec(name="ou", rates=np.array([0.1, 0.1]), noise=0.1,
                       strength=0.0)
-    u0 = MonomialObservable((1, 0), spec.context)
+    u0 = MonomialObservable((1, 0), spec)
     block = regularization_gap(spec, u0, t=2.0, r_values=[0.2], r_large=0.8)
     [row] = block["rows"]
     assert row["measured_sup_sq"] <= 1e-20
@@ -286,7 +285,7 @@ def test_regularization_gap_zero_without_drift():
 def test_regularization_gap_bounded_oscillator():
     # the shipped audit bundle's parameters
     spec = oscillator_system(lam=0.1, q=0.1, profile="bounded")
-    u0 = MonomialObservable((1, 0), spec.context)
+    u0 = MonomialObservable((1, 0), spec)
     sups = []
     pinned = ["0x1.5c42395c306eep-5", "0x1.e139f16155202p-8", "0x1.f728184a1ceb6p-12"]
     block = regularization_gap(spec, u0, t=5.0, r_values=[0.2, 0.4, 0.8], r_large=1.6)
@@ -307,7 +306,7 @@ def test_regularization_gap_bounded_oscillator():
 def test_regularization_gap_is_zero_at_time_zero():
     # every step is e^0 = I and psi(0) = x_1 lies in each small basis
     spec = oscillator_system(lam=0.1, q=0.1, profile="bounded")
-    u0 = MonomialObservable((1, 0), spec.context)
+    u0 = MonomialObservable((1, 0), spec)
     block = regularization_gap(spec, u0, t=0.0, r_values=[0.2, 0.4, 0.8], r_large=1.6)
     assert [row["measured_sup_sq"] for row in block["rows"]] == [0.0] * 3
     assert all(row["passed"] for row in block["rows"]) and block["passed"]
@@ -317,7 +316,7 @@ def test_regularization_gap_makes_one_exponential_per_generator(monkeypatch):
     calls = []
     monkeypatch.setattr(evolution, "expm", lambda a: calls.append(a.shape) or expm(a))
     spec = oscillator_system(lam=0.1, q=0.1, profile="bounded")
-    u0 = MonomialObservable((1, 0), spec.context)
+    u0 = MonomialObservable((1, 0), spec)
     r_values = [0.2, 0.4, 0.8]
     regularization_gap(spec, u0, t=5.0, r_values=r_values, r_large=1.6)
     assert len(calls) == 1 + len(r_values), calls
@@ -328,7 +327,7 @@ def test_regularization_steps_match_direct_exponentials(t):
     spec = oscillator_system(lam=0.1, q=0.1, profile="bounded")
     basis_big = enumerate_basis(spec.n_vars, RegularizationScheme.by_weight(1.6), spec.rates)
     gen_big = assemble_all(basis_big, spec).generator()
-    psi0 = initial_state(MonomialObservable((1, 0), spec.context), basis_big).coefficients
+    psi0 = initial_state(MonomialObservable((1, 0), spec), basis_big).coefficients
     cases = [(gen_big, psi0)]
     for r in (0.2, 0.4, 0.8):
         idx = basis_big.positions(enumerate_basis(
@@ -345,7 +344,7 @@ def test_regularization_steps_match_direct_exponentials(t):
 
 def test_regularization_gap_requires_finite_strength():
     spec = oscillator_system(0.1, 0.02)  # cubic profile, J = inf
-    u0 = MonomialObservable((1, 0), spec.context)
+    u0 = MonomialObservable((1, 0), spec)
     with pytest.raises(NumericalError):
         regularization_gap(spec, u0, t=1.0, r_values=[0.2], r_large=0.4)
 
@@ -353,7 +352,7 @@ def test_regularization_gap_requires_finite_strength():
 @pytest.mark.parametrize("r_values", [[0.2, 0.8], [0.0]])
 def test_regularization_gap_checks_every_cutoff(r_values):
     spec = oscillator_system(lam=0.1, q=0.1, profile="bounded")
-    u0 = MonomialObservable((1, 0), spec.context)
+    u0 = MonomialObservable((1, 0), spec)
     with pytest.raises(NumericalError, match="0 < r_small <= r_large"):
         regularization_gap(spec, u0, t=1.0, r_values=r_values, r_large=0.4)
 

@@ -21,11 +21,11 @@ def ou_spec(lam=0.5, q=0.2, n_vars=1):
 
 
 def x_obs(spec):
-    return MonomialObservable((1,) + (0,) * (spec.n_vars - 1), spec.context)
+    return MonomialObservable((1,) + (0,) * (spec.n_vars - 1), spec)
 
 
 def xsq_obs(spec):
-    return MonomialObservable((2,) + (0,) * (spec.n_vars - 1), spec.context)
+    return MonomialObservable((2,) + (0,) * (spec.n_vars - 1), spec)
 
 
 def test_ou_mean_matches_analytic():
@@ -75,7 +75,7 @@ def test_seeded_determinism_and_thread_independence():
 def test_multi_chunk_estimates_independent_of_threads():
     # two chunks, so two threads really split the work
     spec = oscillator_system(0.1, 0.02)
-    u0 = MonomialObservable((2, 1), spec.context)
+    u0 = MonomialObservable((2, 1), spec)
     times = np.array([0.0, 0.1, 0.3])
     runs = [simulate(spec, np.array([1.0, 0.5]), u0, times, CHUNK_SIZE + 500, 0.01,
                      seed=99, n_threads=threads) for threads in (1, 2)]
@@ -101,7 +101,7 @@ def test_oscillator_kernel_matches_allocating_drift():
     spec = oscillator_system(0.1, 0.02)
     wrapped = SystemSpec(name="wrapped", rates=spec.rates, noise=spec.noise,
                          nonlinear=AllocatingDrift(), strength=spec.strength)
-    u0 = MonomialObservable((1, 1), spec.context)
+    u0 = MonomialObservable((1, 1), spec)
     times = np.array([0.0, 0.5, 1.5])
     a, b = (simulate(s, np.array([1.0, -0.5]), u0, times, 700, 0.005, seed=5)
             for s in (spec, wrapped))
@@ -112,7 +112,7 @@ def test_cubic_oscillator_pinned_values():
     # pinned mean and SE: any change in stream consumption or step
     # arithmetic moves them
     spec = oscillator_system(0.1, 0.02)
-    u0 = MonomialObservable((1, 0), spec.context)
+    u0 = MonomialObservable((1, 0), spec)
     run = simulate(spec, np.array([1.0, 0.0]), u0, np.array([0.0, 0.5, 2.0]),
                    400, 0.01, seed=2024)
     assert [m.hex() for m in run.mean] == [
@@ -213,7 +213,7 @@ def test_linear_system_within_noise_of_closed_form():
     x0 = np.zeros(spec.n_vars)
     x0[2 * 2] = 1.0  # clock register at its final slot
     times = np.array([0.0, 0.5, 1.0])
-    u0 = MonomialObservable((1,) + (0,) * (spec.n_vars - 1), spec.context)
+    u0 = MonomialObservable((1,) + (0,) * (spec.n_vars - 1), spec)
     run = simulate(spec, x0, u0, times, n_samples=40000, dt=dt, seed=17,
                    n_threads=N_THREADS)
     discrete = np.array([(np.linalg.matrix_power(step, round(t / dt)) @ x0)[0]

@@ -11,14 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kolmsim.errors import BasisError, DriftError
-from kolmsim.hermite import (
-    HermiteContext,
-    gauss_hermite_rule,
-    gaussian_quadrature,
-    h_norm,
-    he_table,
-    hermite_triple_product,
-)
+from kolmsim.hermite import gauss_hermite_rule, he_table
 from kolmsim import operators
 from kolmsim.multiindex import RegularizationScheme, enumerate_basis
 from kolmsim.operators import (
@@ -40,6 +33,7 @@ from kolmsim.systems import (
     oscillator_system,
     random_real_circuit,
 )
+from oracles import gaussian_quadrature, h_norm, hermite_triple_product
 
 
 class CoefficientTableDrift:
@@ -50,11 +44,12 @@ class CoefficientTableDrift:
     the ladder algebra.
 
     `supports[i]` lists the variables c_i touches; `terms[i]` holds
-    (orders-over-support, coefficient) pairs in the context-normalized
-    Hermite basis, so c_i(x) = sum coeff * prod_v He_{p_v}(x_v s_v)/sqrt(p_v!).
+    (orders-over-support, coefficient) pairs in the normalized Hermite basis
+    of `measure` (a SystemSpec), so
+    c_i(x) = sum coeff * prod_v He_{p_v}(x_v s_v)/sqrt(p_v!).
     """
 
-    def __init__(self, supports: dict, terms: dict, ctx: HermiteContext):
+    def __init__(self, supports: dict, terms: dict, measure: SystemSpec):
         for i, sup in supports.items():
             for orders, _ in terms.get(i, []):
                 if len(orders) != len(sup):
@@ -66,7 +61,7 @@ class CoefficientTableDrift:
                 raise DriftError(f"coefficient table references undeclared function c_{i}")
         self.supports = {i: tuple(sup) for i, sup in supports.items()}
         self.terms = {i: [(tuple(p), float(c)) for p, c in tt] for i, tt in terms.items()}
-        self.ctx = ctx
+        self.measure = measure
         self.sparsity = max((len(s) for s in self.supports.values()), default=0)
 
     def _factor_values(self, i, x):
@@ -74,7 +69,7 @@ class CoefficientTableDrift:
         x = np.asarray(x, dtype=float)
         sup = self.supports[i]
         max_deg = max((max(p) for p, _ in self.terms[i]), default=0)
-        tables = {v: he_table(max_deg, x[..., v] * self.ctx.scalings[v]) for v in sup}
+        tables = {v: he_table(max_deg, x[..., v] * self.measure.scalings[v]) for v in sup}
         total = np.zeros(x.shape[:-1])
         for p, coeff in self.terms[i]:
             term = np.full(x.shape[:-1], coeff)
@@ -105,10 +100,10 @@ class CoefficientTableDrift:
                     continue
                 q = list(p)
                 q[pos] -= 1
-                scale = math.sqrt(2 * p[pos] * self.ctx.rates[i] / self.ctx.noise)
+                scale = math.sqrt(2 * p[pos] * self.measure.rates[i] / self.measure.noise)
                 lowered.append((tuple(q), coeff * scale))
             if lowered:
-                probe = CoefficientTableDrift({i: sup}, {i: lowered}, self.ctx)
+                probe = CoefficientTableDrift({i: sup}, {i: lowered}, self.measure)
                 total += probe._factor_values(i, x)
         return total
 
@@ -167,7 +162,7 @@ def quadrature_oracle(drift: QuadratureDrift, basis, spec) -> sp.csr_matrix:
     n_vars = basis.n_vars
     rates, q = spec.rates, spec.noise
     y, w = gauss_hermite_rule(drift.n_nodes)
-    axes = [y / s for s in drift.ctx.scalings]
+    axes = [y / s for s in spec.scalings]
     grids = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([g.reshape(-1) for g in grids], axis=-1)
     wts = np.ones(pts.shape[0])
@@ -177,7 +172,7 @@ def quadrature_oracle(drift: QuadratureDrift, basis, spec) -> sp.csr_matrix:
     # evaluation table for every index of degree <= K, zero included
     ext = [np.zeros(n_vars, dtype=np.int32)] + list(basis.orders)
     max_deg = basis.max_degree
-    per_var = [he_table(max_deg, pts[:, v] * drift.ctx.scalings[v]) for v in range(n_vars)]
+    per_var = [he_table(max_deg, pts[:, v] * spec.scalings[v]) for v in range(n_vars)]
     V = np.empty((pts.shape[0], len(ext)))
     sqw = np.sqrt(wts)
     for k, orders in enumerate(ext):
@@ -207,8 +202,7 @@ def oscillator_coefficient_tables(lam, q):
     sqrt(eta) [(1+4 eta) H_(0,1) + eta sqrt(2) H_(2,1) + eta sqrt(6) H_(0,3)]
     and c2 is the sign-flipped mirror image.
     """
-    rates = np.array([lam, lam], dtype=float)
-    ctx = HermiteContext(rates=rates, noise=q)
+    measure = SystemSpec(name="measure", rates=np.array([lam, lam]), noise=q)
     eta = q / (2.0 * lam)
     root = math.sqrt(eta)
     terms1 = [((0, 1), root * (1 + 4 * eta)),
@@ -218,7 +212,7 @@ def oscillator_coefficient_tables(lam, q):
               ((3, 0), -root * eta * math.sqrt(6)),
               ((1, 2), -root * eta * math.sqrt(2))]
     return CoefficientTableDrift({0: (0, 1), 1: (0, 1)},
-                                 {0: terms1, 1: terms2}, ctx)
+                                 {0: terms1, 1: terms2}, measure)
 
 
 def rotation_spec(lam=0.1, q=0.02, omega=1.0):
@@ -471,7 +465,6 @@ def test_quadrature_equivalence_all_entries():
     # matrix-element formula sum_i sqrt(2 m_i lambda_i / q) <H_n, c_i H_{m-e_i}>
     lam, q = 0.1, 0.02
     spec = table_oscillator_spec(lam, q)
-    ctx = spec.context
     basis = basis_for(spec, 3)
     C = assemble_nonlinear_drift(basis, spec).matrix.toarray()
 
@@ -491,16 +484,16 @@ def test_quadrature_equivalence_all_entries():
                 lower[i] -= 1
                 total += math.sqrt(2 * m[i] * lam / q) * gaussian_quadrature(
                     lambda pts, i=i, lower=tuple(lower):
-                    h_norm(n, pts, ctx) * c_func(pts, i) * h_norm(lower, pts, ctx),
-                    ctx, 64)
+                    h_norm(n, pts, spec) * c_func(pts, i) * h_norm(lower, pts, spec),
+                    spec, 64)
             assert total == pytest.approx(C[ni, mi], abs=1e-8)
 
 
 def test_inconsistent_table_rejected():
     # c_1 = x_1 is not divergence-free; the raw matrix is far from skew
-    ctx = HermiteContext(rates=np.array([0.5, 0.5]), noise=0.2)
-    drift = CoefficientTableDrift({0: (0,)}, {0: [((1,), 1.0)]}, ctx)
-    spec = SystemSpec(name="bad", rates=ctx.rates, noise=ctx.noise,
+    measure = SystemSpec(name="measure", rates=np.array([0.5, 0.5]), noise=0.2)
+    drift = CoefficientTableDrift({0: (0,)}, {0: [((1,), 1.0)]}, measure)
+    spec = SystemSpec(name="bad", rates=measure.rates, noise=measure.noise,
                       nonlinear=drift, strength=1.0)
     basis = basis_for(spec, 3)
     with pytest.raises(DriftError):
@@ -543,14 +536,13 @@ def test_quadrature_three_variables_matches_dense_oracle():
     # variables; divergence-free for lambda_1 = lambda_2, since
     # div c = x2 d_1 omega - x1 d_2 omega = 0 and sum_i lambda_i x_i c_i = 0
     rates = np.array([0.1, 0.1, 0.2])
-    ctx = HermiteContext(rates=rates, noise=0.1)
 
     def omega(x):
         return 1.0 / (1.0 + x[..., 0] ** 2 + x[..., 1] ** 2 + x[..., 2] ** 2)
 
     drift = QuadratureDrift({0: lambda x: x[..., 1] * omega(x),
                              1: lambda x: -x[..., 0] * omega(x)},
-                            {0: (0, 1, 2), 1: (0, 1, 2)}, ctx, n_nodes=24)
+                            {0: (0, 1, 2), 1: (0, 1, 2)}, n_nodes=24)
     spec = SystemSpec(name="rotation-3d", rates=rates, noise=0.1, nonlinear=drift,
                       strength=0.5)
     basis = basis_for(spec, 4)
@@ -565,9 +557,8 @@ def test_quadrature_three_variables_matches_dense_oracle():
 
 def test_quadrature_rejects_more_than_three_variables():
     rates = np.full(4, 0.1)
-    ctx = HermiteContext(rates=rates, noise=0.1)
     drift = QuadratureDrift({0: lambda x: x[..., 1], 1: lambda x: -x[..., 0]},
-                            {0: (1,), 1: (0,)}, ctx, n_nodes=8)
+                            {0: (1,), 1: (0,)}, n_nodes=8)
     spec = SystemSpec(name="four", rates=rates, noise=0.1, nonlinear=drift, strength=1.0)
     with pytest.raises(DriftError, match="quadrature assembly is limited to N <= 3"):
         assemble_nonlinear_drift(basis_for(spec, 1), spec)
@@ -740,3 +731,12 @@ def test_basis_spec_mismatch_rejected():
     basis = basis_for(other, 2)
     with pytest.raises(BasisError):
         assemble_dissipation(basis, spec)
+
+
+@pytest.mark.parametrize("rates, noise", [
+    ([], 0.1), ([0.3, 0.2], 0.1), ([0.0, 0.2], 0.1), ([-0.1, 0.2], 0.1),
+    ([0.1, 0.2], 0.0), ([0.1, 0.2], -0.5)],
+    ids=["empty", "unsorted", "zero-rate", "negative-rate", "zero-q", "negative-q"])
+def test_system_spec_rejects_a_bad_measure(rates, noise):
+    with pytest.raises(BasisError):
+        SystemSpec(name="bad", rates=np.array(rates), noise=noise)

@@ -53,14 +53,13 @@ def test_oscillator_ladder_vs_quadrature_assembly():
 
     lam, q = 0.1, 0.02
     spec = oscillator_system(lam, q)
-    ctx = spec.context
 
     def omega(x):
         return 1.0 + x[..., 0] ** 2 + x[..., 1] ** 2
 
     quad = QuadratureDrift({0: lambda x: x[..., 1] * omega(x),
                             1: lambda x: -x[..., 0] * omega(x)},
-                           {0: (0, 1), 1: (0, 1)}, ctx, n_nodes=80)
+                           {0: (0, 1), 1: (0, 1)}, n_nodes=80)
     qspec = SystemSpec(name="osc-quad", rates=spec.rates, noise=q,
                        nonlinear=quad, strength=math.inf)
     for K in (2, 5):
@@ -281,16 +280,15 @@ def test_nse_galerkin_matches_monte_carlo():
     from kolmsim.states import MonomialObservable, expectation, initial_state
 
     spec = nse_system(n_modes=6, nu=0.1, q=0.1)
-    ctx = spec.context
     basis = basis_for(spec, 4)
     ops = assemble_all(basis, spec)
-    u0 = MonomialObservable((1, 0, 0, 0, 0, 0), ctx)  # observe mode (0,1)
+    u0 = MonomialObservable((1, 0, 0, 0, 0, 0), spec)  # observe mode (0,1)
     x0 = np.zeros(6)
     x0[1] = x0[3] = 0.25  # load modes (1,0) and (1,1)
 
     t_grid = np.array([0.1, 0.2])
     psi0 = initial_state(u0, basis)
-    ke = expectation([evolve_expm(psi0, ops, t) for t in t_grid], x0, 4, ctx)
+    ke = expectation([evolve_expm(psi0, ops, t) for t in t_grid], x0, 4, spec)
     run = simulate(spec, x0, u0, t_grid, n_samples=60000, dt=0.0025, seed=12)
     assert np.abs(run.mean).min() > 6 * run.se.max()  # effect well above noise
     assert np.all(np.abs(ke - run.mean) <= 4 * run.se)
