@@ -1,25 +1,26 @@
-"""Euler-Maruyama Monte Carlo oracle for the underlying SDE.
+"""Simplified weak Euler Monte Carlo oracle for the underlying SDE.
 
-Each sample owns a counter-based random stream keyed by (seed, sample
-index), so estimates are bit-identical on one platform regardless of how
-samples are chunked across worker threads.  Trajectories that leave the
-guard radius are frozen and counted; more than 0.1% of them fails the run,
-since a dissipative, divergence-free system should never blow up.
+Checks read only weak quantities E u0(X(t)), so each step replaces the
+N(0, q dt) increment of Euler-Maruyama by +-sqrt(q dt), each sign with
+probability 1/2.  Weak order 1 stays (Kloeden & Platen 1992, sec. 14.1),
+an increment costs one random bit, and bounded increments cannot drive the
+moment blow-up of explicit Euler under superlinear drifts (Hutzenthaler,
+Jentzen & Kloeden 2011).  The initial point X(0) is still drawn Gaussian.
 
-A chunk steps a struct-of-arrays state: `xs` has shape (N, count), so
-each variable is one contiguous row.  Drifts read the (count, N) view
-`xs.T` and return their values through `SystemSpec.drift_value(x, out)`,
-which fills `out` in place (each drift's `value(x, out=None)` writes its
-components with ufunc `out=` arguments), so a step allocates nothing.  Noise is
-time-major, (TIME_BLOCK, N, count): the row read at each step is
-contiguous.  It is filled tile by tile, each sample's normals drawn from
-its own Philox stream into a small (tile, TIME_BLOCK, N) staging buffer
-and copied across, already scaled by sqrt(q dt).
+Each sample owns a Philox stream keyed by (seed, sample index), so
+estimates are bit-identical on one platform however samples are chunked
+across threads.  A stream gives the initial normals, then 64-bit words
+whose bit k (least significant first) signs increment k = step * N + variable.
+Trajectories that leave the guard radius are frozen and counted; more than
+0.1% of them fails the run, since a dissipative system should never blow up.
 
-CHUNK_SIZE is part of the reproducibility contract, because chunk
-partial sums are reduced in chunk order.  TIME_BLOCK is not: a Philox
-stream read in blocks yields the same normals as one long draw, and the
-per-step arithmetic does not depend on where a block ends.
+A chunk steps an (N, count) state, one contiguous row per variable; drifts
+fill their (count, N) `out` view in place (`SystemSpec.drift_value`), so a
+step allocates nothing.  Signs are unpacked word by word into a time-major
+uint8 buffer, (TIME_BLOCK, N, count).  CHUNK_SIZE is part of the
+reproducibility contract, because chunk partial sums are reduced in chunk
+order.  TIME_BLOCK is not, as long as it is a multiple of 64: every full
+block then reads whole words for any N, the same bits as one long draw.
 """
 
 from __future__ import annotations
@@ -30,11 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import NumericalError, ResourceLimitError
 
 CHUNK_SIZE = 8192       # fixed: part of the bit-reproducibility contract
-TIME_BLOCK = 1000       # noise generation granularity (memory/speed tradeoff)
-NOISE_TILE = 256        # samples staged per copy into the time-major noise buffer
+TIME_BLOCK = 1024       # steps per sign block; a multiple of 64 (memory/speed tradeoff)
+MAX_SAMPLE_STEPS = 10 ** 10  # work cap; oscillator.json runs 250,000 x 25,000
 BLOWUP_THRESHOLD = 1e6
 MIN_SAMPLES = 100       # fewest samples an estimate is formed from
 BLOWUP_FRACTION = 1e-3
@@ -63,19 +64,13 @@ def _sample_rng(seed: int, sample: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(int(seed) << 64) + sample))
 
 
-def _fill_noise(noise, staging, rngs, scale):
-    """noise[b, v, r] = scale * the (b, v) normal of stream r, one tile at a time.
-
-    `noise` is (block, N, count) and `staging` is (tile, block, N); each
-    stream continues where its previous block stopped.
-    """
-    tile = staging.shape[0]
-    for lo in range(0, len(rngs), tile):
-        rows = rngs[lo:lo + tile]
-        for row, rng in enumerate(rows):
-            rng.standard_normal(out=staging[row])
-        np.multiply(staging[:len(rows)].transpose(1, 2, 0), scale,
-                    out=noise[:, :, lo:lo + len(rows)])
+def _fill_signs(signs, raw, rngs):
+    """signs[k, r] = bit k of the next len(raw) words of stream r, k < 64 len(raw)."""
+    for r, rng in enumerate(rngs):
+        raw[:, r] = rng.bit_generator.random_raw(len(raw))
+    for w, row in enumerate(raw):
+        bits = np.unpackbits(row.view(np.uint8), bitorder="little")
+        signs[64 * w:64 * w + 64] = bits.reshape(len(rngs), 64).T
 
 
 def _march_chunk(spec, x0, observable, grid_steps, n_steps, dt, seed,
@@ -119,20 +114,23 @@ def _march_chunk(spec, x0, observable, grid_steps, n_steps, dt, seed,
         record(grid_lookup[0])
 
     step = 0
-    noise = np.empty((TIME_BLOCK, n_vars, count))
-    staging = np.empty((min(NOISE_TILE, count), TIME_BLOCK, n_vars))
+    signs = np.empty((TIME_BLOCK, n_vars, count), dtype=np.uint8)
+    raw = np.empty((TIME_BLOCK * n_vars // 64, count), dtype=np.uint64)
+    inc = np.empty((n_vars, count))  # sign bit * 2s - s: exactly -s or +s, s = sqrt(q dt)
     # escaping samples may overflow between guard sweeps; they are frozen
     # before any recording, so estimates never see them
     with np.errstate(over="ignore", invalid="ignore"):
         while step < n_steps:
             block = min(TIME_BLOCK, n_steps - step)
-            _fill_noise(noise[:block], staging[:, :block], rngs, sqrt_qdt)
+            _fill_signs(signs.reshape(-1, count), raw[:-(-block * n_vars // 64)], rngs)
             for b in range(block):
                 spec.drift_value(x, c)
                 xs *= decay
                 cs *= dt
                 xs += cs
-                xs += noise[b]
+                np.multiply(signs[b], 2.0 * sqrt_qdt, out=inc)
+                inc -= sqrt_qdt
+                xs += inc
                 step += 1
                 if step % 64 == 0:
                     sweep_escaped()
@@ -144,7 +142,7 @@ def _march_chunk(spec, x0, observable, grid_steps, n_steps, dt, seed,
 def simulate(spec, x0, observable, times, n_samples: int, dt: float,
              seed: int = 0, initial_noise: bool = True,
              n_threads: int = 1) -> SDERun:
-    """Euler-Maruyama estimate of E u0(X(t)) on a time grid.
+    """Simplified weak Euler estimate of E u0(X(t)) on a time grid.
 
     X(0) = x0 (+ Gaussian noise with variance q/(2 lambda_i) per variable
     unless disabled); each grid time must sit on the step lattice.
@@ -161,12 +159,14 @@ def simulate(spec, x0, observable, times, n_samples: int, dt: float,
             f"time step {dt} exceeds the stability guard 0.1/max(lambda_N, J1) "
             f"= {0.1 / stiffest:.3g}")
     times = np.asarray(times, dtype=float)
-    grid_steps = []
-    for t in times:
-        step = round(t / dt)
+    steps = np.rint(times / dt)
+    if n_samples * steps.max() > MAX_SAMPLE_STEPS:
+        raise ResourceLimitError(f"{n_samples} samples x {steps.max():.6g} steps exceed the "
+                                 f"Monte Carlo work cap of {MAX_SAMPLE_STEPS:.3g} sample-steps")
+    for t, step in zip(times, steps):
         if abs(step * dt - t) > 1e-9 * max(dt, abs(t)):
             raise NumericalError(f"grid time {t} is not a multiple of dt = {dt}")
-        grid_steps.append(int(step))
+    grid_steps = [int(step) for step in steps]
     n_steps = max(grid_steps)
 
     chunks = [(start, min(CHUNK_SIZE, n_samples - start))

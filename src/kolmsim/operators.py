@@ -333,18 +333,18 @@ def verify_divergence_free(spec, n_points: int = 100, seed: int = 0) -> dict:
 
 def operator_norm_estimate(matrix, n_iter: int = 200, tol: float = 1e-6,
                            seed: int = 0) -> float:
-    """Spectral norm by power iteration on M^T M."""
+    """Spectral norm by power iteration on M^T M, with BLAS-free vector norms."""
     n = matrix.shape[1]
     if n == 0 or (sp.issparse(matrix) and matrix.nnz == 0):
         return 0.0
     rng = np.random.default_rng(seed)
     v = rng.normal(size=n)
-    v /= np.linalg.norm(v)
+    v /= math.sqrt(np.sum(v * v))
     mt = matrix.T
     sigma = 0.0
     for _ in range(n_iter):
         w = mt @ (matrix @ v)
-        norm = np.linalg.norm(w)
+        norm = math.sqrt(np.sum(w * w))
         if norm == 0.0:
             return 0.0
         new_sigma = math.sqrt(norm)

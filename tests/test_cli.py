@@ -367,6 +367,23 @@ def test_numerical_error_exit_code(tmp_path):
         == cli.EXIT_NUMERICAL
 
 
+@pytest.mark.parametrize("block, key, value", [
+    ("times", "t_max", 1e300), ("mc", "samples", 2 ** 62)])
+def test_monte_carlo_work_cap_exit_code(tmp_path, block, key, value):
+    # in-range values whose sample-steps would never finish: a fresh
+    # process must exit 4 at the work cap instead of hanging
+    cfg = copy.deepcopy(OSC_CFG)
+    cfg[block][key] = value
+    path = os.pathsep.join(filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "kolmsim.cli", "run", write_cfg(tmp_path, cfg),
+         "--out", str(tmp_path / "o")],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == cli.EXIT_NUMERICAL, proc.stderr
+    record = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert record["error"] == "numerical" and "work cap of 1e+10" in record["detail"]
+
+
 def test_audit_failure_exit_code(tmp_path, monkeypatch):
     def failing_audit(*args, **kwargs):
         return {"passed": False, "operators": {"linear": {"passed": False}}}
@@ -660,7 +677,7 @@ def test_csv_rows_match_their_header(small_runs):
 def test_nse_comparison_sees_the_nonlinear_operator(monkeypatch, broken):
     # the shipped NSE comparison observes a mode whose mean is purely
     # nonlinear, so it tracks Monte Carlo with the true C and leaves it
-    # (13 SE measured) with -C or C^T = -C
+    # (14 SE measured) with -C or C^T = -C
     with open(os.path.join(CONFIG_DIR, "nse_mc.json")) as fh:
         cfg = json.load(fh)
     cfg["mc"]["samples"] = 6000

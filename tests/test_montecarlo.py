@@ -1,4 +1,4 @@
-"""Euler-Maruyama oracle: analytic OU checks, determinism, convergence, guards."""
+"""Weak Euler oracle: analytic OU checks, determinism, convergence, guards."""
 
 import math
 import os
@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from kolmsim import montecarlo
 from kolmsim.errors import NumericalError
 from kolmsim.montecarlo import CHUNK_SIZE, compare, simulate
 from kolmsim.operators import SystemSpec
@@ -83,7 +84,7 @@ def test_multi_chunk_estimates_independent_of_threads():
     assert np.array_equal(runs[0].se, runs[1].se)
     # pinned: a change in how streams map to samples or chunks moves these
     assert [m.hex() for m in runs[0].mean] == [
-        "0x1.15aa261d8a5c0p-1", "0x1.c73e28ba23233p-3", "-0x1.b43afbd4d8c51p-2"]
+        "0x1.15aa261d8a5c0p-1", "0x1.c7fe92510e80cp-3", "-0x1.b24e158ed410cp-2"]
 
 
 def test_oscillator_kernel_matches_allocating_drift():
@@ -116,9 +117,66 @@ def test_cubic_oscillator_pinned_values():
     run = simulate(spec, np.array([1.0, 0.0]), u0, np.array([0.0, 0.5, 2.0]),
                    400, 0.01, seed=2024)
     assert [m.hex() for m in run.mean] == [
-        "0x1.001c50262571fp+0", "0x1.53150c923034ap-2", "-0x1.c0136cb7daecdp-4"]
+        "0x1.001c50262571fp+0", "0x1.59692e7dc8409p-2", "-0x1.f41257404aaa0p-4"]
     assert [s.hex() for s in run.se] == [
-        "0x1.0e03933405166p-6", "0x1.51d1fff60c0cep-6", "0x1.2ccc0bedcff7dp-5"]
+        "0x1.0e03933405166p-6", "0x1.54f0a36b28f31p-6", "0x1.2d9ee9f3983c3p-5"]
+
+
+def test_increments_are_exactly_two_point_and_balanced():
+    # from a point mass at 0 with zero drift, the state after one step is
+    # the increment itself
+    spec = ou_spec(lam=0.5, q=0.2, n_vars=3)
+    dt = 0.01
+    seen = []
+
+    def record(x):
+        seen.append(x)
+        return x[:, 0]
+
+    simulate(spec, np.zeros(3), record, np.array([dt]), 20000, dt, seed=8,
+             initial_noise=False)
+    inc = seen[-1]
+    s = math.sqrt(spec.noise * dt)
+    assert np.all((inc == s) | (inc == -s))
+    n = inc.size
+    assert abs(np.count_nonzero(inc > 0) - n / 2) <= 5 * math.sqrt(n) / 2
+
+
+def test_signs_are_the_bits_of_each_sample_stream(monkeypatch):
+    # a per-sample scalar loop: Gaussian initial draw, then bit k = step * N
+    # + variable of the stream's raw words picks the sign; short blocks make
+    # the run cross block boundaries and end inside a word
+    monkeypatch.setattr(montecarlo, "TIME_BLOCK", 64)
+    spec = oscillator_system(0.1, 0.02)
+    dt, n_steps, n = 0.01, 100, 200
+    x0 = np.array([1.0, -0.5])
+    u0 = MonomialObservable((1, 1), spec)
+    run = simulate(spec, x0, u0, np.array([n_steps * dt]), n, dt, seed=3)
+    s = math.sqrt(spec.noise * dt)
+    finals = np.empty((n, 2))
+    for r in range(n):
+        rng = montecarlo._sample_rng(3, r)
+        x = x0 + rng.standard_normal(2) * np.sqrt(spec.noise / (2 * spec.rates))
+        words = [int(w) for w in rng.bit_generator.random_raw(-(-2 * n_steps // 64))]
+        for k in range(n_steps):
+            c = spec.drift_value(x[None, :], np.empty((1, 2)))[0]
+            bits = np.array([words[j // 64] >> (j % 64) & 1 for j in (2 * k, 2 * k + 1)])
+            x = x * (1 - dt * spec.rates) + dt * c + np.where(bits == 1, s, -s)
+        finals[r] = x
+    assert math.isclose(run.mean[0], u0(finals).mean(), rel_tol=1e-12, abs_tol=1e-15)
+
+
+def test_estimates_do_not_depend_on_time_block(monkeypatch):
+    # any multiple of 64 reads the same bits, so blocks are not in the contract
+    spec = oscillator_system(0.1, 0.02)
+    u0 = MonomialObservable((2, 1), spec)
+    times = np.array([0.0, 0.37, 1.5])  # 150 steps: two short blocks and a partial one
+    runs = []
+    for block in (64, 1024):
+        monkeypatch.setattr(montecarlo, "TIME_BLOCK", block)
+        runs.append(simulate(spec, np.array([1.0, 0.5]), u0, times, 500, 0.01, seed=6))
+    assert np.array_equal(runs[0].mean, runs[1].mean)
+    assert np.array_equal(runs[0].se, runs[1].se)
 
 
 def test_different_seeds_differ():
