@@ -16,8 +16,10 @@ Trajectories that leave the guard radius are frozen and counted; more than
 
 A chunk steps an (N, count) state, one contiguous row per variable; drifts
 fill their (count, N) `out` view in place (`SystemSpec.drift_value`), so a
-step allocates nothing.  Signs are unpacked word by word into a time-major
-uint8 buffer, (TIME_BLOCK, N, count).  CHUNK_SIZE is part of the
+step allocates nothing.  Raw words are drawn TIME_BLOCK steps at a time;
+each group of 64 steps has its N words per sample unpacked, just before it
+runs, into a time-major (64, N, count) uint8 buffer (1 MiB for a full chunk
+at N = 2, so it stays in cache).  CHUNK_SIZE is part of the
 reproducibility contract, because chunk partial sums are reduced in chunk
 order.  TIME_BLOCK is not, as long as it is a multiple of 64: every full
 block then reads whole words for any N, the same bits as one long draw.
@@ -34,7 +36,7 @@ import numpy as np
 from .errors import NumericalError, ResourceLimitError
 
 CHUNK_SIZE = 8192       # fixed: part of the bit-reproducibility contract
-TIME_BLOCK = 1024       # steps per sign block; a multiple of 64 (memory/speed tradeoff)
+TIME_BLOCK = 1024       # steps per raw-word draw; a multiple of 64 (memory/speed tradeoff)
 MAX_SAMPLE_STEPS = 10 ** 10  # work cap; oscillator.json runs 250,000 x 25,000
 BLOWUP_THRESHOLD = 1e6
 MIN_SAMPLES = 100       # fewest samples an estimate is formed from
@@ -64,13 +66,11 @@ def _sample_rng(seed: int, sample: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(int(seed) << 64) + sample))
 
 
-def _fill_signs(signs, raw, rngs):
-    """signs[k, r] = bit k of the next len(raw) words of stream r, k < 64 len(raw)."""
-    for r, rng in enumerate(rngs):
-        raw[:, r] = rng.bit_generator.random_raw(len(raw))
-    for w, row in enumerate(raw):
+def _unpack_signs(signs, words):
+    """signs[k, r] = bit k of words[:, r], for the first 64 len(words) bits."""
+    for w, row in enumerate(words):
         bits = np.unpackbits(row.view(np.uint8), bitorder="little")
-        signs[64 * w:64 * w + 64] = bits.reshape(len(rngs), 64).T
+        signs[64 * w:64 * w + 64] = bits.reshape(-1, 64).T
 
 
 def _march_chunk(spec, x0, observable, grid_steps, n_steps, dt, seed,
@@ -114,7 +114,7 @@ def _march_chunk(spec, x0, observable, grid_steps, n_steps, dt, seed,
         record(grid_lookup[0])
 
     step = 0
-    signs = np.empty((TIME_BLOCK, n_vars, count), dtype=np.uint8)
+    signs = np.empty((64, n_vars, count), dtype=np.uint8)
     raw = np.empty((TIME_BLOCK * n_vars // 64, count), dtype=np.uint64)
     inc = np.empty((n_vars, count))  # sign bit * 2s - s: exactly -s or +s, s = sqrt(q dt)
     # escaping samples may overflow between guard sweeps; they are frozen
@@ -122,13 +122,19 @@ def _march_chunk(spec, x0, observable, grid_steps, n_steps, dt, seed,
     with np.errstate(over="ignore", invalid="ignore"):
         while step < n_steps:
             block = min(TIME_BLOCK, n_steps - step)
-            _fill_signs(signs.reshape(-1, count), raw[:-(-block * n_vars // 64)], rngs)
+            n_words = -(-block * n_vars // 64)
+            for r, rng in enumerate(rngs):
+                raw[:n_words, r] = rng.bit_generator.random_raw(n_words)
             for b in range(block):
+                if b % 64 == 0:  # steps b .. b + 63 read the N words from b N / 64 on
+                    first = b // 64 * n_vars
+                    words = raw[first:min(first + n_vars, n_words)]
+                    _unpack_signs(signs.reshape(-1, count), words)
                 spec.drift_value(x, c)
                 xs *= decay
                 cs *= dt
                 xs += cs
-                np.multiply(signs[b], 2.0 * sqrt_qdt, out=inc)
+                np.multiply(signs[b % 64], 2.0 * sqrt_qdt, out=inc)
                 inc -= sqrt_qdt
                 xs += inc
                 step += 1

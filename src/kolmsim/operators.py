@@ -10,7 +10,10 @@ here integrates non-polynomial drifts of N <= 3 systems with a
 sum-factorised Gauss-Hermite rule, one grid axis at a time.  The linear
 and NSE assemblers move quanta on sorted variable labels and rank each
 target with at most K gathers (`_ladder_hits`); the oscillator and
-quadrature routes rank dense rows with `BasisSet.positions`.
+quadrature routes rank dense rows with `BasisSet.positions`.  The linear
+assembler pairs b_ij with b_ji by binary search among the sorted keys of
+b's CSR (`_skew_parts`), and it and the clock drift build their CSR
+straight from index arrays, one construction each (`_csr_from_entries`).
 """
 
 from __future__ import annotations
@@ -213,20 +216,16 @@ def assemble_linear_drift(basis: BasisSet, spec) -> SparseOperator:
     n = len(basis)
     if spec.linear is None:
         return SparseOperator(sp.csr_matrix((n, n)), "linear", basis)
-    b = sp.coo_matrix(spec.linear)
     rates = spec.rates
-    scale = max(abs(b.data).max(initial=0.0), 1.0)
-    resid = _linear_skew_residual(b, rates)
+    i_e, j_e, resid, beta = _skew_parts(spec.linear, rates)
+    scale = max(abs(spec.linear.data).max(initial=0.0), 1.0)
     if resid > 1e-12 * scale * rates.max():
         raise DriftError(
             "linear drift violates lambda_i b_ij = -lambda_j b_ji "
             f"(residual {resid:.3e})")
-    beta = b.data * np.sqrt(rates)[b.row] * (1.0 / np.sqrt(rates))[b.col]
-    beta = _plus_transpose(b, beta, -beta).tocoo()  # exact skewness of the float data
-    beta.data *= 0.5
 
-    live = beta.data != 0.0
-    i_e, j_e, b_e = beta.row[live], beta.col[live], beta.data[live]
+    live = beta != 0.0
+    i_e, j_e, b_e = i_e[live], j_e[live], beta[live]
     # (column, b-entry) candidates in column-major order; i == j never
     # occurs: beta is exactly skew, so its diagonal is 0.  The move
     # relabels one slot holding i as j.
@@ -235,8 +234,15 @@ def assemble_linear_drift(basis: BasisSet, spec) -> SparseOperator:
     rows, hit = _ladder_hits(basis, cols, [(slot, j_e[e])])
     cols, e = cols[hit], e[hit]
     vals = b_e[e] * np.sqrt(basis.orders[cols, i_e[e]] * (basis.orders[cols, j_e[e]] + 1))
-    mat = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    return SparseOperator(mat, "linear", basis)
+    # distinct (i, j) move a column to distinct rows, so no entry repeats
+    return SparseOperator(_csr_from_entries(rows, cols, vals, n), "linear", basis)
+
+
+def _csr_from_entries(rows, cols, vals, n: int) -> sp.csr_matrix:
+    """The n x n CSR matrix of entries at distinct (row, col), in one construction."""
+    order = np.lexsort((cols, rows))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+    return sp.csr_matrix((vals[order], cols[order], indptr), shape=(n, n))
 
 
 def _ladder_hits(basis: BasisSet, cols, edits):
@@ -294,17 +300,29 @@ def _check_spec_basis(basis: BasisSet, spec):
         raise BasisError("basis was enumerated with different rates than the system")
 
 
-def _plus_transpose(b: sp.coo_matrix, vals, vals_t) -> sp.csr_matrix:
-    """M + N^T for M, N with `vals`, `vals_t` on b's pattern, in one duplicate-summing build."""
-    return sp.csr_matrix((np.concatenate([vals, vals_t]),
-                          (np.concatenate([b.row, b.col]), np.concatenate([b.col, b.row]))),
-                         shape=b.shape)
+def _skew_parts(b, rates):
+    """Row-major (i, j) over b's pattern and its transpose, the residual, and beta_ij there.
 
-
-def _linear_skew_residual(b: sp.coo_matrix, rates) -> float:
-    """max |lambda_i b_ij + lambda_j b_ji| over the linear drift matrix b."""
-    lamb = b.data * rates[b.row]
-    return float(abs(_plus_transpose(b, lamb, lamb).data).max(initial=0.0))
+    The residual is max |lambda_i b_ij + lambda_j b_ji|; beta_ij = (B_ij - B_ji)/2,
+    B_ij = b_ij sqrt(lambda_i/lambda_j), is exactly skew in floating point.  b_ij
+    and b_ji are found by binary search among the sorted keys i N + j of b's
+    canonical CSR; a position outside b's pattern reads 0.
+    """
+    if not b.has_canonical_format:
+        b = b.copy()
+        b.sum_duplicates()
+    n = b.shape[0]
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(b.indptr))
+    cols = b.indices.astype(np.int64)
+    keys = rows * n + cols
+    union = np.union1d(keys, cols * n + rows)
+    i, j = np.divmod(union, n)
+    wanted = np.stack([union, j * n + i])
+    pos = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
+    b_ij, b_ji = np.where(keys[pos] == wanted, b.data[pos], 0.0)
+    root, inv_root = np.sqrt(rates), 1.0 / np.sqrt(rates)
+    beta = (b_ij * root[i] * inv_root[j] - b_ji * root[j] * inv_root[i]) * 0.5
+    return i, j, float(abs(rates[i] * b_ij + rates[j] * b_ji).max(initial=0.0)), beta
 
 
 def verify_divergence_free(spec, n_points: int = 100, seed: int = 0) -> dict:
@@ -324,7 +342,7 @@ def verify_divergence_free(spec, n_points: int = 100, seed: int = 0) -> dict:
         radial = np.einsum("...i,...i->...", pts * spec.rates, spec.nonlinear.value(pts))
         rad_res = float(np.abs(radial).max())
     lin_res = (0.0 if spec.linear is None
-               else _linear_skew_residual(sp.coo_matrix(spec.linear), spec.rates))
+               else _skew_parts(spec.linear, spec.rates)[2])
     block = {"divergence_residual": div_res, "radial_residual": rad_res,
              "linear_residual": lin_res}
     block["passed"] = max(block.values()) < DIVERGENCE_TOL

@@ -196,11 +196,14 @@ def readout_norm_sq(x, spec: SystemSpec, truncation: int | None = None) -> float
     """
     x = np.asarray(x, dtype=float)
     if truncation is None:
-        return float(np.exp(2.0 * (spec.rates @ x ** 2) / spec.noise))
-    out = 1.0
-    for i in _support(x):
-        a = 2.0 * spec.rates[i] * x[i] ** 2 / spec.noise
-        out *= sum(a ** m / math.factorial(m) for m in range(truncation + 1))
+        out = float(np.exp(2.0 * (spec.rates @ x ** 2) / spec.noise))
+    else:
+        out = 1.0
+        for i in _support(x):
+            a = 2.0 * spec.rates[i] * x[i] ** 2 / spec.noise
+            out *= sum(a ** m / math.factorial(m) for m in range(truncation + 1))
+    if not math.isfinite(out):
+        raise NumericalError(f"readout norm at x = {x.tolist()} is not a finite double")
     return out
 
 

@@ -15,9 +15,9 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import BasisError, DriftError
-from .multiindex import BasisSet, RegularizationScheme, _ragged, enumerate_basis
-from .operators import QuadratureDrift, SystemSpec, _ladder_hits
+from .errors import BasisError, DriftError, ResourceLimitError
+from .multiindex import DEFAULT_BASIS_CAP, BasisSet, RegularizationScheme, _ragged, enumerate_basis
+from .operators import QuadratureDrift, SystemSpec, _csr_from_entries, _ladder_hits
 
 # ---------------------------------------------------------------------------
 # nonlinear oscillator
@@ -398,6 +398,9 @@ def clock_drift(circuit, n_qubits: int) -> sp.csr_matrix:
     if m < 1:
         raise DriftError("circuit must contain at least one gate")
     dim_q = 2 ** n_qubits
+    if (m + 1) * dim_q > DEFAULT_BASIS_CAP:  # before embed_gate allocates (2^n)^2 floats
+        raise ResourceLimitError(f"clock register of (gates + 1) 2^qubits = {(m + 1) * dim_q} "
+                                 f"variables exceeds the cap of {DEFAULT_BASIS_CAP}")
     w = chain_walk_weights(m)
     rows, cols, vals = [], [], []
     for j, (u, targets) in enumerate(gates, start=1):
@@ -409,8 +412,8 @@ def clock_drift(circuit, n_qubits: int) -> sp.csr_matrix:
         rows += [r0 + c, c0 + r]
         cols += [c0 + r, r0 + c]
         vals += [v, -v]
-    return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                         shape=((m + 1) * dim_q,) * 2)
+    # gate j fills only blocks (j-1, j) and (j, j-1), so no entry repeats
+    return _csr_from_entries(*map(np.concatenate, (rows, cols, vals)), (m + 1) * dim_q)
 
 
 def clock_system(circuit, n_qubits: int, lam: float = 0.1,

@@ -5,6 +5,8 @@ runs use: `he` evaluates one degree by its own recurrence, `h_norm` a
 normalized product Hermite polynomial pointwise, `gaussian_quadrature`
 integrates against a system's Gaussian measure on a tensor grid, and
 `hermite_triple_product` is the closed-form 1-d triple integral.
+`linear_drift_oracle` assembles the linear Galerkin matrix with scipy's
+duplicate-summing COO builds and a dict of the basis rows.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
 from kolmsim.errors import BasisError
 from kolmsim.hermite import gauss_hermite_rule
@@ -88,3 +91,34 @@ def hermite_triple_product(a: int, b: int, c: int) -> float:
     num = math.factorial(a) * math.factorial(b) * math.factorial(c)
     den = math.factorial(s - a) * math.factorial(s - b) * math.factorial(s - c)
     return math.sqrt(num) / den
+
+
+def linear_drift_oracle(basis, spec) -> sp.csr_matrix:
+    """Linear Galerkin matrix of `spec.linear` by duplicate-summing COO -> CSR builds.
+
+    beta = (B - B^T)/2, B_ij = b_ij sqrt(lambda_i / lambda_j), is summed from
+    b's entries and their transposes in one build.  Each move of column m to
+    m - e_i + e_j is looked up in a dict of the basis rows, and the matrix
+    elements beta_ij sqrt(m_i (m_j + 1)) go through a second build.
+    """
+    b = sp.coo_matrix(spec.linear)
+    root = np.sqrt(spec.rates)
+    beta = b.data * root[b.row] * (1.0 / root)[b.col]
+    beta = sp.csr_matrix((np.concatenate([beta, -beta]),
+                          (np.concatenate([b.row, b.col]), np.concatenate([b.col, b.row]))),
+                         shape=b.shape).tocoo()
+    beta.data *= 0.5
+    live = beta.data != 0.0
+    i_e, j_e, b_e = beta.row[live], beta.col[live], beta.data[live]
+
+    index = {row: pos for pos, row in enumerate(map(tuple, basis.orders.tolist()))}
+    cols, e = np.nonzero(basis.orders[:, i_e] > 0)
+    targets = basis.orders[cols]
+    targets[np.arange(len(cols)), i_e[e]] -= 1
+    targets[np.arange(len(cols)), j_e[e]] += 1
+    rows = np.array([index.get(t, -1) for t in map(tuple, targets.tolist())], dtype=np.intp)
+    hit = rows >= 0
+    cols, e = cols[hit], e[hit]
+    vals = b_e[e] * np.sqrt(basis.orders[cols, i_e[e]] * (basis.orders[cols, j_e[e]] + 1))
+    n = len(basis)
+    return sp.coo_matrix((vals, (rows[hit], cols)), shape=(n, n)).tocsr()

@@ -384,6 +384,36 @@ def test_monte_carlo_work_cap_exit_code(tmp_path, block, key, value):
     assert record["error"] == "numerical" and "work cap of 1e+10" in record["detail"]
 
 
+@pytest.mark.parametrize("cfg", [
+    {"experiment": "audits", "system": {"kind": "clock", "qubits": 40, "gates": 3},
+     "basis": {"order": 1}},
+    {**BQP_CFG, "circuits": {"file": "h.txt", "qubits": 40}},
+], ids=["audits", "bqp_circuit"])
+def test_clock_register_cap_exit_code(tmp_path, monkeypatch, capsys, cfg):
+    # (gates + 1) 2^40 clock variables: refused before any gate is embedded.
+    # Only 40 qubits here: at 13-30 the register is under the cap or numpy
+    # allocates half a gigabyte or more before it fails.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "h.txt").write_text("H 0\n")
+    out = tmp_path / "o"
+    assert cli.main(["run", write_cfg(tmp_path, cfg), "--out", str(out)]) == cli.EXIT_NUMERICAL
+    record = error_record(capsys)
+    assert record["error"] == "numerical"
+    assert record["detail"].endswith("variables exceeds the cap of 2000000")
+    assert not out.exists()
+
+
+def test_overflowing_readout_norm_exit_code(tmp_path, capsys):
+    # at q = 1e308 the readout point's lambda x^2 overflows, so its norm is not finite
+    cfg = {"experiment": "audits", "system": {"kind": "ou", "lam": 0.5, "q": 1e308},
+           "basis": {"order": 2}}
+    assert cli.main(["run", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")]) \
+        == cli.EXIT_NUMERICAL
+    record = error_record(capsys)
+    assert record["error"] == "numerical"
+    assert record["detail"] == "readout norm at x = [inf] is not a finite double"
+
+
 def test_audit_failure_exit_code(tmp_path, monkeypatch):
     def failing_audit(*args, **kwargs):
         return {"passed": False, "operators": {"linear": {"passed": False}}}

@@ -33,7 +33,7 @@ from kolmsim.systems import (
     oscillator_system,
     random_real_circuit,
 )
-from oracles import gaussian_quadrature, h_norm, hermite_triple_product
+from oracles import gaussian_quadrature, h_norm, hermite_triple_product, linear_drift_oracle
 
 
 class CoefficientTableDrift:
@@ -337,16 +337,52 @@ def test_clock_matrices_pinned():
         "b41323c42425c6028f83fd841c40522a5c09b949ef0f2232c6f325b40548c36d"
 
 
-def test_linear_drift_ignores_explicit_zeros():
-    def with_zeros(b):
-        # store the whole dense matrix, zeros included
-        rows, cols = np.indices(b.shape).reshape(2, -1)
-        return sp.csr_matrix((b.ravel(), (rows, cols)), shape=b.shape)
+def with_zeros(b):
+    """b with the whole dense matrix stored, zeros included."""
+    rows, cols = np.indices(b.shape).reshape(2, -1)
+    return sp.csr_matrix((b.ravel(), (rows, cols)), shape=b.shape)
 
+
+def unsorted_halves(b):
+    """b stored non-canonically: each entry as two equal halves, columns descending by row."""
+    rows, cols = np.nonzero(b)
+    order = np.lexsort((-cols, rows))
+    rows, cols = np.repeat(rows[order], 2), np.repeat(cols[order], 2)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=b.shape[0]))))
+    return sp.csr_matrix((b[rows, cols] / 2, cols, indptr), shape=b.shape)
+
+
+def pinned_clock_spec():
+    return clock_system(random_real_circuit(np.random.default_rng(11), 3, 8), 3)
+
+
+def test_linear_drift_ignores_explicit_zeros():
     spec, padded = unequal_rate_spec(), unequal_rate_spec(with_zeros)
     assert padded.linear.nnz == 9 and spec.linear.nnz == 6
     assert csr_digest(assemble_linear_drift(basis_for(padded, 3), padded).matrix) == \
         csr_digest(assemble_linear_drift(basis_for(spec, 3), spec).matrix)
+
+
+@pytest.mark.parametrize("make_spec, K", [
+    (unequal_rate_spec, 1), (unequal_rate_spec, 2), (unequal_rate_spec, 3),
+    (lambda: unequal_rate_spec(with_zeros), 3), (pinned_clock_spec, 1), (pinned_clock_spec, 2),
+], ids=["random-K1", "random-K2", "random-K3", "explicit-zeros-K3", "clock-K1", "clock-K2"])
+def test_linear_drift_matches_coo_oracle(make_spec, K):
+    spec = make_spec()
+    basis = basis_for(spec, K)
+    assert csr_digest(assemble_linear_drift(basis, spec).matrix) == \
+        csr_digest(linear_drift_oracle(basis, spec))
+
+
+def test_linear_drift_sums_duplicate_entries():
+    # halving and re-adding is exact, so the summed b is the canonical one
+    spec, split = unequal_rate_spec(), unequal_rate_spec(unsorted_halves)
+    assert split.linear.nnz == 12 and not split.linear.has_canonical_format
+    assert csr_digest(assemble_linear_drift(basis_for(split, 3), split).matrix) == \
+        csr_digest(assemble_linear_drift(basis_for(spec, 3), spec).matrix)
+    assert verify_divergence_free(split)["linear_residual"] == \
+        verify_divergence_free(spec)["linear_residual"]
+    assert not split.linear.has_canonical_format  # the spec's b is left as stored
 
 
 def test_linear_drift_rejects_non_skew():
