@@ -23,7 +23,7 @@ import scipy.sparse as sp
 from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
-from .errors import BasisError, NumericalError
+from .errors import BasisError, NumericalError, ResourceLimitError
 from .multiindex import BasisSet, RegularizationScheme, enumerate_basis
 from .operators import (
     NORM_MARGIN,
@@ -36,6 +36,7 @@ from .operators import (
 from .states import KEState, initial_state
 
 DENSE_EXP_LIMIT = 2000  # above this, exponentials act through expm_multiply
+MAX_ACTION_WORK = 1e6   # cap on t ||G||_1 of one action; oscillator.json reads 455
 
 
 @dataclass(frozen=True)
@@ -72,6 +73,10 @@ def evolve_reference(state: KEState, ops: KEOperators, t: float, n_points: int =
     """Exact action e^{tG} psi through `expm_multiply`: the final KEState, or with
     `n_points` the KEStates on the uniform grid of that many points over [0, t]."""
     gen, psi = ops.generator(), state.coefficients
+    work = t * abs(gen).sum(axis=0).max()  # expm_multiply's cost grows with t ||G||_1
+    if not work <= MAX_ACTION_WORK:  # also refuses nan
+        raise ResourceLimitError(f"exponential action work t ||G||_1 = {work:.3g} exceeds "
+                                 f"the cap of {MAX_ACTION_WORK:.3g}")
     if not n_points:
         return KEState(expm_multiply(t * gen, psi), state.basis, state.t + t)
     ys = expm_multiply(gen, psi, start=0.0, stop=t, num=n_points, endpoint=True)

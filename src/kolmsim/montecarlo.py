@@ -7,22 +7,24 @@ an increment costs one random bit, and bounded increments cannot drive the
 moment blow-up of explicit Euler under superlinear drifts (Hutzenthaler,
 Jentzen & Kloeden 2011).  The initial point X(0) is still drawn Gaussian.
 
-Each sample owns a Philox stream keyed by (seed, sample index), so
-estimates are bit-identical on one platform however samples are chunked
-across threads.  A stream gives the initial normals, then 64-bit words
-whose bit k (least significant first) signs increment k = step * N + variable.
-Trajectories that leave the guard radius are frozen and counted; more than
-0.1% of them fails the run, since a dissipative system should never blow up.
+Each chunk of CHUNK_SIZE samples owns a Philox stream keyed by
+(seed << 64) + chunk index.  The stream first gives the chunk's initial
+normals, one (N, count) draw, then the sign words, bit-sliced across
+samples: with W = ceil(count / 64) words per variable and step, increment
+(step, variable v) of sample r is bit r % 64 (least significant first) of
+word (step * N + v) * W + r // 64.  Trajectories that leave the guard
+radius are frozen and counted; more than 0.1% of them fails the run, since
+a dissipative system should never blow up.
 
 A chunk steps an (N, count) state, one contiguous row per variable; drifts
-fill their (count, N) `out` view in place (`SystemSpec.drift_value`), so a
-step allocates nothing.  Raw words are drawn TIME_BLOCK steps at a time;
-each group of 64 steps has its N words per sample unpacked, just before it
-runs, into a time-major (64, N, count) uint8 buffer (1 MiB for a full chunk
-at N = 2, so it stays in cache).  CHUNK_SIZE is part of the
-reproducibility contract, because chunk partial sums are reduced in chunk
-order.  TIME_BLOCK is not, as long as it is a multiple of 64: every full
-block then reads whole words for any N, the same bits as one long draw.
+fill their (count, N) `out` view in place (`SystemSpec.drift_value`).  Sign
+words are drawn TIME_BLOCK steps at a time, and each group of 64 steps is
+unpacked, just before it runs, into a time-major (64, N, count) uint8
+buffer (1 MiB for a full chunk at N = 2, so it stays in cache).  CHUNK_SIZE
+is part of the reproducibility contract: it fixes which samples share a
+stream, and chunk partial sums are reduced in chunk order, so estimates are
+bit-identical on one platform for any thread count.  TIME_BLOCK is not:
+every step reads its own N W words, so any block length reads the same bits.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import numpy as np
 from .errors import NumericalError, ResourceLimitError
 
 CHUNK_SIZE = 8192       # fixed: part of the bit-reproducibility contract
-TIME_BLOCK = 1024       # steps per raw-word draw; a multiple of 64 (memory/speed tradeoff)
+TIME_BLOCK = 1024       # steps per raw-word draw (memory/speed tradeoff)
 MAX_SAMPLE_STEPS = 10 ** 10  # work cap; oscillator.json runs 250,000 x 25,000
 BLOWUP_THRESHOLD = 1e6
 MIN_SAMPLES = 100       # fewest samples an estimate is formed from
@@ -60,33 +62,19 @@ class SDERun:
             yield self.times[k], self.mean[k], self.se[k]
 
 
-def _sample_rng(seed: int, sample: int) -> np.random.Generator:
-    # Philox is counter-based: the (seed, sample) key fully determines the
-    # stream, independent of scheduling.
-    return np.random.Generator(np.random.Philox(key=(int(seed) << 64) + sample))
-
-
-def _unpack_signs(signs, words):
-    """signs[k, r] = bit k of words[:, r], for the first 64 len(words) bits."""
-    for w, row in enumerate(words):
-        bits = np.unpackbits(row.view(np.uint8), bitorder="little")
-        signs[64 * w:64 * w + 64] = bits.reshape(-1, 64).T
-
-
 def _march_chunk(spec, x0, observable, grid_steps, n_steps, dt, seed,
-                 start, count, initial_noise):
+                 chunk, count, initial_noise):
     n_vars = spec.n_vars
     sqrt_qdt = math.sqrt(spec.noise * dt)
-    init_std = np.sqrt(spec.noise / (2.0 * spec.rates))
     decay = (1.0 - dt * spec.rates)[:, None]  # Euler step of the pure dissipation part
 
-    rngs = [_sample_rng(seed, s) for s in range(start, start + count)]
+    # Philox is counter-based: the (seed, chunk) key fully determines the
+    # stream, independent of scheduling
+    bits = np.random.Philox(key=(int(seed) << 64) + chunk)
     xs = np.tile(np.asarray(x0, dtype=float)[:, None], (1, count))
     if initial_noise:
-        draws = np.empty((count, n_vars))
-        for row, rng in enumerate(rngs):
-            rng.standard_normal(out=draws[row])
-        xs += (draws * init_std).T
+        init_std = np.sqrt(spec.noise / (2.0 * spec.rates))[:, None]
+        xs += np.random.Generator(bits).standard_normal((n_vars, count)) * init_std
     cs = np.empty((n_vars, count))
     x, c = xs.T, cs.T  # the (count, N) views drifts and observables read
     alive = np.ones(count, dtype=bool)
@@ -114,22 +102,18 @@ def _march_chunk(spec, x0, observable, grid_steps, n_steps, dt, seed,
         record(grid_lookup[0])
 
     step = 0
-    signs = np.empty((64, n_vars, count), dtype=np.uint8)
-    raw = np.empty((TIME_BLOCK * n_vars // 64, count), dtype=np.uint64)
+    width = -(-count // 64)  # sign words per variable and step
     inc = np.empty((n_vars, count))  # sign bit * 2s - s: exactly -s or +s, s = sqrt(q dt)
     # escaping samples may overflow between guard sweeps; they are frozen
     # before any recording, so estimates never see them
     with np.errstate(over="ignore", invalid="ignore"):
         while step < n_steps:
             block = min(TIME_BLOCK, n_steps - step)
-            n_words = -(-block * n_vars // 64)
-            for r, rng in enumerate(rngs):
-                raw[:n_words, r] = rng.bit_generator.random_raw(n_words)
+            raw = bits.random_raw(block * n_vars * width).reshape(block, n_vars, width)
             for b in range(block):
-                if b % 64 == 0:  # steps b .. b + 63 read the N words from b N / 64 on
-                    first = b // 64 * n_vars
-                    words = raw[first:min(first + n_vars, n_words)]
-                    _unpack_signs(signs.reshape(-1, count), words)
+                if b % 64 == 0:  # bit r of a step's words signs sample r
+                    signs = np.unpackbits(raw[b:b + 64].view(np.uint8), axis=-1,
+                                          count=count, bitorder="little")
                 spec.drift_value(x, c)
                 xs *= decay
                 cs *= dt
@@ -175,13 +159,13 @@ def simulate(spec, x0, observable, times, n_samples: int, dt: float,
     grid_steps = [int(step) for step in steps]
     n_steps = max(grid_steps)
 
-    chunks = [(start, min(CHUNK_SIZE, n_samples - start))
-              for start in range(0, n_samples, CHUNK_SIZE)]
+    chunks = [(k, min(CHUNK_SIZE, n_samples - start))
+              for k, start in enumerate(range(0, n_samples, CHUNK_SIZE))]
 
     def work(args):
-        start, count = args
+        chunk, count = args
         return _march_chunk(spec, x0, observable, grid_steps, n_steps, dt,
-                            seed, start, count, initial_noise)
+                            seed, chunk, count, initial_noise)
 
     if n_threads > 1:
         with ThreadPoolExecutor(max_workers=n_threads) as pool:

@@ -122,6 +122,8 @@ def wavenumber_table(n_modes: int) -> np.ndarray:
     Ordered by |k|^2 ascending with ties broken by (k1, k2) lex, so the
     Stokes eigenvalues 4 pi^2 |k|^2 come out non-decreasing.
     """
+    if n_modes > DEFAULT_BASIS_CAP:  # a basis of order >= 1 has more rows than modes
+        raise ResourceLimitError(f"{n_modes} modes exceed the basis cap of {DEFAULT_BASIS_CAP}")
     bound = 2
     while True:
         cands = [(k1, k2) for k1 in range(bound + 1)

@@ -414,6 +414,32 @@ def test_overflowing_readout_norm_exit_code(tmp_path, capsys):
     assert record["detail"] == "readout norm at x = [inf] is not a finite double"
 
 
+def test_exponential_action_work_cap_exit_code(tmp_path, capsys):
+    # at time 1e300, t ||G||_1 leaves expm_multiply with a nan step count
+    out = tmp_path / "o"
+    assert cli.main(["run", write_cfg(tmp_path, {**NSE_CFG, "time": 1e300}),
+                     "--out", str(out)]) == cli.EXIT_NUMERICAL
+    record = error_record(capsys)
+    assert record["error"] == "numerical"
+    assert record["detail"].endswith("exceeds the cap of 1e+06")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cfg", [
+    {**NSE_CFG, "system": {**NSE_CFG["system"], "modes": 2 ** 62}},
+    {"experiment": "audits", "system": {"kind": "nse", "modes": 2 ** 62}, "basis": {"order": 1}},
+], ids=["nse_taylor_green", "audits"])
+def test_mode_count_cap_exit_code(tmp_path, capsys, cfg):
+    # refused before the wavenumber table is built: a basis of order >= 1
+    # has more rows than modes, so such a run can never fit the basis cap
+    out = tmp_path / "o"
+    assert cli.main(["run", write_cfg(tmp_path, cfg), "--out", str(out)]) == cli.EXIT_NUMERICAL
+    record = error_record(capsys)
+    assert record["error"] == "numerical"
+    assert record["detail"] == f"{2 ** 62} modes exceed the basis cap of 2000000"
+    assert not out.exists()
+
+
 def test_audit_failure_exit_code(tmp_path, monkeypatch):
     def failing_audit(*args, **kwargs):
         return {"passed": False, "operators": {"linear": {"passed": False}}}

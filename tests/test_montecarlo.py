@@ -84,7 +84,7 @@ def test_multi_chunk_estimates_independent_of_threads():
     assert np.array_equal(runs[0].se, runs[1].se)
     # pinned: a change in how streams map to samples or chunks moves these
     assert [m.hex() for m in runs[0].mean] == [
-        "0x1.15aa261d8a5c0p-1", "0x1.c7fe92510e80cp-3", "-0x1.b24e158ed410cp-2"]
+        "0x1.1b6c1650d7c64p-1", "0x1.e15487e223044p-3", "-0x1.ba81c9dd365e8p-2"]
 
 
 def test_oscillator_kernel_matches_allocating_drift():
@@ -117,9 +117,9 @@ def test_cubic_oscillator_pinned_values():
     run = simulate(spec, np.array([1.0, 0.0]), u0, np.array([0.0, 0.5, 2.0]),
                    400, 0.01, seed=2024)
     assert [m.hex() for m in run.mean] == [
-        "0x1.001c50262571fp+0", "0x1.59692e7dc8409p-2", "-0x1.f41257404aaa0p-4"]
+        "0x1.044653ffbb136p+0", "0x1.5db01035150dbp-2", "-0x1.718c54c907089p-3"]
     assert [s.hex() for s in run.se] == [
-        "0x1.0e03933405166p-6", "0x1.54f0a36b28f31p-6", "0x1.2d9ee9f3983c3p-5"]
+        "0x1.131e8728cb28dp-6", "0x1.4c0f92be0ce44p-6", "0x1.2c6a0c1bb7e68p-5"]
 
 
 def test_increments_are_exactly_two_point_and_balanced():
@@ -142,41 +142,52 @@ def test_increments_are_exactly_two_point_and_balanced():
     assert abs(np.count_nonzero(inc > 0) - n / 2) <= 5 * math.sqrt(n) / 2
 
 
-def test_signs_are_the_bits_of_each_sample_stream(monkeypatch):
-    # a per-sample scalar loop: Gaussian initial draw, then bit k = step * N
-    # + variable of the stream's raw words picks the sign; short blocks make
-    # the run cross block boundaries and end inside a word
-    monkeypatch.setattr(montecarlo, "TIME_BLOCK", 64)
+def test_signs_are_the_bit_slices_of_each_chunk_stream(monkeypatch):
+    # a per-sample scalar loop: chunk k's stream gives an (N, count) Gaussian
+    # draw, then sample r of the chunk reads the sign of increment (step, v)
+    # from bit r % 64 of word (step N + v) W + r // 64, W = ceil(count / 64).
+    # Chunks of 128 leave a partial chunk of 72 samples, not a multiple of 64,
+    # and blocks of 40 steps make the run cross block boundaries.
+    monkeypatch.setattr(montecarlo, "CHUNK_SIZE", 128)
+    monkeypatch.setattr(montecarlo, "TIME_BLOCK", 40)
     spec = oscillator_system(0.1, 0.02)
-    dt, n_steps, n = 0.01, 100, 200
+    dt, n_steps, n, seed = 0.01, 100, 200, 3
     x0 = np.array([1.0, -0.5])
     u0 = MonomialObservable((1, 1), spec)
-    run = simulate(spec, x0, u0, np.array([n_steps * dt]), n, dt, seed=3)
+    run = simulate(spec, x0, u0, np.array([n_steps * dt]), n, dt, seed=seed)
     s = math.sqrt(spec.noise * dt)
-    finals = np.empty((n, 2))
-    for r in range(n):
-        rng = montecarlo._sample_rng(3, r)
-        x = x0 + rng.standard_normal(2) * np.sqrt(spec.noise / (2 * spec.rates))
-        words = [int(w) for w in rng.bit_generator.random_raw(-(-2 * n_steps // 64))]
-        for k in range(n_steps):
-            c = spec.drift_value(x[None, :], np.empty((1, 2)))[0]
-            bits = np.array([words[j // 64] >> (j % 64) & 1 for j in (2 * k, 2 * k + 1)])
-            x = x * (1 - dt * spec.rates) + dt * c + np.where(bits == 1, s, -s)
-        finals[r] = x
-    assert math.isclose(run.mean[0], u0(finals).mean(), rel_tol=1e-12, abs_tol=1e-15)
+    finals = []
+    for chunk, start in enumerate(range(0, n, 128)):
+        count = min(128, n - start)
+        width = -(-count // 64)
+        bits = np.random.Philox(key=(seed << 64) + chunk)
+        normals = np.random.Generator(bits).standard_normal((2, count))
+        words = [int(w) for w in bits.random_raw(n_steps * 2 * width)]
+        for r in range(count):
+            x = x0 + normals[:, r] * np.sqrt(spec.noise / (2 * spec.rates))
+            for k in range(n_steps):
+                c = spec.drift_value(x[None, :], np.empty((1, 2)))[0]
+                signs = np.array([words[(2 * k + v) * width + r // 64] >> (r % 64) & 1
+                                  for v in (0, 1)])
+                x = x * (1 - dt * spec.rates) + dt * c + np.where(signs == 1, s, -s)
+            finals.append(x)
+    vals = u0(np.array(finals))
+    assert math.isclose(run.mean[0], vals.mean(), rel_tol=1e-12, abs_tol=1e-15)
+    assert math.isclose(run.se[0], vals.std(ddof=1) / math.sqrt(n), rel_tol=1e-9)
 
 
 def test_estimates_do_not_depend_on_time_block(monkeypatch):
-    # any multiple of 64 reads the same bits, so blocks are not in the contract
+    # every step reads its own words, so no block length is in the contract
     spec = oscillator_system(0.1, 0.02)
     u0 = MonomialObservable((2, 1), spec)
-    times = np.array([0.0, 0.37, 1.5])  # 150 steps: two short blocks and a partial one
+    times = np.array([0.0, 0.37, 1.5])  # 150 steps: whole and partial blocks
     runs = []
-    for block in (64, 1024):
+    for block in (64, 100, 1024):
         monkeypatch.setattr(montecarlo, "TIME_BLOCK", block)
         runs.append(simulate(spec, np.array([1.0, 0.5]), u0, times, 500, 0.01, seed=6))
-    assert np.array_equal(runs[0].mean, runs[1].mean)
-    assert np.array_equal(runs[0].se, runs[1].se)
+    for run in runs[1:]:
+        assert np.array_equal(runs[0].mean, run.mean)
+        assert np.array_equal(runs[0].se, run.se)
 
 
 def test_different_seeds_differ():
