@@ -3,9 +3,10 @@
 Each evolver maps a `states.KEState` to the state(s) it reaches.  The
 coefficient vector obeys d psi/dt = (-A + B + C) psi with A diagonal
 positive and B, C skew, so the squared norm can only decrease.  Runs evolve
-by exact exponential actions: `evolve_reference` always through `expm_multiply`
-(Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011) 488-511), `evolve_expm` by
-dense `expm` up to DENSE_EXP_LIMIT.  The splitting e^{-tau A} e^{tau B} e^{tau C}
+by exact exponential actions: `evolve_reference` and `evolve_blocks` (many
+linear systems over one basis) through `expm_multiply` (Al-Mohy & Higham,
+SIAM J. Sci. Comput. 33 (2011) 488-511), `evolve_expm` by dense `expm` up to
+DENSE_EXP_LIMIT.  The splitting e^{-tau A} e^{tau B} e^{tau C}
 is audited against its analytic bound; RK45 (`evolve_rk45`) is the tests' oracle.
 
 Readout is linear, so by duality <r, e^{tG} psi> = <e^{tG^T} r, psi>: one
@@ -69,19 +70,42 @@ def assemble_all(basis: BasisSet, spec) -> KEOperators:
                        assemble_nonlinear_drift(basis, spec))
 
 
-def evolve_reference(state: KEState, ops: KEOperators, t: float, n_points: int = 0):
-    """Exact action e^{tG} psi through `expm_multiply`: the final KEState, or with
-    `n_points` the KEStates on the uniform grid of that many points over [0, t]."""
-    gen, psi = ops.generator(), state.coefficients
+def _action(gen, psi, t: float, n_points: int = 0):
+    """e^{tG} psi through `expm_multiply`, or with `n_points` its values on the uniform
+    grid of that many points over [0, t]; refused when t ||G||_1 exceeds MAX_ACTION_WORK."""
     work = t * abs(gen).sum(axis=0).max()  # expm_multiply's cost grows with t ||G||_1
     if not work <= MAX_ACTION_WORK:  # also refuses nan
         raise ResourceLimitError(f"exponential action work t ||G||_1 = {work:.3g} exceeds "
                                  f"the cap of {MAX_ACTION_WORK:.3g}")
     if not n_points:
-        return KEState(expm_multiply(t * gen, psi), state.basis, state.t + t)
-    ys = expm_multiply(gen, psi, start=0.0, stop=t, num=n_points, endpoint=True)
+        return expm_multiply(t * gen, psi)
+    return expm_multiply(gen, psi, start=0.0, stop=t, num=n_points, endpoint=True)
+
+
+def evolve_reference(state: KEState, ops: KEOperators, t: float, n_points: int = 0):
+    """Exact action e^{tG} psi through `expm_multiply`: the final KEState, or with
+    `n_points` the KEStates on the uniform grid of that many points over [0, t]."""
+    ys = _action(ops.generator(), state.coefficients, t, n_points)
+    if not n_points:
+        return KEState(ys, state.basis, state.t + t)
     return [KEState(y, state.basis, state.t + s)
             for s, y in zip(np.linspace(0.0, t, n_points), ys)]
+
+
+def evolve_blocks(dissipation: SparseOperator, linears, state: KEState, t: float) -> np.ndarray:
+    """Row k is e^{tG_k} psi, G_k = -A + B_k, for linear operators B_k over the state's
+    basis: one action of the block-diagonal generator, whose blocks evolve as they would
+    alone up to the action's step choice, which the largest block norm sets."""
+    mats, n = [op.matrix for op in linears], len(state.basis)
+    nnz = [m.nnz for m in mats]
+    block = sp.csr_matrix((np.concatenate([m.data for m in mats]),
+                           np.concatenate([m.indices for m in mats])
+                           + np.repeat(np.arange(len(mats)) * n, nnz),  # column offsets
+                           np.concatenate([[0]] + [m.indptr[1:] + off for m, off in
+                                                   zip(mats, np.cumsum([0] + nnz))])),
+                          shape=(n * len(mats),) * 2)
+    gen = (block - sp.diags(np.tile(dissipation.matrix.diagonal(), len(mats)))).tocsr()
+    return _action(gen, np.tile(state.coefficients, len(mats)), t).reshape(len(mats), n)
 
 
 def solve_ivp(*args, **kwargs):

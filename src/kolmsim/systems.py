@@ -160,6 +160,10 @@ class SpectralAdvectionDrift:
         self.q = float(q)
         self.lam_raw = 4.0 * math.pi ** 2 * (self.table ** 2).sum(axis=1).astype(float)
         self.rates = self.nu * self.lam_raw
+        n = len(self.table)
+        if 3 * n * (n - 1) > DEFAULT_BASIS_CAP:  # the candidate triples _build_triples tables
+            raise ResourceLimitError(f"{n} modes make 3 modes (modes - 1) = {3 * n * (n - 1)} "
+                                     f"candidate triples, over the cap of {DEFAULT_BASIS_CAP}")
         self._build_triples()
 
     def _build_triples(self):
@@ -337,46 +341,27 @@ def rotation_gate(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def _check_gate(u: np.ndarray):
+def embed_gate(u, targets, n_qubits: int) -> tuple:
+    """COO triples (rows, cols, vals) of a real orthogonal k-qubit gate on the full
+    register (qubit 0 = leftmost bit): each nonzero u[a, b] lands at the 2^(n-k)
+    places whose target bits read a and b and whose other bits agree."""
     u = np.asarray(u)
     if np.iscomplexobj(u):
         if np.abs(u.imag).max() > 0:
             raise DriftError("gates must have real matrix elements")
         u = u.real
-    u = u.astype(float)
-    dim = u.shape[0]
-    if u.shape != (dim, dim) or dim & (dim - 1) or dim < 2:
-        raise DriftError("gate matrix must be square with power-of-two size")
-    if np.abs(u @ u.T - np.eye(dim)).max() > 1e-12:
+    u, k = u.astype(float), len(targets)
+    if k < 1 or u.shape != (2 ** k, 2 ** k):
+        raise DriftError("a gate on k >= 1 target qubits must be a 2^k x 2^k matrix")
+    if np.abs(u @ u.T - np.eye(2 ** k)).max() > 1e-12:
         raise DriftError("gate matrix is not orthogonal")
-    return u
-
-
-def embed_gate(u: np.ndarray, targets, n_qubits: int) -> np.ndarray:
-    """Expand a k-qubit gate to the full register (qubit 0 = leftmost bit)."""
-    u = np.asarray(u, dtype=float)
-    k = len(targets)
-    if u.shape != (2 ** k, 2 ** k):
-        raise DriftError("gate size does not match its target count")
     if len(set(targets)) != k or any(t < 0 or t >= n_qubits for t in targets):
         raise DriftError("bad target qubit list")
-    dim = 2 ** n_qubits
-    full = np.zeros((dim, dim))
-    shifts = [n_qubits - 1 - t for t in targets]
-    for col in range(dim):
-        tin = 0
-        for pos, sh in enumerate(shifts):
-            tin |= ((col >> sh) & 1) << (k - 1 - pos)
-        for tout in range(2 ** k):
-            amp = u[tout, tin]
-            if amp == 0.0:
-                continue
-            row = col
-            for pos, sh in enumerate(shifts):
-                bit = (tout >> (k - 1 - pos)) & 1
-                row = (row & ~(1 << sh)) | (bit << sh)
-            full[row, col] += amp
-    return full
+    # row a holds the register indices whose target bits read a, ordered by their other bits
+    order = list(targets) + [q for q in range(n_qubits) if q not in targets]
+    place = np.arange(2 ** n_qubits).reshape((2,) * n_qubits).transpose(order).reshape(2 ** k, -1)
+    out, inp = np.nonzero(u)
+    return place[out].ravel(), place[inp].ravel(), np.repeat(u[out, inp], place.shape[1])
 
 
 def chain_walk_weights(n_gates: int) -> np.ndarray:
@@ -395,25 +380,22 @@ def clock_drift(circuit, n_qubits: int) -> sp.csr_matrix:
     b = sum_j w_{j-1} (|j-1><j| (x) U_j^T  -  |j><j-1| (x) U_j) over the
     (m+1) 2^n dimensional space; exp(-b)|0, 0^n> = |m> (x) U|0^n>.
     """
-    gates = [( _check_gate(u), tuple(targets)) for u, targets in circuit]
-    m = len(gates)
+    m = len(circuit)
     if m < 1:
         raise DriftError("circuit must contain at least one gate")
     dim_q = 2 ** n_qubits
-    if (m + 1) * dim_q > DEFAULT_BASIS_CAP:  # before embed_gate allocates (2^n)^2 floats
+    if (m + 1) * dim_q > DEFAULT_BASIS_CAP:  # before embed_gate places 2^n entries a gate
         raise ResourceLimitError(f"clock register of (gates + 1) 2^qubits = {(m + 1) * dim_q} "
                                  f"variables exceeds the cap of {DEFAULT_BASIS_CAP}")
     w = chain_walk_weights(m)
     rows, cols, vals = [], [], []
-    for j, (u, targets) in enumerate(gates, start=1):
-        full = embed_gate(u, targets, n_qubits) if n_qubits else np.array([[1.0]])
-        r, c = np.nonzero(full)
+    for j, (u, targets) in enumerate(circuit, start=1):
+        r, c, v = embed_gate(u, targets, n_qubits)
         r0, c0 = (j - 1) * dim_q, j * dim_q
-        v = w[j - 1] * full[r, c]
         # block (j-1, j) holds w U^T, block (j, j-1) holds -w U
         rows += [r0 + c, c0 + r]
         cols += [c0 + r, r0 + c]
-        vals += [v, -v]
+        vals += [w[j - 1] * v, -w[j - 1] * v]
     # gate j fills only blocks (j-1, j) and (j, j-1), so no entry repeats
     return _csr_from_entries(*map(np.concatenate, (rows, cols, vals)), (m + 1) * dim_q)
 
@@ -430,14 +412,12 @@ def clock_system(circuit, n_qubits: int, lam: float = 0.1,
 
 
 def circuit_amplitude(circuit, n_qubits: int) -> float:
-    """<0^n| U_m ... U_1 |0^n> by dense multiplication."""
-    dim = 2 ** n_qubits
-    state = np.zeros(dim)
+    """<0^n| U_m ... U_1 |0^n> by sparse multiplication."""
+    state = np.zeros(2 ** n_qubits)
     state[0] = 1.0
     for u, targets in circuit:
-        full = embed_gate(_check_gate(u), targets, n_qubits) if n_qubits \
-            else np.array([[1.0]])
-        state = full @ state
+        rows, cols, vals = embed_gate(u, targets, n_qubits)
+        state = np.bincount(rows, weights=vals * state[cols], minlength=state.size)
     return float(state[0])
 
 

@@ -7,6 +7,7 @@ import dataclasses
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -19,8 +20,10 @@ from hypothesis import strategies as st
 import kolmsim
 from kolmsim import cli, evolution, experiments, operators
 from kolmsim.errors import ConfigError, NumericalError
-from kolmsim.evolution import assemble_all
+from kolmsim.evolution import assemble_all, evolve_expm
 from kolmsim.operators import SystemSpec
+from kolmsim.states import expectation, initial_state
+from kolmsim.systems import clock_system, random_real_circuit
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 SRC_DIR = os.path.dirname(os.path.dirname(kolmsim.__file__))
@@ -217,7 +220,7 @@ def test_taylor_green_nonzero_truth(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("cfg, run_bases", [
     ({**OSC_CFG, "basis": {"orders": [3, 2]}}, 2),
-    (BQP_CFG, BQP_CFG["circuits"]["count"]),
+    (BQP_CFG, None),  # one basis per register size (gates + 1) 2^qubits
     (NSE_CFG, 1),
     ({**AUDITS_CFG, "regularization": {"r_values": [0.2, 0.4], "r_reference": 0.8}}, 1),
 ], ids=["oscillator", "bqp_circuit", "nse_taylor_green", "audits"])
@@ -236,6 +239,11 @@ def test_each_basis_is_assembled_once(tmp_path, monkeypatch, cfg, run_bases):
             enumerated, module.enumerate_basis, lambda n_vars, scheme, rates: scheme))
     audit = experiments.run_experiment(experiments.validate_config(cfg), str(tmp_path))
     assert audit["passed"] is True
+    if run_bases is None:
+        with open(tmp_path / "comparison.csv") as fh:
+            sizes = {(int(r["gates"]) + 1) * 2 ** int(r["qubits"]) for r in csv.DictReader(fh)}
+        run_bases = len(sizes)
+        assert run_bases < cfg["circuits"]["count"]  # some circuits share a basis
     reference = [s for s in assembled if s.rule == "weight"]
     assert len(assembled) == run_bases + len(reference)
     assert [s for s in enumerated if s.rule == "order"] == assembled[:run_bases]
@@ -390,9 +398,7 @@ def test_monte_carlo_work_cap_exit_code(tmp_path, block, key, value):
     {**BQP_CFG, "circuits": {"file": "h.txt", "qubits": 40}},
 ], ids=["audits", "bqp_circuit"])
 def test_clock_register_cap_exit_code(tmp_path, monkeypatch, capsys, cfg):
-    # (gates + 1) 2^40 clock variables: refused before any gate is embedded.
-    # Only 40 qubits here: at 13-30 the register is under the cap or numpy
-    # allocates half a gigabyte or more before it fails.
+    # (gates + 1) 2^40 clock variables: refused before any gate is embedded
     monkeypatch.chdir(tmp_path)
     (tmp_path / "h.txt").write_text("H 0\n")
     out = tmp_path / "o"
@@ -438,6 +444,27 @@ def test_mode_count_cap_exit_code(tmp_path, capsys, cfg):
     assert record["error"] == "numerical"
     assert record["detail"] == f"{2 ** 62} modes exceed the basis cap of 2000000"
     assert not out.exists()
+
+
+def test_nse_triple_table_cap_exit_code(tmp_path):
+    # 3 modes (modes - 1) candidate triples past the basis cap: refused before
+    # the O(modes^2) triple table is built (800 modes already peak at 426 MiB).
+    # A fresh process with its address space capped, so a missing guard fails
+    # here instead of taking gigabytes.
+    cfg = {**NSE_CFG, "system": {**NSE_CFG["system"], "modes": 5000}}
+    path = os.pathsep.join(filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "kolmsim.cli", "run", write_cfg(tmp_path, cfg),
+         "--out", str(tmp_path / "o")],
+        env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2 ** 31, 2 ** 31)),
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == cli.EXIT_NUMERICAL, proc.stderr
+    record = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert record == {"error": "numerical",
+                      "detail": "5000 modes make 3 modes (modes - 1) = 74985000 candidate "
+                                "triples, over the cap of 2000000"}
+    assert not (tmp_path / "o").exists()
 
 
 def test_audit_failure_exit_code(tmp_path, monkeypatch):
@@ -506,6 +533,27 @@ def test_bqp_bound_feeds_exit_code(tmp_path, monkeypatch, capsys):
     assert audit["passed"] is False
     assert error_record(capsys) == {"error": "audit",
                                     "detail": "failed checks: bqp/bound_satisfied"}
+
+
+def test_bqp_batched_readouts_match_per_circuit_solves():
+    # sizes (gates + 1) 2^qubits collide: (1, 3), (3, 2) and (7, 1) all make
+    # N = 16, so one group holds readout variables 8, 12 and 14; (2, 1) makes a
+    # group of its own, N = 6
+    rng = np.random.default_rng(5)
+    jobs = [(random_real_circuit(rng, n, m), n)
+            for m, n in [(1, 3), (3, 2), (2, 1), (7, 1), (3, 2), (1, 3)]]
+    values, (spec, ops) = experiments._clock_readouts(jobs, 0.1, 0.1, 1.0)
+    for (circuit, n), value in zip(jobs, values):
+        spec_k = clock_system(circuit, n, lam=0.1, q=0.1)
+        ops_k = experiments._order_operators(spec_k, 1)
+        psi = evolve_expm(initial_state(experiments._default_observable(spec_k), ops_k.basis),
+                          ops_k, 1.0)
+        x = np.zeros(spec_k.n_vars)
+        x[len(circuit) * 2 ** n] = 1.0
+        assert abs(value - expectation([psi], x, 1, spec_k)[0]) <= 1e-13
+    # the audit gets the first circuit's system and operators
+    assert (spec.linear != clock_system(*jobs[0], lam=0.1, q=0.1).linear).nnz == 0
+    assert (ops.generator() != experiments._order_operators(spec, 1).generator()).nnz == 0
 
 
 @pytest.mark.parametrize("cfg_seed, cli_seed", [

@@ -422,12 +422,21 @@ def test_clock_rejects_complex():
         clock_drift([(y, (0,))], 1)
 
 
+def embedded(u, targets, n_qubits):
+    """embed_gate's COO triples as a dense matrix; no place may repeat."""
+    rows, cols, vals = embed_gate(u, targets, n_qubits)
+    assert len(set(zip(rows.tolist(), cols.tolist()))) == rows.size
+    full = np.zeros((2 ** n_qubits,) * 2)
+    full[rows, cols] = vals
+    return full
+
+
 def test_embed_gate_cnot_orientation():
     # control qubit 0 (leftmost bit), target qubit 1
-    full = embed_gate(GATE_MATRICES["CNOT"], (0, 1), 2)
+    full = embedded(GATE_MATRICES["CNOT"], (0, 1), 2)
     np.testing.assert_allclose(full, GATE_MATRICES["CNOT"])
     # reversed targets swap control and target roles
-    swapped = embed_gate(GATE_MATRICES["CNOT"], (1, 0), 2)
+    swapped = embedded(GATE_MATRICES["CNOT"], (1, 0), 2)
     state = np.zeros(4)
     state[1] = 1.0  # |01>: qubit 1 set -> flips qubit 0 -> |11>
     out = swapped @ state
@@ -449,9 +458,9 @@ def test_embed_gate_matches_kron_oracle(n_qubits):
     cases = [(q,) for q in range(n_qubits)] + \
         [(a, b) for a in range(n_qubits) for b in range(n_qubits) if a != b]
     for targets in cases:
-        # a generic matrix, so every entry's destination is checked
-        u = rng.normal(size=(2 ** len(targets),) * 2)
-        np.testing.assert_array_equal(embed_gate(u, targets, n_qubits),
+        # a generic orthogonal matrix, so every entry's destination is checked
+        u = np.linalg.qr(rng.normal(size=(2 ** len(targets),) * 2))[0]
+        np.testing.assert_array_equal(embedded(u, targets, n_qubits),
                                       kron_embedding(u, targets, n_qubits))
 
 
