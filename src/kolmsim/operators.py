@@ -7,7 +7,10 @@ nonlinear drift functions c_i.  Each nonlinear drift object assembles its
 own Galerkin matrix: the closed forms of the cubic oscillator and the
 spectral Navier-Stokes advection live in `systems`, and `QuadratureDrift`
 here integrates non-polynomial drifts of N <= 3 systems with a
-sum-factorised Gauss-Hermite rule, one grid axis at a time.  The linear
+sum-factorised Gauss-Hermite rule, one grid axis at a time.  The NSE
+matrix is R - R^T from its raising block R, so its raw asymmetry is
+exactly 0, and the radial residual of `verify_divergence_free` checks the
+energy conservation of its triples.  The linear
 and NSE assemblers move quanta on sorted variable labels and rank each
 target with at most K gathers (`_ladder_hits`); the oscillator and
 quadrature routes rank dense rows with `BasisSet.positions`.  The linear
@@ -271,6 +274,7 @@ def assemble_nonlinear_drift(basis: BasisSet, spec) -> SparseOperator:
     It means the drift spec is not divergence-free or, for a
     `QuadratureDrift`, that its Gauss-Hermite rule does not resolve the
     drift against the Gaussian measure (which widens with q / lambda).
+    The NSE assembly returns R - R^T, on which it reads exactly 0.
     """
     _check_spec_basis(basis, spec)
     n = len(basis)

@@ -4,7 +4,11 @@ Four families: the planar nonlinear oscillator (cubic and bounded
 frequency profiles), the spectral Galerkin discretization of the 2D
 incompressible Navier-Stokes equations on the torus, the Taylor-Green
 analytic reference flow, and the clock-register encoding that maps a real
-quantum circuit to a sparse skew linear drift.
+quantum circuit to a sparse skew linear drift.  The NSE advection
+operator is assembled from its degree-raising block R alone as R - R^T,
+skew by construction; the energy conservation that makes the lowering
+block -R^T is checked on the triples themselves, through the radial
+residual of `operators.verify_divergence_free`.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import BasisError, DriftError, ResourceLimitError
-from .multiindex import DEFAULT_BASIS_CAP, BasisSet, RegularizationScheme, _ragged, enumerate_basis
+from .multiindex import DEFAULT_BASIS_CAP, BasisSet, RegularizationScheme, enumerate_basis
 from .operators import QuadratureDrift, SystemSpec, _csr_from_entries, _ladder_hits
 
 # ---------------------------------------------------------------------------
@@ -122,8 +126,6 @@ def wavenumber_table(n_modes: int) -> np.ndarray:
     Ordered by |k|^2 ascending with ties broken by (k1, k2) lex, so the
     Stokes eigenvalues 4 pi^2 |k|^2 come out non-decreasing.
     """
-    if n_modes > DEFAULT_BASIS_CAP:  # a basis of order >= 1 has more rows than modes
-        raise ResourceLimitError(f"{n_modes} modes exceed the basis cap of {DEFAULT_BASIS_CAP}")
     bound = 2
     while True:
         cands = [(k1, k2) for k1 in range(bound + 1)
@@ -137,17 +139,31 @@ def wavenumber_table(n_modes: int) -> np.ndarray:
         bound *= 2
 
 
+def _check_mode_count(n: int):
+    """Refuse n modes past the basis cap, or whose 3 n (n - 1) candidate triples
+    (the table `_build_triples` fills) are."""
+    if n > DEFAULT_BASIS_CAP:  # a basis of order >= 1 has more rows than modes
+        raise ResourceLimitError(f"{n} modes exceed the basis cap of {DEFAULT_BASIS_CAP}")
+    if 3 * n * (n - 1) > DEFAULT_BASIS_CAP:
+        raise ResourceLimitError(f"{n} modes make 3 modes (modes - 1) = {3 * n * (n - 1)} "
+                                 f"candidate triples, over the cap of {DEFAULT_BASIS_CAP}")
+
+
 class SpectralAdvectionDrift:
     """Quadratic advection drift of the Galerkin-projected 2D NSE.
 
     Matrix elements follow the closed Kronecker-delta representation: each
     interacting triple of modes (k, i, j) with k in {i+j, i-j, j-i}
-    contributes a geometric factor (i_perp . j)(j . k)/(|i||k||j|^2) and a
-    one-up/two-down ladder move, so the operator couples total degrees
-    differing by exactly one.  Assembly generates only the moves that can
-    land: raising i and j on columns of degree below K, and lowering a mode
-    x only where x is another label of the column, found by looking the
-    triples up by (k, x).
+    contributes a geometric factor (i_perp . j)(j . k)/(|i||k||j|^2) and
+    ladder moves that lower k by one and change i and j by one each, so the
+    operator couples total degrees differing by exactly one.  The
+    divergence-free conditions make the projected operator skew (triad
+    energy conservation, Kraichnan & Montgomery, Rep. Prog. Phys. 43 (1980)
+    547), so the moves that lower i or j sum to minus the transpose of the
+    raising block R.  Assembly generates only the raising moves, on columns
+    of degree below K, and returns R - R^T, skew in its float data by
+    construction.  `value` evaluates the same triples, so the radial
+    residual of `verify_divergence_free` checks their energy conservation.
     """
 
     def __init__(self, table: np.ndarray, nu: float, q: float):
@@ -160,10 +176,7 @@ class SpectralAdvectionDrift:
         self.q = float(q)
         self.lam_raw = 4.0 * math.pi ** 2 * (self.table ** 2).sum(axis=1).astype(float)
         self.rates = self.nu * self.lam_raw
-        n = len(self.table)
-        if 3 * n * (n - 1) > DEFAULT_BASIS_CAP:  # the candidate triples _build_triples tables
-            raise ResourceLimitError(f"{n} modes make 3 modes (modes - 1) = {3 * n * (n - 1)} "
-                                     f"candidate triples, over the cap of {DEFAULT_BASIS_CAP}")
+        _check_mode_count(len(self.table))
         self._build_triples()
 
     def _build_triples(self):
@@ -186,12 +199,6 @@ class SpectralAdvectionDrift:
         geo = sign * geom / (np.sqrt(norm_sq[0]) * np.sqrt(norm_sq[1]) * norm_sq[2])
         self._k, self._i, self._j, self._geo = (a[live] for a in (k_idx, i_idx, j_idx, geo))
         self.triples = list(zip(*(a.tolist() for a in (self._k, self._i, self._j, self._geo))))
-        # per lowered mode x = j, then x = i: the triples sorted (stably) by
-        # the key k n + x, and where the run of each key starts
-        self._lowering = []
-        for key in (self._k * n + self._j, self._k * n + self._i):
-            by = np.argsort(key, kind="stable")
-            self._lowering.append((by, np.searchsorted(key[by], np.arange(n * n + 1))))
         # the support size of c_k is the number of modes in its triples
         pairs = np.unique(np.concatenate([self._k * n + self._i, self._k * n + self._j]))
         self.sparsity = int(np.bincount(pairs // n).max(initial=0))
@@ -218,59 +225,34 @@ class SpectralAdvectionDrift:
         shape = (len(basis),) * 2
         if not self.triples:
             return sp.csr_matrix(shape)
-        n, top = basis.n_vars, basis.max_degree
-        q_eff = self.q / self.nu
-        lam = self.lam_raw
+        top, lam, q_eff = basis.max_degree, self.lam_raw, self.q / self.nu
         rows, cols, vals = [], [], []
         for k_idx in np.unique(self._k):
-            # columns with m_k > 0; every move lowers k in a slot that holds it
-            col = np.nonzero(basis.orders[:, k_idx])[0]
-            labels = basis.labels[col]
-            # move 0 raises i and j on every triple of k, where |m| < K
-            below, own = np.nonzero(basis.degrees[col] < top)[0], np.nonzero(self._k == k_idx)[0]
-            c, t = [np.repeat(below, own.size)], [np.tile(own, below.size)]
-            slot = [np.full(c[0].size, top - 1)]  # a padding slot
-            # moves 1 and 2 lower j or i: one candidate per other label x of the
-            # column (the first slot of its run) and triple with j = x or i = x
-            first = (labels != k_idx) & (labels < n)
-            first[:, 1:] &= labels[:, 1:] != labels[:, :-1]
-            c_x, s_x = np.nonzero(first)
-            key = k_idx * n + labels[c_x, s_x]
-            for by, ptr in self._lowering:
-                owner, step = _ragged(ptr[key + 1] - ptr[key])
-                c.append(c_x[owner])
-                t.append(by[ptr[key][owner] + step])
-                slot.append(s_x[owner])
-            move = np.repeat([0, 1, 2], [a.size for a in c])
-            c, t, slot = (np.concatenate(a) for a in (c, t, slot))
-            order = np.argsort((c * len(self._k) + t) * 3 + move)  # (column, triple, move)
-            c, t, slot, move = c[order], t[order], slot[order], move[order]
+            # each triple of k lowers k and raises i and j, on columns with m_k > 0, |m| < K
+            col = np.nonzero((basis.orders[:, k_idx] > 0) & (basis.degrees < top))[0]
+            own = np.nonzero(self._k == k_idx)[0]
+            c, t = np.repeat(col, own.size), np.tile(own, col.size)
+            # k's first slot takes i; the last slot, padding as |m| < K, takes j
+            edits = [(np.argmax(basis.labels[c] == k_idx, axis=1), self._i[t]),
+                     (np.full(c.size, top - 1), self._j[t])]
+            target, hit = _ladder_hits(basis, c, edits)
+            c, t = c[hit], t[hit]
             i_t, j_t = self._i[t], self._j[t]
-            # k's slot takes the raised mode; the other slot the second raised
-            # mode (move 0) or the padding label (the lowered mode)
-            edits = [(np.argmax(labels[c] == k_idx, axis=1), np.where(move == 2, j_t, i_t)),
-                     (slot, np.where(move == 0, j_t, n))]
-            target, hit = _ladder_hits(basis, col[c], edits)
-            c, i_t, j_t, geo, move = col[c[hit]], i_t[hit], j_t[hit], self._geo[t[hit]], move[hit]
             n_k, n_i, n_j = (basis.orders[c, v] for v in (k_idx, i_t, j_t))
-            base = -0.5 * np.sqrt(n_k * q_eff * lam[k_idx] / lam[i_t]) * geo
-            # raising a mode that holds n quanta gives sqrt(n + 1), lowering it sqrt(n)
-            ladder = np.sqrt((n_i + (move != 2)) * (n_j + (move != 1)))
+            base = -0.5 * np.sqrt(n_k * q_eff * lam[k_idx] / lam[i_t]) * self._geo[t]
             rows.append(target)
             cols.append(c)
-            vals.append(base * ladder)
+            vals.append(base * np.sqrt((n_i + 1) * (n_j + 1)))
         rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
-        # Entries leave the loop in (k, column, triple, move) order.  COO
-        # duplicates are summed in the order each row receives them, so a
-        # stable sort by column restores the (column, k, triple, move) order
-        # of a per-column sweep, which fixes how each summed entry rounds.
-        order = np.argsort(cols, kind="stable")
-        mat = sp.coo_matrix((vals[order], (rows[order], cols[order])), shape=shape)
-        return mat.tocsr()
+        # an entry sums at most the orderings (i, j) and (j, i) of one pair, and a
+        # two-term sum does not depend on order
+        raising = sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
+        return (raising - raising.T).tocsr()
 
 
 def nse_system(n_modes: int = 40, nu: float = 0.1, q: float = 1e-5) -> SystemSpec:
     """Galerkin 2D NSE in the Stokes eigenbasis with additive noise."""
+    _check_mode_count(n_modes)  # before the wavenumber table, which grows with the modes
     table = wavenumber_table(n_modes)
     drift = SpectralAdvectionDrift(table, nu, q)
     spec = SystemSpec(name=f"nse[N={n_modes},nu={nu}]", rates=drift.rates,

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kolmsim
-from kolmsim import cli, evolution, experiments, operators
+from kolmsim import cli, evolution, experiments, operators, systems
 from kolmsim.errors import ConfigError, NumericalError
 from kolmsim.evolution import assemble_all, evolve_expm
 from kolmsim.operators import SystemSpec
@@ -465,6 +465,35 @@ def test_nse_triple_table_cap_exit_code(tmp_path):
                       "detail": "5000 modes make 3 modes (modes - 1) = 74985000 candidate "
                                 "triples, over the cap of 2000000"}
     assert not (tmp_path / "o").exists()
+
+
+def test_nse_triple_cap_is_checked_before_the_wavenumber_table(tmp_path, monkeypatch, capsys):
+    # 817 modes make 2,000,016 candidate triples: refused from the mode count
+    # alone, so the wavenumber table is never built
+    def unreachable(n_modes):
+        raise AssertionError("wavenumber_table was called")
+
+    monkeypatch.setattr(systems, "wavenumber_table", unreachable)
+    cfg = {"experiment": "audits", "system": {"kind": "nse", "modes": 817}, "basis": {"order": 1}}
+    out = tmp_path / "o"
+    assert cli.main(["run", write_cfg(tmp_path, cfg), "--out", str(out)]) == cli.EXIT_NUMERICAL
+    record = error_record(capsys)
+    assert record == {"error": "numerical",
+                      "detail": "817 modes make 3 modes (modes - 1) = 2000016 candidate "
+                                "triples, over the cap of 2000000"}
+    assert not out.exists()
+
+
+def test_regularization_propagator_work_cap_exit_code(tmp_path, capsys):
+    # at t = 1e300 every propagator of the regularization audit would read nan;
+    # the audit used to pass with a sup of 0.0, since max(0.0, nan) is 0.0
+    cfg = {**AUDITS_CFG, "regularization": {**AUDITS_CFG["regularization"], "t": 1e300}}
+    out = tmp_path / "o"
+    assert cli.main(["run", write_cfg(tmp_path, cfg), "--out", str(out)]) == cli.EXIT_NUMERICAL
+    record = error_record(capsys)
+    assert record["error"] == "numerical"
+    assert record["detail"].endswith("exceeds the cap of 1e+06")
+    assert not out.exists()
 
 
 def test_audit_failure_exit_code(tmp_path, monkeypatch):

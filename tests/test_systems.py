@@ -138,12 +138,16 @@ def test_nse_degree_jumps_are_one():
     assert set(np.abs(basis.degrees[rows] - basis.degrees[cols])) == {1}
 
 
-def nse_entry_oracle(drift, m, n, q: float) -> float:
+NSE_MOVES = ((1, 1), (1, -1), (-1, 1))  # (change of m_i, change of m_j); m_k drops by one
+
+
+def nse_entry_oracle(drift, m, n, q: float, moves=NSE_MOVES) -> float:
     """Independent re-implementation of one advection matrix element.
 
     Brute-force loops over all (k, i, j) with the delta conditions checked
     directly on wavevectors; it shares no code with the grouped assembly
-    it checks.
+    it checks.  `moves` picks the ladder moves summed: all three by
+    default, or ((1, 1),) for the raising block alone.
     """
     table = drift.table
     lam = drift.lam_raw
@@ -176,10 +180,9 @@ def nse_entry_oracle(drift, m, n, q: float) -> float:
                          * float(jvec @ jvec))
                 base = -0.5 * math.sqrt(n[k_idx] * q_eff * lam[k_idx] / lam[i_idx]) \
                     * geom * delta
-                for (di, dj), ladder in (
-                        ((1, 1), math.sqrt((1 + n[i_idx]) * (1 + n[j_idx]))),
-                        ((1, -1), math.sqrt((1 + n[i_idx]) * n[j_idx])),
-                        ((-1, 1), math.sqrt(n[i_idx] * (1 + n[j_idx])))):
+                for di, dj in moves:
+                    # raising a mode that holds n quanta gives sqrt(n + 1), lowering it sqrt(n)
+                    ladder = math.sqrt((n[i_idx] + (di > 0)) * (n[j_idx] + (dj > 0)))
                     target = n.copy()
                     target[k_idx] -= 1
                     target[i_idx] += di
@@ -203,22 +206,41 @@ def test_nse_entries_match_independent_oracle():
         assert C[mi, ni] == pytest.approx(oracle, rel=1e-12)
 
 
-def test_nse_full_raw_matrix_matches_independent_oracle():
-    # every entry, zeros included, so a dropped or spurious move class shows
+@pytest.fixture(scope="module")
+def nse6_oracles():
+    """NSE-6 at K = 3: the raw assembly, the full three-move oracle O and the
+    raising-only oracle R_o, every entry, zeros included."""
     spec = nse_system(n_modes=6, nu=0.1, q=1e-3)
     basis = basis_for(spec, 3)
-    raw = spec.nonlinear.assemble(basis, spec).toarray()
-    oracle = np.array([[nse_entry_oracle(spec.nonlinear, m, n, spec.noise)
-                        for n in basis.orders] for m in basis.orders])
+
+    def dense(moves):
+        return np.array([[nse_entry_oracle(spec.nonlinear, m, n, spec.noise, moves)
+                          for n in basis.orders] for m in basis.orders])
+
+    return spec.nonlinear.assemble(basis, spec).toarray(), dense(NSE_MOVES), dense(((1, 1),))
+
+
+def test_nse_full_raw_matrix_matches_independent_oracle(nse6_oracles):
+    # every entry, zeros included, so a dropped or spurious raising move shows
+    raw, _, raising = nse6_oracles
     assert raw.shape == (83, 83)
-    np.testing.assert_allclose(raw, oracle, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(raw, raising - raising.T, rtol=1e-12, atol=0.0)
+
+
+def test_nse_oracle_lowering_moves_are_minus_raising_transpose(nse6_oracles):
+    # the identity the assembly relies on, checked by code that shares nothing
+    # with it: the lowering moves of the full oracle sum to -R_o^T.  O is not
+    # exactly skew; it holds rounding residues of order 1e-18 where O^T reads 0
+    _, full, raising = nse6_oracles
+    assert np.count_nonzero(raising) > 0
+    assert np.abs(full - (raising - raising.T)).max() <= 1e-15 * np.abs(full).max()
 
 
 @pytest.mark.parametrize("rule", ["order", "weight"])
 def test_nse_landing_candidates_match_brute_force(monkeypatch, rule):
-    # the assembly ranks only candidates that can land; a sweep over every
-    # (k, column, triple, move) with a dense target and a dict lookup must
-    # find the same (column, target) pairs, in the same order
+    # the assembly ranks only raising candidates that can land; a sweep over
+    # every (k, column, triple) with a dense raised target and a dict lookup
+    # must find the same (column, target) pairs, in the same order
     spec = nse_system(n_modes=12, nu=0.1, q=1e-3)
     scheme = (RegularizationScheme.by_max_order(3, spec.rates) if rule == "order"
               else RegularizationScheme.by_weight(3.5 * spec.rates[0]))
@@ -242,24 +264,24 @@ def test_nse_landing_candidates_match_brute_force(monkeypatch, rule):
             if m[k] == 0:
                 continue
             for _, i, j, _ in triples:
-                for di, dj in ((1, 1), (1, -1), (-1, 1)):
-                    target = m.copy()
-                    target[k] -= 1
-                    target[i] += di
-                    target[j] += dj
-                    pos = table.get(tuple(int(v) for v in target), -1)
-                    if pos >= 0 and target.min() >= 0:
-                        expected.append((col, pos))
+                target = m.copy()
+                target[k] -= 1
+                target[i] += 1
+                target[j] += 1
+                pos = table.get(tuple(int(v) for v in target), -1)
+                if pos >= 0:
+                    expected.append((col, pos))
     assert len(expected) > 0
     assert landed == expected
 
 
 def test_nse_raw_assembly_skew():
+    # R - R^T is skew in its float data: negation rounds nothing
     spec = nse_system(n_modes=16, nu=0.1, q=1e-3)
     basis = basis_for(spec, 2)
     raw = spec.nonlinear.assemble(basis, spec)
-    scale = abs(raw.data).max()
-    assert abs((raw + raw.T).data).max(initial=0.0) < 1e-13 * scale
+    assert raw.nnz > 0
+    assert abs((raw + raw.T).data).max(initial=0.0) == 0.0
 
 
 def test_nse_rejects_bad_sign_convention():
