@@ -3,8 +3,8 @@
 Each evolver maps a `states.KEState` to the state(s) it reaches.  The
 coefficient vector obeys d psi/dt = (-A + B + C) psi with A diagonal
 positive and B, C skew, so the squared norm can only decrease.  Runs evolve
-by exact exponential actions: `evolve_reference` and `evolve_blocks` (many
-linear systems over one basis) through `expm_multiply` (Al-Mohy & Higham,
+by exact exponential actions: `evolve_reference` and `evolve_blocks` (a direct
+sum of linear systems over one basis) through `expm_multiply` (Al-Mohy & Higham,
 SIAM J. Sci. Comput. 33 (2011) 488-511), `evolve_expm` by dense `expm` up to
 DENSE_EXP_LIMIT.  The splitting e^{-tau A} e^{tau B} e^{tau C}
 is audited against its analytic bound; RK45 (`evolve_rk45`) is the tests' oracle.
@@ -99,20 +99,14 @@ def evolve_reference(state: KEState, ops: KEOperators, t: float, n_points: int =
             for s, y in zip(np.linspace(0.0, t, n_points), ys)]
 
 
-def evolve_blocks(dissipation: SparseOperator, linears, state: KEState, t: float) -> np.ndarray:
-    """Row k is e^{tG_k} psi, G_k = -A + B_k, for linear operators B_k over the state's
-    basis: one action of the block-diagonal generator, whose blocks evolve as they would
-    alone up to the action's step choice, which the largest block norm sets."""
-    mats, n = [op.matrix for op in linears], len(state.basis)
-    nnz = [m.nnz for m in mats]
-    block = sp.csr_matrix((np.concatenate([m.data for m in mats]),
-                           np.concatenate([m.indices for m in mats])
-                           + np.repeat(np.arange(len(mats)) * n, nnz),  # column offsets
-                           np.concatenate([[0]] + [m.indptr[1:] + off for m, off in
-                                                   zip(mats, np.cumsum([0] + nnz))])),
-                          shape=(n * len(mats),) * 2)
-    gen = (block - sp.diags(np.tile(dissipation.matrix.diagonal(), len(mats)))).tocsr()
-    return _action(gen, np.tile(state.coefficients, len(mats)), t).reshape(len(mats), n)
+def evolve_blocks(dissipation: SparseOperator, linear, state: KEState, t: float) -> np.ndarray:
+    """Row k is e^{tG_k} psi, G_k = -A + B_k, B_k the k-th diagonal block of `linear` over
+    the state's basis: one action of the block-diagonal generator, whose blocks evolve as
+    they would alone up to the action's step choice, which the largest block norm sets."""
+    n = len(state.basis)
+    count = linear.shape[0] // n
+    gen = (linear - sp.diags(np.tile(dissipation.matrix.diagonal(), count))).tocsr()
+    return _action(gen, np.tile(state.coefficients, count), t).reshape(count, n)
 
 
 def solve_ivp(*args, **kwargs):

@@ -356,36 +356,38 @@ def chain_walk_weights(n_gates: int) -> np.ndarray:
     return 0.5 * math.pi * np.sqrt((n_gates - j) * (j + 1.0))
 
 
-def clock_drift(circuit, n_qubits: int) -> sp.csr_matrix:
-    """Skew drift matrix encoding a circuit on the clock x register space.
+def clock_drift(jobs) -> sp.csr_matrix:
+    """Skew drift matrix encoding (circuit, n_qubits) jobs on their clock x register spaces.
 
-    b = sum_j w_{j-1} (|j-1><j| (x) U_j^T  -  |j><j-1| (x) U_j) over the
-    (m+1) 2^n dimensional space; exp(-b)|0, 0^n> = |m> (x) U|0^n>.
+    A job's block is b = sum_j w_{j-1} (|j-1><j| (x) U_j^T  -  |j><j-1| (x) U_j) over
+    the (m+1) 2^n dimensional space; exp(-b)|0, 0^n> = |m> (x) U|0^n>.  Several jobs
+    give the direct sum of their blocks, in job order; one circuit is a list of one.
     """
-    m = len(circuit)
-    if m < 1:
-        raise DriftError("circuit must contain at least one gate")
-    dim_q = 2 ** n_qubits
-    if (m + 1) * dim_q > DEFAULT_BASIS_CAP:  # before embed_gate places 2^n entries a gate
-        raise ResourceLimitError(f"clock register of (gates + 1) 2^qubits = {(m + 1) * dim_q} "
-                                 f"variables exceeds the cap of {DEFAULT_BASIS_CAP}")
-    w = chain_walk_weights(m)
-    rows, cols, vals = [], [], []
-    for j, (u, targets) in enumerate(circuit, start=1):
-        r, c, v = embed_gate(u, targets, n_qubits)
-        r0, c0 = (j - 1) * dim_q, j * dim_q
-        # block (j-1, j) holds w U^T, block (j, j-1) holds -w U
-        rows += [r0 + c, c0 + r]
-        cols += [c0 + r, r0 + c]
-        vals += [w[j - 1] * v, -w[j - 1] * v]
-    # gate j fills only blocks (j-1, j) and (j, j-1), so no entry repeats
-    return _csr_from_entries(*map(np.concatenate, (rows, cols, vals)), (m + 1) * dim_q)
+    rows, cols, vals, offset = [], [], [], 0
+    for circuit, n_qubits in jobs:
+        m, dim_q = len(circuit), 2 ** n_qubits
+        if m < 1:
+            raise DriftError("circuit must contain at least one gate")
+        if (m + 1) * dim_q > DEFAULT_BASIS_CAP:  # before embed_gate places 2^n entries a gate
+            raise ResourceLimitError(f"clock register of (gates + 1) 2^qubits = {(m + 1) * dim_q}"
+                                     f" variables exceeds the cap of {DEFAULT_BASIS_CAP}")
+        w = chain_walk_weights(m)
+        for j, (u, targets) in enumerate(circuit, start=1):
+            r, c, v = embed_gate(u, targets, n_qubits)
+            r0, c0 = offset + (j - 1) * dim_q, offset + j * dim_q
+            # block (j-1, j) holds w U^T, block (j, j-1) holds -w U
+            rows += [r0 + c, c0 + r]
+            cols += [c0 + r, r0 + c]
+            vals += [w[j - 1] * v, -w[j - 1] * v]
+        offset += (m + 1) * dim_q
+    # gate j fills only blocks (j-1, j) and (j, j-1) of its job, so no entry repeats
+    return _csr_from_entries(*map(np.concatenate, (rows, cols, vals)), offset)
 
 
 def clock_system(circuit, n_qubits: int, lam: float = 0.1,
                  q: float = 0.1) -> SystemSpec:
     """Linear divergence-free system whose noiseless flow runs the circuit."""
-    b = clock_drift(circuit, n_qubits)
+    b = clock_drift([(circuit, n_qubits)])
     n_vars = b.shape[0]
     j1 = float(np.abs(b.data).max()) if b.nnz else 0.0
     return SystemSpec(name=f"clock[m={len(circuit)},n={n_qubits}]",
@@ -394,13 +396,16 @@ def clock_system(circuit, n_qubits: int, lam: float = 0.1,
 
 
 def circuit_amplitude(circuit, n_qubits: int) -> float:
-    """<0^n| U_m ... U_1 |0^n> by sparse multiplication."""
-    state = np.zeros(2 ** n_qubits)
-    state[0] = 1.0
+    """<0^n| U_m ... U_1 |0^n>, each gate contracted (BLAS-free `einsum`) with its
+    target axes of the (2,)*n state tensor; independent of `embed_gate`."""
+    state = np.zeros((2,) * n_qubits)
+    state[(0,) * n_qubits] = 1.0
     for u, targets in circuit:
-        rows, cols, vals = embed_gate(u, targets, n_qubits)
-        state = np.bincount(rows, weights=vals * state[cols], minlength=state.size)
-    return float(state[0])
+        k = len(targets)
+        front = np.moveaxis(state, targets, range(k))
+        out = np.einsum("ab,bc->ac", np.asarray(u, dtype=float), front.reshape(2 ** k, -1))
+        state = np.moveaxis(out.reshape(front.shape), range(k), targets)
+    return float(state[(0,) * n_qubits])
 
 
 def random_real_circuit(rng, n_qubits: int, n_gates: int, max_arity: int = 2):

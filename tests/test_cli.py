@@ -6,6 +6,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import resource
 import subprocess
@@ -562,6 +563,68 @@ def test_bqp_bound_feeds_exit_code(tmp_path, monkeypatch, capsys):
     assert audit["passed"] is False
     assert error_record(capsys) == {"error": "audit",
                                     "detail": "failed checks: bqp/bound_satisfied"}
+
+
+def test_bqp_amplitude_sees_a_planted_embedding_defect(tmp_path, monkeypatch):
+    # an embedding that lands each gate's rows in reverse order (X U for a one-qubit U)
+    # moves the clock readouts; the amplitude oracle contracts the gates itself, so the
+    # identity gap must show the defect.  (Reversing a two-qubit gate's targets would
+    # not: no amplitude <00|U|00> of these four circuits depends on that orientation.)
+    real_embed = systems.embed_gate
+
+    def reversed_rows(u, targets, n_qubits):
+        return real_embed(np.asarray(u)[::-1], targets, n_qubits)
+
+    monkeypatch.setattr(systems, "embed_gate", reversed_rows)
+    out = tmp_path / "o"
+    cli.main(["run", write_cfg(tmp_path, BQP_CFG), "--out", str(out)])
+    assert json.loads((out / "audit.json").read_text())["bqp"]["worst_identity_gap"] > 0.1
+
+
+def test_bqp_nan_amplitude_gives_nan_identity_gap(tmp_path, monkeypatch):
+    monkeypatch.setattr(experiments, "circuit_amplitude",
+                        lambda circuit, n: 0.0 if len(circuit) % 2 else math.nan)
+    out = tmp_path / "o"
+    assert cli.main(["run", write_cfg(tmp_path, BQP_CFG), "--out", str(out)]) == cli.EXIT_AUDIT
+    assert math.isnan(json.loads((out / "audit.json").read_text())["bqp"]["worst_identity_gap"])
+
+
+def test_bqp_total_register_cap_exit_code(tmp_path, monkeypatch, capsys):
+    # 10^8 circuits of up to 4 * 2^2 variables: refused before any circuit is generated
+    def no_circuit(*args):
+        raise AssertionError("a circuit was generated")
+
+    monkeypatch.setattr(experiments, "random_real_circuit", no_circuit)
+    cfg = {**BQP_CFG, "circuits": {**BQP_CFG["circuits"], "count": 10 ** 8}}
+    out = tmp_path / "o"
+    assert cli.main(["run", write_cfg(tmp_path, cfg), "--out", str(out)]) == cli.EXIT_NUMERICAL
+    record = error_record(capsys)
+    assert record["error"] == "numerical"
+    assert "= 1600000000 clock variables exceed the cap of 2000000" in record["detail"]
+    assert not out.exists()
+
+
+def test_nan_radial_residual_fails_the_divergence_audit(tmp_path, capsys):
+    # at lam = 1e-300 the sample points are ~1e150 and the radial residual is nan,
+    # which a Python max over the residuals dropped
+    cfg = {**AUDITS_CFG, "system": {"kind": "oscillator", "lam": 1e-300}}
+    out = tmp_path / "o"
+    assert cli.main(["audit", write_cfg(tmp_path, cfg), "--out", str(out)]) == cli.EXIT_AUDIT
+    block = json.loads((out / "audit.json").read_text())["divergence_free"]
+    assert math.isnan(block["radial_residual"]) and block["passed"] is False
+
+
+def test_oscillator_runner_adds_the_stationary_mean(tmp_path):
+    # the Galerkin solution evolves u0 - E[u0]; the curve of x1^2 for OU from x0 is
+    # q / (2 lam) + x0^2 e^{-2 lam t} only once the runner adds the mean back
+    cfg = experiments.validate_config({
+        "experiment": "oscillator", "system": {"kind": "ou", "lam": 0.5, "q": 0.2},
+        "initial_point": [1.5], "observable": [2], "basis": {"orders": [2]},
+        "times": {"t_max": 2.0, "n_points": 5}, "mc": {"samples": 100, "dt": 0.1}})
+    _, tables = experiments.run_oscillator(cfg, 0, 1)
+    t, _, value = (np.array(c, dtype=float) for c in zip(*tables["galerkin_curve"][1]))
+    np.testing.assert_allclose(value, 0.2 / (2 * 0.5) + 1.5 ** 2 * np.exp(-2 * 0.5 * t),
+                               rtol=0, atol=1e-14)
 
 
 def test_bqp_batched_readouts_match_per_circuit_solves():

@@ -19,6 +19,7 @@ from kolmsim.operators import (
     QuadratureDrift,
     SystemSpec,
     assemble_dissipation,
+    assemble_linear_blocks,
     assemble_linear_drift,
     assemble_nonlinear_drift,
     operator_norm_estimate,
@@ -328,7 +329,7 @@ def test_linear_drift_matrix_pinned():
 
 def test_clock_matrices_pinned():
     circuit = random_real_circuit(np.random.default_rng(11), 3, 8)
-    assert csr_digest(clock_drift(circuit, 3)) == \
+    assert csr_digest(clock_drift([(circuit, 3)])) == \
         "fee74cd5a0c5ddfee33fa39c91e9ba407daa0438c9ccfe45343328135f5741d9"
     spec = clock_system(circuit, 3)
     basis = basis_for(spec, 2)
@@ -394,6 +395,30 @@ def test_linear_drift_rejects_non_skew():
         basis = basis_for(spec, 2)
         with pytest.raises(DriftError, match="lambda_i b_ij = -lambda_j b_ji"):
             assemble_linear_drift(basis, spec)
+
+
+@pytest.mark.parametrize("K", [1, 2])
+def test_linear_blocks_are_the_stack_of_per_circuit_operators(K):
+    # (gates, qubits) = (1, 3), (3, 2) and (7, 1) all make N = 16 clock variables
+    rng = np.random.default_rng(5)
+    jobs = [(random_real_circuit(rng, n, m), n) for m, n in [(1, 3), (3, 2), (7, 1), (3, 2)]]
+    specs = [clock_system(*job) for job in jobs]
+    basis = basis_for(specs[0], K)
+    block = assemble_linear_blocks(basis, clock_drift(jobs))
+    stack = sp.block_diag([assemble_linear_drift(basis, spec).matrix for spec in specs],
+                          format="csr")
+    for name in ("data", "indices", "indptr"):
+        np.testing.assert_array_equal(getattr(block, name), getattr(stack, name))
+
+
+def test_linear_blocks_check_each_block_against_its_own_scale():
+    # residual 0.5e-10 against 1e-12 * 1 * 0.5 in the small block; beside a block of
+    # entries 1e6 a scale shared by the whole sum would let it pass
+    big = sp.csr_matrix(np.array([[0.0, 1e6], [-1e6, 0.0]]))
+    small = sp.csr_matrix(np.array([[0.0, 0.3], [-0.3 + 1e-10, 0.0]]))
+    spec = SystemSpec(name="skew", rates=np.array([0.5, 0.5]), noise=0.1)
+    with pytest.raises(DriftError, match="lambda_i b_ij = -lambda_j b_ji"):
+        assemble_linear_blocks(basis_for(spec, 1), sp.block_diag([big, small], format="csr"))
 
 
 # ------------------------------------------------------------------ nonlinear drift

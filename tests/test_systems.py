@@ -391,7 +391,7 @@ def test_chain_walk_half_turn():
 
 def test_clock_drift_single_gate_runs_circuit():
     circ = [(GATE_MATRICES["H"], (0,))]
-    b = clock_drift(circ, 1).toarray()
+    b = clock_drift([(circ, 1)]).toarray()
     final = expm(-b)[:, 0]  # e^{-b} |0, 0>
     # |1> (x) H|0>
     np.testing.assert_allclose(final[2:], [1 / math.sqrt(2)] * 2, atol=1e-12)
@@ -401,7 +401,7 @@ def test_clock_drift_single_gate_runs_circuit():
 def test_clock_drift_skew_and_sparsity():
     rng = np.random.default_rng(7)
     circ = random_real_circuit(rng, 2, 4, max_arity=1)  # k = 1 gates only
-    b = clock_drift(circ, 2)
+    b = clock_drift([(circ, 2)])
     assert abs((b + b.T).data).max(initial=0.0) == 0.0
     per_col = np.diff(b.tocsc().indptr).max()
     assert per_col <= 2 ** (1 + 1)  # s = 2^{1+k}
@@ -435,13 +435,13 @@ def test_clock_noiseless_solution_matches_exponential():
 
 def test_clock_rejects_non_orthogonal():
     with pytest.raises(DriftError):
-        clock_drift([(np.array([[1.0, 1.0], [0.0, 1.0]]), (0,))], 1)
+        clock_drift([([(np.array([[1.0, 1.0], [0.0, 1.0]]), (0,))], 1)])
 
 
 def test_clock_rejects_complex():
     y = np.array([[0, -1j], [1j, 0]])
     with pytest.raises(DriftError):
-        clock_drift([(y, (0,))], 1)
+        clock_drift([([(y, (0,))], 1)])
 
 
 def embedded(u, targets, n_qubits):
