@@ -3,7 +3,8 @@
 `kolmsim run <config> --out <dir>` executes one experiment and writes its
 artifacts; `kolmsim audit <config>` runs only the bound audits.  Exit
 codes: 0 ok, 2 config error, 3 audit failure (any false boolean in the
-audit payload, named by `experiments.failed_checks`), 4 numerical failure.
+audit payload, named by `experiments.failed_checks`), 4 numerical failure
+(a NaN or infinite float in the audit or a table among them).
 """
 
 from __future__ import annotations

@@ -2,11 +2,15 @@
 
 Each runner consumes the config `validate_config` normalised and only
 computes: it returns its audit payload and its CSV tables.
-`run_experiment` writes the tables (galerkin_curve.csv, mc_curve.csv and
-comparison.csv for every experiment but `audits`; column meanings are
-documented in the README), then audit.json and manifest.json.  Every
-boolean in the audit payload is a verdict, and `run_experiment` sets the
-root `passed` flag true iff `failed_checks` finds none false.  Audits
+`run_experiment` refuses a NaN or infinite float anywhere in the audit or
+the tables (`check_finite`), then writes the tables (galerkin_curve.csv,
+mc_curve.csv and comparison.csv for every experiment but `audits`; column
+meanings are documented in the README), then audit.json and manifest.json.
+Every boolean in the audit payload is a verdict, and `run_experiment` sets
+the root `passed` flag true iff `failed_checks` finds none false.  The
+`oscillator` runner compares each order's Galerkin curve with one Monte
+Carlo run, for any system kind; `mc.max_gap_over_se` adds a verdict on the
+highest order's gap.  Audits
 aggregate every bound check that applies to the configured system; checks
 that need a finite drift strength J are reported as not applicable when J
 is infinite.  `bqp_circuit` gives the circuits of each register size one
@@ -26,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, DriftError, ResourceLimitError
+from .errors import ConfigError, DriftError, NumericalError, ResourceLimitError
 from .evolution import (
     KEOperators,
     assemble_all,
@@ -143,14 +147,10 @@ _positive = partial(Key, float, low=0.0, open_low=True)
 _nonnegative = partial(Key, float, low=0.0)
 _count = partial(Key, int, low=1)
 
-# Philox keys are 128 bits, (seed << 64) + sample, and ou_sanity also uses seed + 1
-_SEED = Key(int, 0, low=0, high=2 ** 64 - 1)
+_SEED = Key(int, 0, low=0, high=2 ** 64)  # Philox keys are 128 bits, (seed << 64) + chunk
 _OSCILLATOR = {"lam": _positive(0.1), "q": _positive(0.02)}
 _NSE = {"modes": _count(40), "nu": _positive(0.1), "q": _positive(1e-5)}
-_OU = {"lam": _positive(0.5), "q": _positive(0.2), "n_vars": _count(1)}
 _CLOCK_RATES = {"lam": _positive(0.1), "q": _positive(0.1)}
-_TIMES = Key({"t_max": _positive(), "n_points": _count(low=2)})
-_MC = Key({"samples": _count(low=MIN_SAMPLES), "dt": _positive()})
 _AUDIT_OPTIONS = {
     # null r_values: 2, 4 and 8 times the first rate; null r_reference: 2 max(r_values)
     "regularization": Key({"r_values": Key([_positive()], None),
@@ -160,7 +160,8 @@ _AUDIT_OPTIONS = {
 }
 AUDIT_DEFAULTS = _normalise(Key(_AUDIT_OPTIONS), {}, "config")
 # the system kinds that `build_system` makes; each block accepts only its own keys
-SYSTEM_KINDS = {"oscillator": _OSCILLATOR, "nse": _NSE, "ou": _OU,
+SYSTEM_KINDS = {"oscillator": _OSCILLATOR, "nse": _NSE,
+                "ou": {"lam": _positive(0.5), "q": _positive(0.2), "n_vars": _count(1)},
                 "bounded_oscillator": {**_OSCILLATOR, "q": _positive(0.1)},
                 "clock": {"qubits": _count(2), "gates": _count(3), **_CLOCK_RATES}}
 _SYSTEM = Key({kind: {"kind": Key(str), **keys} for kind, keys in SYSTEM_KINDS.items()},
@@ -172,7 +173,11 @@ EXPERIMENTS = {
         "initial_point": Key([Key(float)], None),
         "observable": Key([_count(low=0)], None),
         "basis": Key({"orders": Key([_count()])}),
-        "times": _TIMES, "mc": _MC,
+        "times": Key({"t_max": _positive(), "n_points": _count(low=2)}),
+        # max_gap_over_se: the verdict that the highest order's curve lies within
+        # that many standard errors of the Monte Carlo mean at every time
+        "mc": Key({"samples": _count(low=MIN_SAMPLES), "dt": _positive(),
+                   "max_gap_over_se": _positive(OPTIONAL)}),
     },
     "nse_taylor_green": {
         # the Taylor-Green modes (1, 1) and (1, -1) are the 3rd and 4th
@@ -189,11 +194,6 @@ EXPERIMENTS = {
                         pick=lambda block: "file" if "file" in block else "random"),
         "system": Key(_CLOCK_RATES, {}),
         "time": _nonnegative(1.0),
-    },
-    "ou_sanity": {
-        "system": Key(_OU),
-        "initial_point": Key([Key(float)], None),  # n_vars entries; null: x1 = 1, others 0
-        "times": _TIMES, "mc": _MC,
     },
     "audits": {
         "system": _SYSTEM,
@@ -279,8 +279,21 @@ def _jsonable(obj):
 
 
 def write_json(path: str, payload: dict):
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True,
+    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True, allow_nan=False,
                                    default=_jsonable) + "\n")
+
+
+def check_finite(payload, path: str = ""):
+    """NumericalError naming the path of the first NaN or infinite float in `payload`,
+    e.g. `divergence_free/radial_residual is nan`; no artifact may hold one."""
+    if isinstance(payload, dict):
+        for key, value in payload.items():
+            check_finite(value, f"{path}/{key}" if path else key)
+    elif isinstance(payload, (list, tuple, np.ndarray)):
+        for i, value in enumerate(payload):
+            check_finite(value, f"{path}[{i}]")
+    elif isinstance(payload, (float, np.floating)) and not math.isfinite(payload):
+        raise NumericalError(f"{path} is {float(payload)}")
 
 
 def write_manifest(out_dir: str, cfg: dict, seed: int, threads: int):
@@ -456,12 +469,12 @@ def run_oscillator(cfg: dict, seed: int, threads: int) -> tuple:
     summary = []
     for order in orders:
         ops = _order_operators(spec, order)
-        if order == max(orders):
-            audited = ops
         states = evolve_reference(initial_state(u0, ops.basis), ops, float(times[-1]),
                                   n_points=times.size)
         values = expectation(states, x0, order, spec) + u0.mean()
         report = compare(run, values)
+        if order == max(orders):
+            audited, top = ops, report
         curve_rows.extend((t, order, v) for t, v in zip(times, values))
         comparison_rows.extend(
             (t, order, v, m, s, g, r) for t, v, m, s, g, r in zip(
@@ -471,6 +484,10 @@ def run_oscillator(cfg: dict, seed: int, threads: int) -> tuple:
 
     audit = run_audits(spec, audited, seed=seed)
     audit["comparison_summary"] = summary
+    if (bound := cfg["mc"].get("max_gap_over_se")) is not None:
+        audit["mc_agreement"] = {  # a nan gap fails the verdict
+            "order": max(orders), "max_gap_over_se": float(np.max(top.gap_over_se)),
+            "bound": bound, "passed": bool(np.all(top.gap <= bound * run.se))}
     return audit, {
         "mc_curve": (MC_HEADER, [(t, m, s, run.n_blowups) for t, m, s in run.as_rows()]),
         "galerkin_curve": (["t", "order", "value"], curve_rows),
@@ -597,47 +614,6 @@ def run_bqp_circuit(cfg: dict, seed: int, threads: int) -> tuple:
     }
 
 
-def run_ou_sanity(cfg: dict, seed: int, threads: int) -> tuple:
-    system = cfg["system"]
-    lam, q, n_vars = system["lam"], system["q"], system["n_vars"]
-    spec = build_system("ou", system)
-    x0 = np.array(_per_variable(cfg, "initial_point", n_vars, 1.0))
-    times = np.linspace(0.0, cfg["times"]["t_max"], cfg["times"]["n_points"])
-    samples, dt = cfg["mc"]["samples"], cfg["mc"]["dt"]
-
-    u_mean = _default_observable(spec)
-    run_mean = simulate(spec, x0, u_mean, times, samples, dt, seed=seed,
-                        n_threads=threads)
-    exact_mean = x0[0] * np.exp(-lam * times)
-    rep_mean = compare(run_mean, exact_mean)
-
-    u_sq = MonomialObservable((2,) + (0,) * (n_vars - 1), spec)
-    run_sq = simulate(spec, x0, u_sq, times, samples, dt, seed=seed + 1,
-                      n_threads=threads)
-    exact_sq = q / (2 * lam) + x0[0] ** 2 * np.exp(-2 * lam * times)
-    rep_sq = compare(run_sq, exact_sq)
-
-    audit = run_audits(spec, _order_operators(spec, 4), seed=seed)
-    audit["ou_sanity"] = {
-        "mean_within_3se": bool(np.all(rep_mean.gap <= 3 * np.maximum(run_mean.se, 1e-12))),
-        "second_moment_within_3se": bool(np.all(rep_sq.gap <= 3 * run_sq.se)),
-    }
-    return audit, {
-        "mc_curve": (MC_HEADER, [(t, m, s, run_mean.n_blowups)
-                                 for t, m, s in run_mean.as_rows()]),
-        "galerkin_curve": (["t", "observable", "value"],
-                           [(t, "exact_mean", v) for t, v in zip(times, exact_mean)]),
-        "comparison": (["t", "observable", "mc_mean", "mc_se", "exact", "abs_gap",
-                        "gap_over_se"],
-                       [(t, "x1", m, s, e, g, r) for t, m, s, e, g, r in zip(
-                           times, run_mean.mean, run_mean.se, exact_mean,
-                           rep_mean.gap, rep_mean.gap_over_se)]
-                       + [(t, "x1^2", m, s, e, g, r) for t, m, s, e, g, r in zip(
-                           times, run_sq.mean, run_sq.se, exact_sq,
-                           rep_sq.gap, rep_sq.gap_over_se)]),
-    }
-
-
 def run_audits_experiment(cfg: dict, seed: int, threads: int) -> tuple:
     spec = build_system(cfg["system"]["kind"], cfg["system"])
     return run_audits(spec, _order_operators(spec, cfg["basis"]["order"]), seed=seed,
@@ -650,7 +626,6 @@ RUNNERS = {
     "oscillator": run_oscillator,
     "nse_taylor_green": run_nse_taylor_green,
     "bqp_circuit": run_bqp_circuit,
-    "ou_sanity": run_ou_sanity,
     "audits": run_audits_experiment,
 }
 
@@ -660,8 +635,9 @@ def run_experiment(cfg: dict, out_dir: str, seed: int | None = None,
     """Execute one experiment on a `validate_config` result; returns its audit payload.
 
     The root `passed` flag is true iff `failed_checks` finds no false verdict.
-    Each table the runner returns is written as `<stem>.csv`, then audit.json
-    and manifest.json.
+    A NaN or infinite float in the audit or a table raises NumericalError
+    before any file is written.  Each table the runner returns is written as
+    `<stem>.csv`, then audit.json and manifest.json.
     """
     effective_seed = cfg["seed"] if seed is None else _normalise(_SEED, seed, "--seed")
     _normalise(_count(), threads, "--threads")
@@ -675,6 +651,12 @@ def run_experiment(cfg: dict, out_dir: str, seed: int | None = None,
         raise ConfigError(f"--out {out_dir}: {exc.strerror}") from exc
     try:
         audit, tables = RUNNERS[cfg["experiment"]](cfg, effective_seed, threads)
+        check_finite(audit)
+        for stem, (header, rows) in tables.items():
+            # one flat pass per table; the walk that names the cell runs only on a hit
+            if not all(map(math.isfinite, [v for row in rows for v in row
+                                           if isinstance(v, (float, np.floating))])):
+                check_finite([dict(zip(header, row)) for row in rows], f"{stem}.csv")
     except BaseException:
         for path in created:
             os.rmdir(path)  # still empty: the runner writes no file

@@ -29,12 +29,15 @@ from kolmsim.systems import clock_system, random_real_circuit
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 SRC_DIR = os.path.dirname(os.path.dirname(kolmsim.__file__))
 
+# x1^2 of the OU system, whose Galerkin curve is exact at any order >= 2
 OU_CFG = {
-    "experiment": "ou_sanity",
-    "system": {"lam": 0.5, "q": 0.2, "n_vars": 1},
+    "experiment": "oscillator",
+    "system": {"kind": "ou", "lam": 0.5, "q": 0.2, "n_vars": 1},
     "initial_point": [1.0],
+    "observable": [2],
+    "basis": {"orders": [4]},
     "times": {"t_max": 2.0, "n_points": 5},
-    "mc": {"samples": 4000, "dt": 0.002},
+    "mc": {"samples": 4000, "dt": 0.002, "max_gap_over_se": 3},
     "seed": 3,
 }
 
@@ -107,7 +110,7 @@ def test_validate_rejects_unknown_keys():
         experiments.validate_config({**OU_CFG, "extra": 1})
     with pytest.raises(ConfigError):
         experiments.validate_config(
-            {**OU_CFG, "system": {"lam": 0.5, "q": 0.2, "n_vars": 1, "zeta": 2}})
+            {**OU_CFG, "system": {**OU_CFG["system"], "zeta": 2}})
 
 
 def test_validate_rejects_unknown_experiment():
@@ -533,25 +536,25 @@ def test_unresolved_quadrature_exit_code(tmp_path, capsys):
     assert cause == "the 200-node Gauss-Hermite rule does not resolve the drift at q/lambda_1 = 5"
 
 
-@pytest.mark.parametrize("shifted_call, verdict", [(1, "mean_within_3se"),
-                                                    (2, "second_moment_within_3se")])
-def test_ou_verdict_feeds_exit_code(tmp_path, monkeypatch, capsys, shifted_call, verdict):
-    real_compare, calls = experiments.compare, []
-
-    def shifted_compare(run, values):
-        calls.append(1)
-        return real_compare(run, values + (1.0 if len(calls) == shifted_call else 0.0))
-
-    monkeypatch.setattr(experiments, "compare", shifted_compare)
+def test_ou_verdict_feeds_exit_code(tmp_path, monkeypatch, capsys):
+    # the highest order's curve (OU_CFG has only order 4) shifted by 1.0 lies far
+    # outside 3 standard errors of Monte Carlo at every time
+    real_compare = experiments.compare
+    monkeypatch.setattr(experiments, "compare", lambda run, values: real_compare(run, values + 1.0))
     out = tmp_path / "o"
     assert cli.main(["run", write_cfg(tmp_path, OU_CFG), "--out", str(out)]) == cli.EXIT_AUDIT
     audit = json.loads((out / "audit.json").read_text())
-    assert audit["ou_sanity"] == {
-        "mean_within_3se": verdict != "mean_within_3se",
-        "second_moment_within_3se": verdict != "second_moment_within_3se"}
+    block = audit["mc_agreement"]
+    assert (block["order"], block["bound"], block["passed"]) == (4, 3.0, False)
+    assert block["max_gap_over_se"] > 3.0
     assert audit["passed"] is False
-    assert error_record(capsys) == {"error": "audit",
-                                    "detail": f"failed checks: ou_sanity/{verdict}"}
+    assert error_record(capsys) == {"error": "audit", "detail": "failed checks: mc_agreement"}
+    # without the key the same run has no verdict to fail
+    no_verdict = copy.deepcopy(OU_CFG)
+    del no_verdict["mc"]["max_gap_over_se"]
+    out = tmp_path / "no_verdict"
+    assert cli.main(["run", write_cfg(tmp_path, no_verdict), "--out", str(out)]) == cli.EXIT_OK
+    assert "mc_agreement" not in (out / "audit.json").read_text()
 
 
 def test_bqp_bound_feeds_exit_code(tmp_path, monkeypatch, capsys):
@@ -581,12 +584,18 @@ def test_bqp_amplitude_sees_a_planted_embedding_defect(tmp_path, monkeypatch):
     assert json.loads((out / "audit.json").read_text())["bqp"]["worst_identity_gap"] > 0.1
 
 
-def test_bqp_nan_amplitude_gives_nan_identity_gap(tmp_path, monkeypatch):
+def test_bqp_nan_amplitude_gives_nan_identity_gap(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(experiments, "circuit_amplitude",
                         lambda circuit, n: 0.0 if len(circuit) % 2 else math.nan)
+    audit, _ = experiments.run_bqp_circuit(experiments.validate_config(BQP_CFG), 7, 1)
+    assert math.isnan(audit["bqp"]["worst_identity_gap"])
+    # no artifact may hold the nan, so the run stops before writing any
     out = tmp_path / "o"
-    assert cli.main(["run", write_cfg(tmp_path, BQP_CFG), "--out", str(out)]) == cli.EXIT_AUDIT
-    assert math.isnan(json.loads((out / "audit.json").read_text())["bqp"]["worst_identity_gap"])
+    assert cli.main(["run", write_cfg(tmp_path, BQP_CFG), "--out", str(out)]) \
+        == cli.EXIT_NUMERICAL
+    assert error_record(capsys) == {"error": "numerical",
+                                    "detail": "bqp/worst_identity_gap is nan"}
+    assert not out.exists()
 
 
 def test_bqp_total_register_cap_exit_code(tmp_path, monkeypatch, capsys):
@@ -606,12 +615,45 @@ def test_bqp_total_register_cap_exit_code(tmp_path, monkeypatch, capsys):
 
 def test_nan_radial_residual_fails_the_divergence_audit(tmp_path, capsys):
     # at lam = 1e-300 the sample points are ~1e150 and the radial residual is nan,
-    # which a Python max over the residuals dropped
+    # which a Python max over the residuals dropped; no artifact may hold the nan
     cfg = {**AUDITS_CFG, "system": {"kind": "oscillator", "lam": 1e-300}}
     out = tmp_path / "o"
-    assert cli.main(["audit", write_cfg(tmp_path, cfg), "--out", str(out)]) == cli.EXIT_AUDIT
-    block = json.loads((out / "audit.json").read_text())["divergence_free"]
+    assert cli.main(["audit", write_cfg(tmp_path, cfg), "--out", str(out)]) \
+        == cli.EXIT_NUMERICAL
+    assert error_record(capsys) == {"error": "numerical",
+                                    "detail": "divergence_free/radial_residual is nan"}
+    assert not out.exists()
+    block = operators.verify_divergence_free(
+        experiments.build_system("oscillator", {"lam": 1e-300, "q": 0.02}))
     assert math.isnan(block["radial_residual"]) and block["passed"] is False
+
+
+def plant_nan_gap(audit, tables):
+    rows = tables["comparison"][1]
+    rows[1] = rows[1][:-2] + (math.nan, rows[1][-1])
+
+
+def plant_infinite_ratio(audit, tables):
+    audit["smoothing"]["dissipation_ratio"][1] = np.float64(np.inf)
+
+
+@pytest.mark.parametrize("cfg, plant, detail", [
+    (OSC_CFG, plant_nan_gap, "comparison.csv[1]/abs_gap is nan"),
+    (AUDITS_CFG, plant_infinite_ratio, "smoothing/dissipation_ratio[1] is inf"),
+], ids=["nan_in_a_table", "infinity_in_the_audit"])
+def test_nonfinite_float_exit_code(tmp_path, monkeypatch, capsys, cfg, plant, detail):
+    real_runner = experiments.RUNNERS[cfg["experiment"]]
+
+    def planted(*args):
+        audit, tables = real_runner(*args)
+        plant(audit, tables)
+        return audit, tables
+
+    monkeypatch.setitem(experiments.RUNNERS, cfg["experiment"], planted)
+    out = tmp_path / "o"
+    assert cli.main(["run", write_cfg(tmp_path, cfg), "--out", str(out)]) == cli.EXIT_NUMERICAL
+    assert error_record(capsys) == {"error": "numerical", "detail": detail}
+    assert not out.exists()
 
 
 def test_oscillator_runner_adds_the_stationary_mean(tmp_path):
@@ -649,7 +691,7 @@ def test_bqp_batched_readouts_match_per_circuit_solves():
 
 
 @pytest.mark.parametrize("cfg_seed, cli_seed", [
-    (-1, None), (2.5, None), (True, None), ("7", None), (2 ** 64 - 1, None),
+    (-1, None), (2.5, None), (True, None), ("7", None), (2 ** 64, None),
     (3, "-1")])
 def test_bad_seed_exit_code(tmp_path, capsys, cfg_seed, cli_seed):
     argv = ["run", write_cfg(tmp_path, {**OU_CFG, "seed": cfg_seed}),
@@ -659,6 +701,14 @@ def test_bad_seed_exit_code(tmp_path, capsys, cfg_seed, cli_seed):
     assert cli.main(argv) == cli.EXIT_CONFIG
     assert error_record(capsys)["error"] == "config"
     assert not (tmp_path / "o").exists()
+
+
+def test_largest_seed_runs(tmp_path):
+    # the Philox key (seed << 64) + chunk fits 128 bits for every seed below 2^64
+    out = tmp_path / "o"
+    argv = ["run", write_cfg(tmp_path, {**OU_CFG, "seed": 2 ** 64 - 1}), "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert json.loads((out / "manifest.json").read_text())["seed"] == 2 ** 64 - 1
 
 
 @pytest.mark.parametrize("cfg", [
@@ -816,7 +866,7 @@ SMALL_CONFIGS = {
     "oscillator.json": {"basis": {"orders": [2]}, "times": {"t_max": 1.0, "n_points": 3},
                         "mc": {"samples": 100, "dt": 0.01}},
     "ou_sanity.json": {"times": {"t_max": 1.0, "n_points": 3},
-                       "mc": {"samples": 100, "dt": 0.01}},
+                       "mc": {"samples": 100, "dt": 0.01, "max_gap_over_se": 3}},
     "nse_taylor_green.json": {"system": {"modes": 6, "nu": 0.1, "q": 1e-5},
                               "basis": {"order": 2},
                               "probe": {"count": 2, "xi2": 0.25, "xi1_range": [0.05, 0.95]}},
