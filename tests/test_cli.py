@@ -536,13 +536,16 @@ def test_unresolved_quadrature_exit_code(tmp_path, capsys):
     assert cause == "the 200-node Gauss-Hermite rule does not resolve the drift at q/lambda_1 = 5"
 
 
-def test_ou_verdict_feeds_exit_code(tmp_path, monkeypatch, capsys):
+# the 3-SE verdict on the mean of x1 (observable [1]) and on its second moment ([2])
+@pytest.mark.parametrize("power", [1, 2], ids=["1-mean_within_3se", "2-second_moment_within_3se"])
+def test_ou_verdict_feeds_exit_code(tmp_path, monkeypatch, capsys, power):
     # the highest order's curve (OU_CFG has only order 4) shifted by 1.0 lies far
     # outside 3 standard errors of Monte Carlo at every time
     real_compare = experiments.compare
     monkeypatch.setattr(experiments, "compare", lambda run, values: real_compare(run, values + 1.0))
+    cfg = {**OU_CFG, "observable": [power]}
     out = tmp_path / "o"
-    assert cli.main(["run", write_cfg(tmp_path, OU_CFG), "--out", str(out)]) == cli.EXIT_AUDIT
+    assert cli.main(["run", write_cfg(tmp_path, cfg), "--out", str(out)]) == cli.EXIT_AUDIT
     audit = json.loads((out / "audit.json").read_text())
     block = audit["mc_agreement"]
     assert (block["order"], block["bound"], block["passed"]) == (4, 3.0, False)
@@ -550,7 +553,7 @@ def test_ou_verdict_feeds_exit_code(tmp_path, monkeypatch, capsys):
     assert audit["passed"] is False
     assert error_record(capsys) == {"error": "audit", "detail": "failed checks: mc_agreement"}
     # without the key the same run has no verdict to fail
-    no_verdict = copy.deepcopy(OU_CFG)
+    no_verdict = copy.deepcopy(cfg)
     del no_verdict["mc"]["max_gap_over_se"]
     out = tmp_path / "no_verdict"
     assert cli.main(["run", write_cfg(tmp_path, no_verdict), "--out", str(out)]) == cli.EXIT_OK
