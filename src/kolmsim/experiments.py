@@ -301,6 +301,8 @@ def write_manifest(out_dir: str, cfg: dict, seed: int, threads: int):
         "config": cfg,
         "seed": seed,
         "threads": threads,
+        "blas_env": {name: os.environ.get(name) for name in
+                     ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
         "versions": {
             "kolmsim": __version__,
             "numpy": np.__version__,
@@ -454,8 +456,18 @@ def run_audits(spec, ops: KEOperators, seed: int = 0,
 MC_HEADER = ["t", "mean", "se", "n_blowups"]  # mc_curve.csv; header-only without a Monte Carlo leg
 
 
+MAX_GRID_POINTS = 100_000  # time grid points or probes; the shipped configs use at most 101
+
+
+def _check_grid(count: int, key: str):
+    """ResourceLimitError if a grid of `count` points is past MAX_GRID_POINTS."""
+    if count > MAX_GRID_POINTS:
+        raise ResourceLimitError(f"{key} = {count} exceeds the cap of {MAX_GRID_POINTS} points")
+
+
 def run_oscillator(cfg: dict, seed: int, threads: int) -> tuple:
     """Each order's Galerkin curve against the Monte Carlo oracle, for any system kind."""
+    _check_grid(cfg["times"]["n_points"], "times.n_points")
     spec = build_system(cfg["system"]["kind"], cfg["system"])
     x0 = np.array(_per_variable(cfg, "initial_point", spec.n_vars, 1.0))
     u0 = MonomialObservable(tuple(_per_variable(cfg, "observable", spec.n_vars, 1)), spec)
@@ -502,6 +514,7 @@ TAYLOR_GREEN_TOLERANCE = 0.05  # max |galerkin - taylor_green| over the probes
 def run_nse_taylor_green(cfg: dict, seed: int, threads: int) -> tuple:
     system = cfg["system"]
     n_modes, nu = system["modes"], system["nu"]
+    _check_grid(cfg["probe"]["count"], "probe.count")
     spec = build_system("nse", system)
     table = spec.nonlinear.table
     order, t_final, xi2 = cfg["basis"]["order"], cfg["time"], cfg["probe"]["xi2"]

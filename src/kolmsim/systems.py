@@ -323,27 +323,29 @@ def rotation_gate(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def embed_gate(u, targets, n_qubits: int) -> tuple:
-    """COO triples (rows, cols, vals) of a real orthogonal k-qubit gate on the full
-    register (qubit 0 = leftmost bit): each nonzero u[a, b] lands at the 2^(n-k)
-    places whose target bits read a and b and whose other bits agree."""
-    u = np.asarray(u)
-    if np.iscomplexobj(u):
-        if np.abs(u.imag).max() > 0:
+def embed_gate(us, targets, n_qubits: int) -> tuple:
+    """COO triples (gate, rows, cols, vals) of a stack (G, 2^k, 2^k) of real orthogonal
+    k-qubit gates that share `targets`, on the full register (qubit 0 = leftmost bit):
+    each nonzero us[g, a, b] lands at the 2^(n-k) places whose target bits read a and b
+    and whose other bits agree.  The checks run once over the stack and cover every gate."""
+    us = np.asarray(us)
+    if np.iscomplexobj(us):
+        if np.abs(us.imag).max() > 0:
             raise DriftError("gates must have real matrix elements")
-        u = u.real
-    u, k = u.astype(float), len(targets)
-    if k < 1 or u.shape != (2 ** k, 2 ** k):
+        us = us.real
+    us, k = us.astype(float), len(targets)
+    if k < 1 or us.shape[1:] != (2 ** k, 2 ** k):
         raise DriftError("a gate on k >= 1 target qubits must be a 2^k x 2^k matrix")
-    if np.abs(u @ u.T - np.eye(2 ** k)).max() > 1e-12:
+    if np.abs(us @ us.transpose(0, 2, 1) - np.eye(2 ** k)).max() > 1e-12:
         raise DriftError("gate matrix is not orthogonal")
     if len(set(targets)) != k or any(t < 0 or t >= n_qubits for t in targets):
         raise DriftError("bad target qubit list")
     # row a holds the register indices whose target bits read a, ordered by their other bits
     order = list(targets) + [q for q in range(n_qubits) if q not in targets]
     place = np.arange(2 ** n_qubits).reshape((2,) * n_qubits).transpose(order).reshape(2 ** k, -1)
-    out, inp = np.nonzero(u)
-    return place[out].ravel(), place[inp].ravel(), np.repeat(u[out, inp], place.shape[1])
+    gate, out, inp = np.nonzero(us)
+    return (np.repeat(gate, place.shape[1]), place[out].ravel(), place[inp].ravel(),
+            np.repeat(us[gate, out, inp], place.shape[1]))
 
 
 def chain_walk_weights(n_gates: int) -> np.ndarray:
@@ -362,8 +364,11 @@ def clock_drift(jobs) -> sp.csr_matrix:
     A job's block is b = sum_j w_{j-1} (|j-1><j| (x) U_j^T  -  |j><j-1| (x) U_j) over
     the (m+1) 2^n dimensional space; exp(-b)|0, 0^n> = |m> (x) U|0^n>.  Several jobs
     give the direct sum of their blocks, in job order; one circuit is a list of one.
+    Every job passes the no-gate and register-cap checks before any embedding; each
+    gate is then filed with its block offset and chain weight under its (qubits,
+    targets, shape) class, and each class is embedded by one `embed_gate` call.
     """
-    rows, cols, vals, offset = [], [], [], 0
+    classes, offset = {}, 0
     for circuit, n_qubits in jobs:
         m, dim_q = len(circuit), 2 ** n_qubits
         if m < 1:
@@ -373,13 +378,19 @@ def clock_drift(jobs) -> sp.csr_matrix:
                                      f" variables exceeds the cap of {DEFAULT_BASIS_CAP}")
         w = chain_walk_weights(m)
         for j, (u, targets) in enumerate(circuit, start=1):
-            r, c, v = embed_gate(u, targets, n_qubits)
-            r0, c0 = offset + (j - 1) * dim_q, offset + j * dim_q
-            # block (j-1, j) holds w U^T, block (j, j-1) holds -w U
-            rows += [r0 + c, c0 + r]
-            cols += [c0 + r, r0 + c]
-            vals += [w[j - 1] * v, -w[j - 1] * v]
+            key = (n_qubits, tuple(targets), np.shape(u))
+            classes.setdefault(key, []).append((u, offset + (j - 1) * dim_q, w[j - 1]))
         offset += (m + 1) * dim_q
+    rows, cols, vals = [], [], []
+    for (n_qubits, targets, _), members in classes.items():
+        us, r0, w = zip(*members)
+        gate, r, c, v = embed_gate(us, targets, n_qubits)
+        r0, wv = np.array(r0)[gate], np.array(w)[gate] * v
+        c0 = r0 + 2 ** n_qubits
+        # block (j-1, j) holds w U^T, block (j, j-1) holds -w U
+        rows += [r0 + c, c0 + r]
+        cols += [c0 + r, r0 + c]
+        vals += [wv, -wv]
     # gate j fills only blocks (j-1, j) and (j, j-1) of its job, so no entry repeats
     return _csr_from_entries(*map(np.concatenate, (rows, cols, vals)), offset)
 

@@ -6,11 +6,13 @@ normalized product Hermite polynomial pointwise, `gaussian_quadrature`
 integrates against a system's Gaussian measure on a tensor grid, and
 `hermite_triple_product` is the closed-form 1-d triple integral.
 `linear_drift_oracle` assembles the linear Galerkin matrix with scipy's
-duplicate-summing COO builds and a dict of the basis rows.
+duplicate-summing COO builds and a dict of the basis rows.  `csr_digest`
+hashes a CSR matrix's raw arrays, for pins of the assemblers' bytes.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -122,3 +124,11 @@ def linear_drift_oracle(basis, spec) -> sp.csr_matrix:
     vals = b_e[e] * np.sqrt(basis.orders[cols, i_e[e]] * (basis.orders[cols, j_e[e]] + 1))
     n = len(basis)
     return sp.coo_matrix((vals, (rows[hit], cols)), shape=(n, n)).tocsr()
+
+
+def csr_digest(mat) -> str:
+    """sha256 of a CSR matrix's raw data, indices and indptr arrays."""
+    digest = hashlib.sha256()
+    for arr in (mat.data, mat.indices, mat.indptr):
+        digest.update(np.ascontiguousarray(arr).tobytes())
+    return digest.hexdigest()

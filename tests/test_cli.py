@@ -82,7 +82,11 @@ OSC16_CFG = {**OSC_CFG, "basis": {"orders": [2, 16]}, "times": {"t_max": 5.0, "n
              "mc": {"samples": 200, "dt": 0.001}}
 
 # circuit files that the malformed-value cases read from their working directory
-CIRCUIT_FILES = {"ry_abc.txt": "H 0\nRY(abc) 0\n", "foo.txt": "FOO 0\n"}
+CIRCUIT_FILES = {"ry_abc.txt": "H 0\nRY(abc) 0\n", "foo.txt": "FOO 0\n",
+                 # the middle of three gates on targets (0, 1) parses, then fails a gate check
+                 "non_orthogonal.txt": "CNOT 0 1\nMATRIX [[1,0,0,0],[0,1,0,0],[0,0,1,0],"
+                                       "[0,0,0,2]] 0 1\nCNOT 0 1\n",
+                 "repeated_target.txt": "CNOT 0 1\nCNOT 1 1\nCNOT 0 1\n"}
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -129,6 +133,17 @@ def test_run_ou_writes_artifacts(tmp_path):
     assert manifest["config"] == OU_CFG
     assert manifest["seed"] == 3
     assert "kolmsim" in manifest["versions"]
+
+
+def test_manifest_records_blas_env(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    out = tmp_path / "o"
+    assert cli.main(["run", write_cfg(tmp_path, BQP_CFG), "--out", str(out)]) == 0
+    blas_env = json.loads((out / "manifest.json").read_text())["blas_env"]
+    assert set(blas_env) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+    assert blas_env["OPENBLAS_NUM_THREADS"] == "2"
+    assert blas_env["MKL_NUM_THREADS"] is None
 
 
 def test_rerun_is_bit_identical(tmp_path):
@@ -413,6 +428,19 @@ def test_clock_register_cap_exit_code(tmp_path, monkeypatch, capsys, cfg):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cfg, key", [
+    ({**OU_CFG, "times": {**OU_CFG["times"], "n_points": 10 ** 9}}, "times.n_points"),
+    ({**NSE_CFG, "probe": {**NSE_CFG["probe"], "count": 10 ** 9}}, "probe.count"),
+], ids=["oscillator", "nse_taylor_green"])
+def test_grid_point_cap_exit_code(tmp_path, capsys, cfg, key):
+    # refused before the 7.45 GiB grid or the system is built
+    out = tmp_path / "o"
+    assert cli.main(["run", write_cfg(tmp_path, cfg), "--out", str(out)]) == cli.EXIT_NUMERICAL
+    assert error_record(capsys) == {
+        "error": "numerical", "detail": f"{key} = 1000000000 exceeds the cap of 100000 points"}
+    assert not out.exists()
+
+
 def test_overflowing_readout_norm_exit_code(tmp_path, capsys):
     # at q = 1e308 the readout point's lambda x^2 overflows, so its norm is not finite
     cfg = {"experiment": "audits", "system": {"kind": "ou", "lam": 0.5, "q": 1e308},
@@ -578,8 +606,8 @@ def test_bqp_amplitude_sees_a_planted_embedding_defect(tmp_path, monkeypatch):
     # not: no amplitude <00|U|00> of these four circuits depends on that orientation.)
     real_embed = systems.embed_gate
 
-    def reversed_rows(u, targets, n_qubits):
-        return real_embed(np.asarray(u)[::-1], targets, n_qubits)
+    def reversed_rows(us, targets, n_qubits):
+        return real_embed(np.asarray(us)[:, ::-1], targets, n_qubits)
 
     monkeypatch.setattr(systems, "embed_gate", reversed_rows)
     out = tmp_path / "o"
@@ -816,7 +844,12 @@ def with_block(cfg, block, **values):
     # per-variable lists whose length is not the n_vars of the system kind
     ({**OSC_CFG, "observable": [1, 0, 0]}, "config.observable needs n_vars = 2 entries, got 3"),
     ({**OSC_CFG, "system": {"kind": "nse", "modes": 6}},
-     "config.initial_point needs n_vars = 6 entries, got 2")])
+     "config.initial_point needs n_vars = 6 entries, got 2"),
+    # a circuit file whose gates fail the embedding's checks
+    ({**BQP_CFG, "circuits": {"file": "non_orthogonal.txt", "qubits": 2}},
+     "circuits.file 'non_orthogonal.txt': gate matrix is not orthogonal"),
+    ({**BQP_CFG, "circuits": {"file": "repeated_target.txt", "qubits": 2}},
+     "circuits.file 'repeated_target.txt': bad target qubit list")])
 def test_malformed_value_exit_code(tmp_path, monkeypatch, capsys, cfg, detail):
     monkeypatch.chdir(tmp_path)
     for name, text in CIRCUIT_FILES.items():

@@ -1,6 +1,5 @@
 """Operator assembly: diagonal weights, skew drifts, bounds, divergence checks."""
 
-import hashlib
 import itertools
 import math
 
@@ -34,7 +33,13 @@ from kolmsim.systems import (
     oscillator_system,
     random_real_circuit,
 )
-from oracles import gaussian_quadrature, h_norm, hermite_triple_product, linear_drift_oracle
+from oracles import (
+    csr_digest,
+    gaussian_quadrature,
+    h_norm,
+    hermite_triple_product,
+    linear_drift_oracle,
+)
 
 
 class CoefficientTableDrift:
@@ -232,14 +237,6 @@ def basis_for(spec, K):
     return enumerate_basis(spec.n_vars,
                            RegularizationScheme.by_max_order(K, spec.rates),
                            spec.rates)
-
-
-def csr_digest(mat):
-    """sha256 of a CSR matrix's raw data, indices and indptr arrays."""
-    digest = hashlib.sha256()
-    for arr in (mat.data, mat.indices, mat.indptr):
-        digest.update(np.ascontiguousarray(arr).tobytes())
-    return digest.hexdigest()
 
 
 # ------------------------------------------------------------------ dissipation

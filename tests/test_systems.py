@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import block_diag, expm
 
 from kolmsim import systems
 from kolmsim.errors import DriftError
@@ -28,6 +28,8 @@ from kolmsim.systems import (
     velocity_mode,
     wavenumber_table,
 )
+
+from oracles import csr_digest
 
 
 def basis_for(spec, K):
@@ -446,7 +448,7 @@ def test_clock_rejects_complex():
 
 def embedded(u, targets, n_qubits):
     """embed_gate's COO triples as a dense matrix; no place may repeat."""
-    rows, cols, vals = embed_gate(u, targets, n_qubits)
+    _, rows, cols, vals = embed_gate([u], targets, n_qubits)
     assert len(set(zip(rows.tolist(), cols.tolist()))) == rows.size
     full = np.zeros((2 ** n_qubits,) * 2)
     full[rows, cols] = vals
@@ -484,6 +486,56 @@ def test_embed_gate_matches_kron_oracle(n_qubits):
         u = np.linalg.qr(rng.normal(size=(2 ** len(targets),) * 2))[0]
         np.testing.assert_array_equal(embedded(u, targets, n_qubits),
                                       kron_embedding(u, targets, n_qubits))
+
+
+def mixed_clock_jobs():
+    """Twelve random circuits on 1, 2 and 3 qubits, then two parsed ones with gates on
+    reversed targets and MATRIX gates of one and two qubits."""
+    rng = np.random.default_rng(28)
+    jobs = [(random_real_circuit(rng, n, int(rng.integers(1, 9))), n) for n in (1, 2, 3) * 4]
+    jobs.append((parse_circuit(["CNOT 1 0", "MATRIX [[0.6,-0.8],[0.8,0.6]] 1", "CNOT 0 1",
+                                "MATRIX [[0,0,0,1],[0,0,1,0],[0,-1,0,0],[-1,0,0,0]] 1 0"]), 2))
+    jobs.append((parse_circuit(["CZ 2 0", "MATRIX [[0.6,0.8],[-0.8,0.6]] 2", "H 1"]), 3))
+    return jobs
+
+
+def kron_clock(circuit, n_qubits):
+    """Oracle clock block: weight times the kron-embedded gate, per clock step."""
+    dim, w = 2 ** n_qubits, chain_walk_weights(len(circuit))
+    b = np.zeros(((len(circuit) + 1) * dim,) * 2)
+    for j, (u, targets) in enumerate(circuit):
+        g = kron_embedding(np.asarray(u, dtype=float), targets, n_qubits)
+        b[j * dim:(j + 1) * dim, (j + 1) * dim:(j + 2) * dim] = w[j] * g.T
+        b[(j + 1) * dim:(j + 2) * dim, j * dim:(j + 1) * dim] = -w[j] * g
+    return b
+
+
+# sha256 of the direct sum's raw CSR arrays, computed with one embedding per gate
+def test_mixed_clock_drift_pinned():
+    assert csr_digest(clock_drift(mixed_clock_jobs())) == \
+        "3867fe0c561e8288c717482be771360d99e183ada7d762535b9804ace6852c19"
+
+
+def test_mixed_clock_drift_matches_kron_oracle():
+    # each job's diagonal block is its kron-built clock matrix, and nothing lies outside
+    jobs = mixed_clock_jobs()
+    assert {len(targets) for circuit, _ in jobs for _, targets in circuit} == {1, 2}
+    np.testing.assert_array_equal(clock_drift(jobs).toarray(),
+                                  block_diag(*(kron_clock(c, n) for c, n in jobs)))
+
+
+@pytest.mark.parametrize("middle, message", [
+    ((np.diag([1.0, 1.0, 1.0, 2.0]), (0, 2)), "not orthogonal"),
+    ((np.diag([1.0, 1.0, 1.0, 1j]), (0, 2)), "real matrix elements"),
+    ((np.eye(3), (0, 2)), "must be a 2"),
+    ((GATE_MATRICES["CNOT"], (2, 2)), "bad target"),
+], ids=["non_orthogonal", "complex", "3x3", "repeated_target"])
+def test_clock_checks_every_gate_of_a_class(middle, message):
+    # the middle one of three gates on targets (0, 2), after a job of other classes
+    cnot = (GATE_MATRICES["CNOT"], (0, 2))
+    jobs = [(random_real_circuit(np.random.default_rng(0), 3, 4), 3), ([cnot, middle, cnot], 3)]
+    with pytest.raises(DriftError, match=message):
+        clock_drift(jobs)
 
 
 def test_circuit_amplitude_hadamard_pair():
