@@ -3,10 +3,11 @@
 Each evolver maps a `states.KEState` to the state(s) it reaches.  The
 coefficient vector obeys d psi/dt = (-A + B + C) psi with A diagonal
 positive and B, C skew, so the squared norm can only decrease.  Runs evolve
-by exact exponential actions: `evolve_reference` and `evolve_blocks` (a direct
-sum of linear systems over one basis) through `expm_multiply` (Al-Mohy & Higham,
-SIAM J. Sci. Comput. 33 (2011) 488-511), `evolve_expm` by dense `expm` up to
-DENSE_EXP_LIMIT.  The splitting e^{-tau A} e^{tau B} e^{tau C}
+by exact exponential actions through `expm_multiply` (Al-Mohy & Higham, SIAM J.
+Sci. Comput. 33 (2011) 488-511): `evolve_reference` to one time, `evolve_direct_sum`
+over a time grid (one action of a direct sum of generators serves every order of a
+comparison run) and `evolve_blocks` (linear systems over one basis); `evolve_expm` by
+dense `expm` up to DENSE_EXP_LIMIT.  The splitting e^{-tau A} e^{tau B} e^{tau C}
 is audited against its analytic bound; RK45 (`evolve_rk45`) is the tests' oracle.
 
 Readout is linear, so by duality <r, e^{tG} psi> = <e^{tG^T} r, psi>: one
@@ -89,14 +90,20 @@ def _action(gen, psi, t: float, n_points: int = 0):
     return expm_multiply(gen, psi, start=0.0, stop=t, num=n_points, endpoint=True)
 
 
-def evolve_reference(state: KEState, ops: KEOperators, t: float, n_points: int = 0):
-    """Exact action e^{tG} psi through `expm_multiply`: the final KEState, or with
-    `n_points` the KEStates on the uniform grid of that many points over [0, t]."""
-    ys = _action(ops.generator(), state.coefficients, t, n_points)
-    if not n_points:
-        return KEState(ys, state.basis, state.t + t)
-    return [KEState(y, state.basis, state.t + s)
-            for s, y in zip(np.linspace(0.0, t, n_points), ys)]
+def evolve_reference(state: KEState, ops: KEOperators, t: float) -> KEState:
+    """Exact action e^{tG} psi through `expm_multiply`."""
+    return KEState(_action(ops.generator(), state.coefficients, t), state.basis, state.t + t)
+
+
+def evolve_direct_sum(states, ops, t: float, n_points: int) -> list:
+    """Entry k: states[k]'s KEStates under ops[k] on the uniform `n_points` grid over [0, t].
+    One direct-sum action evolves each block as alone, up to the largest block's steps."""
+    ys = _action(sp.block_diag([o.generator() for o in ops], format="csr"),
+                 np.concatenate([s.coefficients for s in states]), t, n_points)
+    cuts = np.cumsum([len(s.basis) for s in states])[:-1]
+    grid = np.linspace(0.0, t, n_points)
+    return [[KEState(y, s.basis, s.t + g) for g, y in zip(grid, block)]
+            for s, block in zip(states, np.split(ys, cuts, axis=1))]
 
 
 def evolve_blocks(dissipation: SparseOperator, linear, state: KEState, t: float) -> np.ndarray:

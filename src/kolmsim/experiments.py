@@ -8,9 +8,9 @@ mc_curve.csv and comparison.csv for every experiment but `audits`; column
 meanings are documented in the README), then audit.json and manifest.json.
 Every boolean in the audit payload is a verdict, and `run_experiment` sets
 the root `passed` flag true iff `failed_checks` finds none false.  The
-`oscillator` runner compares each order's Galerkin curve with one Monte
-Carlo run, for any system kind; `mc.max_gap_over_se` adds a verdict on the
-highest order's gap.  Audits
+`oscillator` runner compares the Galerkin curves of its orders, all from one
+exponential action, with one Monte Carlo run, for any system kind;
+`mc.max_gap_over_se` adds a verdict on the highest order's gap.  Audits
 aggregate every bound check that applies to the configured system; checks
 that need a finite drift strength J are reported as not applicable when J
 is infinite.  `bqp_circuit` gives the circuits of each register size one
@@ -35,6 +35,7 @@ from .evolution import (
     KEOperators,
     assemble_all,
     evolve_blocks,
+    evolve_direct_sum,
     evolve_expm,
     evolve_reference,
     evolve_trotter,
@@ -210,13 +211,15 @@ def validate_config(cfg: dict) -> dict:
     """The config with every default filled in; ConfigError on a missing,
     mistyped, out-of-range or unknown key at any level."""
     cfg = _normalise(_CONFIG, cfg, "config")
-    if cfg["experiment"] == "oscillator" and cfg["observable"]:
-        # the solver evolves u0 on every basis, so its degree must fit the smallest
-        cap = min(DEFAULT_DEGREE_CAP, *cfg["basis"]["orders"])
-        if not 1 <= sum(cfg["observable"]) <= cap:
-            raise ConfigError(f"config.observable {cfg['observable']!r}: the total degree must "
-                              f"lie in [1, {cap}], at most {DEFAULT_DEGREE_CAP} and at most "
-                              "min(basis.orders)")
+    if cfg["experiment"] == "oscillator":
+        orders = cfg["basis"]["orders"]
+        if len(set(orders)) < len(orders):  # each order is one block of the direct sum
+            raise ConfigError(f"config.basis.orders {orders!r} repeats an order")
+        cap = min(DEFAULT_DEGREE_CAP, *orders)  # u0 evolves on every basis: fit the smallest
+        if cfg["observable"] and not 1 <= sum(cfg["observable"]) <= cap:
+            raise ConfigError(f"config.observable {cfg['observable']!r}: the total degree "
+                              f"must lie in [1, {cap}], at most {DEFAULT_DEGREE_CAP} and at "
+                              "most min(basis.orders)")
     return cfg
 
 
@@ -479,10 +482,10 @@ def run_oscillator(cfg: dict, seed: int, threads: int) -> tuple:
 
     curve_rows, comparison_rows = [], []
     summary = []
-    for order in orders:
-        ops = _order_operators(spec, order)
-        states = evolve_reference(initial_state(u0, ops.basis), ops, float(times[-1]),
-                                  n_points=times.size)
+    all_ops = [_order_operators(spec, order) for order in orders]
+    trajectories = evolve_direct_sum([initial_state(u0, ops.basis) for ops in all_ops],
+                                     all_ops, float(times[-1]), times.size)
+    for order, ops, states in zip(orders, all_ops, trajectories):
         values = expectation(states, x0, order, spec) + u0.mean()
         report = compare(run, values)
         if order == max(orders):

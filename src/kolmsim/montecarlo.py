@@ -18,9 +18,9 @@ a dissipative system should never blow up.
 
 A chunk steps an (N, count) state, one contiguous row per variable; drifts
 fill their (count, N) `out` view in place (`SystemSpec.drift_value`).  Sign
-words are drawn TIME_BLOCK steps at a time, and each group of 64 steps is
-unpacked, just before it runs, into a time-major (64, N, count) uint8
-buffer (1 MiB for a full chunk at N = 2, so it stays in cache).  CHUNK_SIZE
+words are drawn TIME_BLOCK steps at a time; each step gathers its increments,
+-s or +s, from a (256, 8) table whose row b holds the 8 bits of byte b (the
+padded tail of a partial chunk's last word is never read).  CHUNK_SIZE
 is part of the reproducibility contract: it fixes which samples share a
 stream, and chunk partial sums are reduced in chunk order, so estimates are
 bit-identical on one platform for any thread count.  TIME_BLOCK is not:
@@ -103,7 +103,10 @@ def _march_chunk(spec, x0, observable, grid_steps, n_steps, dt, seed,
 
     step = 0
     width = -(-count // 64)  # sign words per variable and step
-    inc = np.empty((n_vars, count))  # sign bit * 2s - s: exactly -s or +s, s = sqrt(q dt)
+    # row b: +s for each set bit of byte b, -s for each clear one (bits 0..7, s = sqrt(q dt))
+    table = np.where(np.arange(256)[:, None] >> np.arange(8) & 1, sqrt_qdt, -sqrt_qdt)
+    padded = np.empty((n_vars, 8 * width, 8))
+    inc = padded.reshape(n_vars, 64 * width)[:, :count]
     # escaping samples may overflow between guard sweeps; they are frozen
     # before any recording, so estimates never see them
     with np.errstate(over="ignore", invalid="ignore"):
@@ -111,15 +114,12 @@ def _march_chunk(spec, x0, observable, grid_steps, n_steps, dt, seed,
             block = min(TIME_BLOCK, n_steps - step)
             raw = bits.random_raw(block * n_vars * width).reshape(block, n_vars, width)
             for b in range(block):
-                if b % 64 == 0:  # bit r of a step's words signs sample r
-                    signs = np.unpackbits(raw[b:b + 64].view(np.uint8), axis=-1,
-                                          count=count, bitorder="little")
                 spec.drift_value(x, c)
                 xs *= decay
                 cs *= dt
                 xs += cs
-                np.multiply(signs[b % 64], 2.0 * sqrt_qdt, out=inc)
-                inc -= sqrt_qdt
+                # bit r of a step's words signs sample r; uint8 indices never need clipping
+                np.take(table, raw[b].view(np.uint8), axis=0, out=padded, mode="clip")
                 xs += inc
                 step += 1
                 if step % 64 == 0:

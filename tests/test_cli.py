@@ -849,7 +849,9 @@ def with_block(cfg, block, **values):
     ({**BQP_CFG, "circuits": {"file": "non_orthogonal.txt", "qubits": 2}},
      "circuits.file 'non_orthogonal.txt': gate matrix is not orthogonal"),
     ({**BQP_CFG, "circuits": {"file": "repeated_target.txt", "qubits": 2}},
-     "circuits.file 'repeated_target.txt': bad target qubit list")])
+     "circuits.file 'repeated_target.txt': bad target qubit list"),
+    # each order is one block of the direct sum, and one set of comparison rows
+    (with_block(OSC_CFG, "basis", orders=[3, 2, 3]), "config.basis.orders [3, 2, 3] repeats")])
 def test_malformed_value_exit_code(tmp_path, monkeypatch, capsys, cfg, detail):
     monkeypatch.chdir(tmp_path)
     for name, text in CIRCUIT_FILES.items():

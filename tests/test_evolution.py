@@ -12,6 +12,7 @@ from kolmsim.errors import NumericalError
 from kolmsim.evolution import (
     KEOperators,
     assemble_all,
+    evolve_direct_sum,
     evolve_expm,
     evolve_reference,
     evolve_rk45,
@@ -180,7 +181,7 @@ def test_reference_grid_matches_final_states(oscillator_setup):
     # one expm_multiply call over the uniform grid: psi(0) first, then e^{tG} psi(0)
     _, _, ops, psi0 = oscillator_setup
     times = np.linspace(0.0, 25.0, 11)
-    states = evolve_reference(psi0, ops, 25.0, n_points=times.size)
+    [states] = evolve_direct_sum([psi0], [ops], 25.0, times.size)
     assert [s.t for s in states] == list(times)
     np.testing.assert_array_equal(states[0].coefficients, psi0.coefficients)
     oracle = evolve_rk45(psi0, ops, 25.0, t_eval=times, rtol=1e-11)
@@ -193,17 +194,42 @@ def test_reference_grid_matches_final_states(oscillator_setup):
 @pytest.mark.parametrize("order", [16, 40])
 def test_reference_ignores_the_global_rng(order):
     # expm_multiply picks its Taylor degree and step count through onenormest,
-    # which draws from numpy's global legacy RNG; the states must not move with it
+    # which draws from numpy's global legacy RNG; the states must not move with
+    # it, for the order alone or in a direct sum with two smaller orders
     spec = oscillator_system(0.1, 0.02)
-    ops = assemble_all(basis_for(spec, order), spec)
-    psi0 = initial_state(MonomialObservable((1, 0), spec), ops.basis)
-    runs = set()
-    for seed in range(4):
-        np.random.seed(seed)
-        states = evolve_reference(psi0, ops, 5.0, n_points=51)
-        runs.add(np.stack([s.coefficients for s in states]).tobytes())
-        assert np.random.get_state()[2] != 624  # onenormest did draw
-    assert len(runs) == 1
+    ops = [assemble_all(basis_for(spec, k), spec) for k in (order, 2, 5)]
+    psi0 = [initial_state(MonomialObservable((1, 0), spec), o.basis) for o in ops]
+    for blocks in (1, 3):
+        runs = set()
+        for seed in range(4):
+            np.random.seed(seed)
+            trajectories = evolve_direct_sum(psi0[:blocks], ops[:blocks], 5.0, 51)
+            runs.add(b"".join(np.stack([s.coefficients for s in states]).tobytes()
+                              for states in trajectories))
+            assert np.random.get_state()[2] != 624  # onenormest did draw
+        assert len(runs) == 1
+
+
+@pytest.mark.parametrize("system, orders", [("oscillator", [16, 2, 5]), ("nse6", [3, 1, 2])])
+def test_direct_sum_slices_match_each_orders_own_solve(system, orders):
+    # the blocks of one direct-sum action evolve as each order's own action
+    # would, up to the step choice, which the largest block sets
+    spec = oscillator_system(0.1, 0.02) if system == "oscillator" else nse_system(6, 0.1, 1e-5)
+    u0 = MonomialObservable((1,) + (0,) * (spec.n_vars - 1), spec)
+    ops = [assemble_all(basis_for(spec, k), spec) for k in orders]
+    psi0 = [initial_state(u0, o.basis) for o in ops]
+    t, n_points = 5.0, 11
+    trajectories = evolve_direct_sum(psi0, ops, t, n_points)
+    assert len(trajectories) == len(orders)
+    for o, p, states in zip(ops, psi0, trajectories):
+        [alone] = evolve_direct_sum([p], [o], t, n_points)
+        assert [s.t for s in states] == [s.t for s in alone] == list(np.linspace(0.0, t, n_points))
+        assert all(s.basis is o.basis for s in states)
+        for state, own in zip(states, alone):
+            np.testing.assert_allclose(state.coefficients, own.coefficients, rtol=0, atol=1e-12)
+        final = evolve_reference(p, o, t)
+        np.testing.assert_allclose(states[-1].coefficients, final.coefficients,
+                                   rtol=0, atol=1e-12)
 
 
 def test_expm_multiply_action_matches_dense(monkeypatch):

@@ -1,5 +1,6 @@
 """Weak Euler oracle: analytic OU checks, determinism, convergence, guards."""
 
+import hashlib
 import math
 import os
 
@@ -11,7 +12,7 @@ from kolmsim.errors import NumericalError
 from kolmsim.montecarlo import CHUNK_SIZE, compare, simulate
 from kolmsim.operators import SystemSpec
 from kolmsim.states import MonomialObservable
-from kolmsim.systems import oscillator_system
+from kolmsim.systems import nse_system, oscillator_system
 
 # estimates do not depend on the thread count, so the multi-chunk runs use every core
 N_THREADS = len(os.sched_getaffinity(0))
@@ -120,6 +121,22 @@ def test_cubic_oscillator_pinned_values():
         "0x1.044653ffbb136p+0", "0x1.5db01035150dbp-2", "-0x1.718c54c907089p-3"]
     assert [s.hex() for s in run.se] == [
         "0x1.131e8728cb28dp-6", "0x1.4c0f92be0ce44p-6", "0x1.2c6a0c1bb7e68p-5"]
+
+
+@pytest.mark.parametrize("system, x0, u0, t, dt, seed, pin", [
+    ("oscillator", [1.0, 0.5], (2, 1), 2.0, 0.01, 17,
+     "6f264bdc5c2fa8570339b3e87d5fb12462dbb66c535dfa6dd0a416ee1a138ae7"),
+    ("nse6", [0.3, -0.2, 0.1, 0.25, -0.15, 0.05], (1, 0, 0, 0, 0, 0), 0.2, 1e-3, 29,
+     "ecc4e109f28a764c10487d188707bbdd8fda5f48b5378c8d907c4e939201485b"),
+], ids=["oscillator", "nse6"])
+def test_two_chunk_runs_pinned(system, x0, u0, t, dt, seed, pin):
+    # sha256 of the raw mean and SE over 200 steps, pinned with the increments
+    # computed as unpacked sign bits times 2s minus s; the second chunk's 100
+    # samples are not a multiple of 8 or 64, so its last sign words are padded
+    spec = oscillator_system(0.1, 0.02) if system == "oscillator" else nse_system(6, 0.1, 1e-5)
+    run = simulate(spec, np.array(x0), MonomialObservable(u0, spec), np.linspace(0.0, t, 5),
+                   CHUNK_SIZE + 100, dt, seed=seed)
+    assert hashlib.sha256(run.mean.tobytes() + run.se.tobytes()).hexdigest() == pin
 
 
 def test_increments_are_exactly_two_point_and_balanced():
