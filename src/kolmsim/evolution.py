@@ -256,7 +256,7 @@ def smoothing_bound_audit(ops: KEOperators, t_grid, gamma: float = math.inf) -> 
     only when gamma is finite and C != 0.  B must commute with A (NumericalError
     if not); then e^{tB} is orthogonal and e^{-t Lambda} = e^{-tA} e^{tB}, so the
     first norm is max_m sqrt(w_m) e^{-t w_m} exactly and the second is ||C e^{-tA}||,
-    estimated from below by power iteration.
+    estimated from below by Lanczos (`operator_norm_estimate`).
     """
     basis = ops.basis
     t_grid = np.asarray(t_grid, dtype=float)

@@ -560,16 +560,18 @@ def _clock_readouts(jobs, lam: float, q: float, t: float) -> tuple:
     job's system and operators.  Jobs of one register size, in order of first appearance,
     share the first one's order-1 basis, initial state, dissipation and readout vectors;
     one assembly of their direct-sum clock drift (`clock_drift`, `assemble_linear_blocks`)
-    gives every linear block, and they evolve in one action (`evolve_blocks`)."""
+    gives every linear block, and they evolve in one action (`evolve_blocks`).  The first
+    job's system takes its drift from the leading block, so no circuit is embedded twice."""
     sizes = [(len(circuit) + 1) * 2 ** n for circuit, n in jobs]
     values = np.empty(len(jobs))
     for size in dict.fromkeys(sizes):
         members = [idx for idx, s in enumerate(sizes) if s == size]
-        spec = clock_system(*jobs[members[0]], lam=lam, q=q)
+        drift = clock_drift([jobs[idx] for idx in members])
+        spec = clock_system(*jobs[members[0]], lam=lam, q=q, drift=drift[:size, :size])
         ops = _order_operators(spec, 1)
         if members[0] == 0:
             audited = spec, ops
-        linear = assemble_linear_blocks(ops.basis, clock_drift([jobs[idx] for idx in members]))
+        linear = assemble_linear_blocks(ops.basis, drift)
         psi = evolve_blocks(ops.dissipation, linear,
                             initial_state(_default_observable(spec), ops.basis), t)
         var = [len(jobs[idx][0]) * 2 ** jobs[idx][1] for idx in members]

@@ -395,10 +395,11 @@ def clock_drift(jobs) -> sp.csr_matrix:
     return _csr_from_entries(*map(np.concatenate, (rows, cols, vals)), offset)
 
 
-def clock_system(circuit, n_qubits: int, lam: float = 0.1,
-                 q: float = 0.1) -> SystemSpec:
-    """Linear divergence-free system whose noiseless flow runs the circuit."""
-    b = clock_drift([(circuit, n_qubits)])
+def clock_system(circuit, n_qubits: int, lam: float = 0.1, q: float = 0.1,
+                 drift=None) -> SystemSpec:
+    """Linear divergence-free system whose noiseless flow runs the circuit; `drift`, when
+    given, is its `clock_drift` already built (a direct sum's leading block)."""
+    b = clock_drift([(circuit, n_qubits)]) if drift is None else drift
     n_vars = b.shape[0]
     j1 = float(np.abs(b.data).max()) if b.nnz else 0.0
     return SystemSpec(name=f"clock[m={len(circuit)},n={n_qubits}]",

@@ -721,6 +721,23 @@ def test_bqp_batched_readouts_match_per_circuit_solves():
     assert (ops.generator() != experiments._order_operators(spec, 1).generator()).nnz == 0
 
 
+def test_bqp_readouts_embed_each_gate_class_once_per_group(monkeypatch):
+    # the first circuit of a register group takes its drift from the group's direct
+    # sum, so each group embeds each of its (qubits, targets, shape) classes once
+    rng = np.random.default_rng(5)
+    jobs = [(random_real_circuit(rng, n, m), n)
+            for m, n in [(1, 3), (3, 2), (2, 1), (7, 1), (3, 2), (1, 3)]]
+    groups = {}
+    for circuit, n in jobs:
+        groups.setdefault((len(circuit) + 1) * 2 ** n, set()).update(
+            (n, tuple(targets), np.shape(u)) for u, targets in circuit)
+    calls, real_embed = [], systems.embed_gate
+    monkeypatch.setattr(systems, "embed_gate",
+                        lambda *args: calls.append(args[1]) or real_embed(*args))
+    experiments._clock_readouts(jobs, 0.1, 0.1, 1.0)
+    assert len(calls) == sum(map(len, groups.values()))
+
+
 @pytest.mark.parametrize("cfg_seed, cli_seed", [
     (-1, None), (2.5, None), (True, None), ("7", None), (2 ** 64, None),
     (3, "-1")])

@@ -750,11 +750,11 @@ def test_sparsity_audit_unbounded_drift_marked():
 @pytest.mark.parametrize("K", [1, 2, 3])
 def test_sparsity_audit_passes_tight_linear_norm(K):
     # one X gate: the clock drift's norm equals its bound s J1 K sqrt(kappa), and
-    # power iteration reaches it from below (equal at K = 1, 1.8e-7 short at K = 3)
+    # Lanczos reaches it to rounding (within 1.4e-16 of it at K = 1..3)
     spec = clock_system([(GATE_MATRICES["X"], (0,))], 1)
     audit = sparsity_audit(assemble_linear_drift(basis_for(spec, K), spec), spec)
     assert audit["norm_estimate"] <= audit["norm_bound"] * (1 + NORM_MARGIN)
-    assert audit["norm_estimate"] == pytest.approx(audit["norm_bound"], rel=1e-6)
+    assert audit["norm_estimate"] == pytest.approx(audit["norm_bound"], rel=1e-12)
     assert audit["passed"]
 
 
@@ -763,7 +763,7 @@ def test_sparsity_audit_passes_tight_linear_norm(K):
     (lambda: oscillator_system(lam=0.1, q=0.1, profile="bounded"), "nonlinear"),
 ])
 def test_sparsity_audit_fails_an_estimate_above_its_bound(make_spec, role, monkeypatch):
-    # a power-iteration estimate is a lower bound on the norm, so one above the
+    # a Lanczos estimate is a lower bound on the norm, so one above the
     # bound, by however little beyond rounding, proves a violation
     spec = make_spec()
     basis = basis_for(spec, 3)
@@ -778,10 +778,26 @@ def test_sparsity_audit_fails_an_estimate_above_its_bound(make_spec, role, monke
 
 
 def test_power_iteration_against_dense_norm():
+    # Lanczos with the default arguments (measured 8.3e-13 short)
     rng = np.random.default_rng(3)
     mat = rng.normal(size=(40, 40))
-    est = operator_norm_estimate(sp.csr_matrix(mat), n_iter=500, tol=1e-10)
-    assert est == pytest.approx(np.linalg.norm(mat, 2), rel=1e-5)
+    est = operator_norm_estimate(sp.csr_matrix(mat))
+    assert est == pytest.approx(np.linalg.norm(mat, 2), rel=1e-9)
+
+
+def test_norm_estimate_resolves_a_clustered_spectrum():
+    # skew 2x2 blocks [[0, s], [-s, 0]], with the +-pairing of the NSE operator: one
+    # s = 1 above m values up to 0.999; 200 power steps stopped 2.7e-3 short here
+    m = 1000
+    blocks = [np.array([[0.0, s], [-s, 0.0]]) for s in [1.0, *np.linspace(0, 0.999, m)]]
+    est = operator_norm_estimate(sp.block_diag(blocks, format="csr"))
+    assert 1 - 1e-8 <= est <= 1 + 1e-12
+
+
+def test_norm_estimate_of_a_non_finite_matrix_is_non_finite():
+    # check_finite then names the audit field; the estimate itself must not raise
+    mat = sp.csr_matrix(np.diag([1.0, np.inf, 2.0]))
+    assert not math.isfinite(operator_norm_estimate(mat))
 
 
 def test_basis_spec_mismatch_rejected():
