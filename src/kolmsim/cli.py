@@ -37,8 +37,6 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (run_p, audit_p):
         p.add_argument("config", help="path to the JSON run configuration")
         p.add_argument("--seed", type=int, default=None, help="seed override")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for Monte Carlo sampling")
     return parser
 
 
@@ -54,7 +52,7 @@ def main(argv=None) -> int:
         if args.command == "audit" and cfg["experiment"] != "audits":
             raise ConfigError("the audit command needs an 'audits' experiment config")
         out_dir = args.out or tempfile.mkdtemp(prefix="kolmsim-audit-")
-        audit = run_experiment(cfg, out_dir, seed=args.seed, threads=args.threads)
+        audit = run_experiment(cfg, out_dir, seed=args.seed)
         if failures := failed_checks(audit):
             _error_record("audit", "failed checks: " + "; ".join(failures))
             return EXIT_AUDIT

@@ -299,11 +299,10 @@ def check_finite(payload, path: str = ""):
         raise NumericalError(f"{path} is {float(payload)}")
 
 
-def write_manifest(out_dir: str, cfg: dict, seed: int, threads: int):
+def write_manifest(out_dir: str, cfg: dict, seed: int):
     write_json(os.path.join(out_dir, "manifest.json"), {
         "config": cfg,
         "seed": seed,
-        "threads": threads,
         "blas_env": {name: os.environ.get(name) for name in
                      ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
         "versions": {
@@ -468,7 +467,7 @@ def _check_grid(count: int, key: str):
         raise ResourceLimitError(f"{key} = {count} exceeds the cap of {MAX_GRID_POINTS} points")
 
 
-def run_oscillator(cfg: dict, seed: int, threads: int) -> tuple:
+def run_oscillator(cfg: dict, seed: int) -> tuple:
     """Each order's Galerkin curve against the Monte Carlo oracle, for any system kind."""
     _check_grid(cfg["times"]["n_points"], "times.n_points")
     spec = build_system(cfg["system"]["kind"], cfg["system"])
@@ -477,8 +476,7 @@ def run_oscillator(cfg: dict, seed: int, threads: int) -> tuple:
     times = np.linspace(0.0, cfg["times"]["t_max"], cfg["times"]["n_points"])
     orders = cfg["basis"]["orders"]
 
-    run = simulate(spec, x0, u0, times, cfg["mc"]["samples"], cfg["mc"]["dt"],
-                   seed=seed, n_threads=threads)
+    run = simulate(spec, x0, u0, times, cfg["mc"]["samples"], cfg["mc"]["dt"], seed=seed)
 
     curve_rows, comparison_rows = [], []
     summary = []
@@ -514,7 +512,7 @@ def run_oscillator(cfg: dict, seed: int, threads: int) -> tuple:
 TAYLOR_GREEN_TOLERANCE = 0.05  # max |galerkin - taylor_green| over the probes
 
 
-def run_nse_taylor_green(cfg: dict, seed: int, threads: int) -> tuple:
+def run_nse_taylor_green(cfg: dict, seed: int) -> tuple:
     system = cfg["system"]
     n_modes, nu = system["modes"], system["nu"]
     _check_grid(cfg["probe"]["count"], "probe.count")
@@ -581,7 +579,7 @@ def _clock_readouts(jobs, lam: float, q: float, t: float) -> tuple:
     return values, audited
 
 
-def run_bqp_circuit(cfg: dict, seed: int, threads: int) -> tuple:
+def run_bqp_circuit(cfg: dict, seed: int) -> tuple:
     """Each circuit's clock readout against its amplitude, evolved per register size
     (`_clock_readouts`); the audit bundle runs on the first circuit's operators."""
     circuits = cfg["circuits"]
@@ -632,13 +630,13 @@ def run_bqp_circuit(cfg: dict, seed: int, threads: int) -> tuple:
     }
 
 
-def run_audits_experiment(cfg: dict, seed: int, threads: int) -> tuple:
+def run_audits_experiment(cfg: dict, seed: int) -> tuple:
     spec = build_system(cfg["system"]["kind"], cfg["system"])
     return run_audits(spec, _order_operators(spec, cfg["basis"]["order"]), seed=seed,
                       options=cfg), {}
 
 
-# each runner maps (cfg, seed, threads) to (audit, tables), where tables maps
+# each runner maps (cfg, seed) to (audit, tables), where tables maps
 # an artifact stem to the (header, rows) of its CSV
 RUNNERS = {
     "oscillator": run_oscillator,
@@ -655,10 +653,12 @@ def run_experiment(cfg: dict, out_dir: str, seed: int | None = None,
     The root `passed` flag is true iff `failed_checks` finds no false verdict.
     A NaN or infinite float in the audit or a table raises NumericalError
     before any file is written.  Each table the runner returns is written as
-    `<stem>.csv`, then audit.json and manifest.json.
+    `<stem>.csv`, then audit.json and manifest.json.  Monte Carlo runs on one
+    thread: `threads` is kept only for the benchmark worker, which passes
+    `threads=1`, and any other value raises ConfigError.
     """
     effective_seed = cfg["seed"] if seed is None else _normalise(_SEED, seed, "--seed")
-    _normalise(_count(), threads, "--threads")
+    _normalise(Key(int, low=1, high=2), threads, "threads")
     created, path = [], os.path.abspath(out_dir)  # the directories makedirs makes
     while not os.path.exists(path):
         created.append(path)
@@ -668,7 +668,7 @@ def run_experiment(cfg: dict, out_dir: str, seed: int | None = None,
     except OSError as exc:
         raise ConfigError(f"--out {out_dir}: {exc.strerror}") from exc
     try:
-        audit, tables = RUNNERS[cfg["experiment"]](cfg, effective_seed, threads)
+        audit, tables = RUNNERS[cfg["experiment"]](cfg, effective_seed)
         check_finite(audit)
         for stem, (header, rows) in tables.items():
             # one flat pass per table; the walk that names the cell runs only on a hit
@@ -683,5 +683,5 @@ def run_experiment(cfg: dict, out_dir: str, seed: int | None = None,
     for stem, (header, rows) in tables.items():
         write_csv(os.path.join(out_dir, f"{stem}.csv"), header, rows)
     write_json(os.path.join(out_dir, "audit.json"), audit)
-    write_manifest(out_dir, cfg, effective_seed, threads)
+    write_manifest(out_dir, cfg, effective_seed)
     return audit

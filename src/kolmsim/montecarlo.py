@@ -22,15 +22,14 @@ words are drawn TIME_BLOCK steps at a time; each step gathers its increments,
 -s or +s, from a (256, 8) table whose row b holds the 8 bits of byte b (the
 padded tail of a partial chunk's last word is never read).  CHUNK_SIZE
 is part of the reproducibility contract: it fixes which samples share a
-stream, and chunk partial sums are reduced in chunk order, so estimates are
-bit-identical on one platform for any thread count.  TIME_BLOCK is not:
-every step reads its own N W words, so any block length reads the same bits.
+stream, and chunks are marched and summed one after another in chunk order,
+so estimates are bit-identical on one platform.  TIME_BLOCK is not: every
+step reads its own N W words, so any block length reads the same bits.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,7 +68,7 @@ def _march_chunk(spec, x0, observable, grid_steps, n_steps, dt, seed,
     decay = (1.0 - dt * spec.rates)[:, None]  # Euler step of the pure dissipation part
 
     # Philox is counter-based: the (seed, chunk) key fully determines the
-    # stream, independent of scheduling
+    # stream, independent of the other chunks
     bits = np.random.Philox(key=(int(seed) << 64) + chunk)
     xs = np.tile(np.asarray(x0, dtype=float)[:, None], (1, count))
     if initial_noise:
@@ -130,8 +129,7 @@ def _march_chunk(spec, x0, observable, grid_steps, n_steps, dt, seed,
 
 
 def simulate(spec, x0, observable, times, n_samples: int, dt: float,
-             seed: int = 0, initial_noise: bool = True,
-             n_threads: int = 1) -> SDERun:
+             seed: int = 0, initial_noise: bool = True) -> SDERun:
     """Simplified weak Euler estimate of E u0(X(t)) on a time grid.
 
     X(0) = x0 (+ Gaussian noise with variance q/(2 lambda_i) per variable
@@ -159,26 +157,14 @@ def simulate(spec, x0, observable, times, n_samples: int, dt: float,
     grid_steps = [int(step) for step in steps]
     n_steps = max(grid_steps)
 
-    chunks = [(k, min(CHUNK_SIZE, n_samples - start))
-              for k, start in enumerate(range(0, n_samples, CHUNK_SIZE))]
-
-    def work(args):
-        chunk, count = args
-        return _march_chunk(spec, x0, observable, grid_steps, n_steps, dt,
-                            seed, chunk, count, initial_noise)
-
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            partials = list(pool.map(work, chunks))
-    else:
-        partials = [work(c) for c in chunks]
-
     # fixed chunk layout + in-order reduction keeps results bit-stable
     sums = np.zeros(len(grid_steps))
     sq_sums = np.zeros(len(grid_steps))
     counts = np.zeros(len(grid_steps), dtype=np.int64)
     blowups = 0
-    for s, ss, c, nb in partials:
+    for chunk, start in enumerate(range(0, n_samples, CHUNK_SIZE)):
+        s, ss, c, nb = _march_chunk(spec, x0, observable, grid_steps, n_steps, dt, seed,
+                                    chunk, min(CHUNK_SIZE, n_samples - start), initial_noise)
         sums += s
         sq_sums += ss
         counts += c

@@ -214,6 +214,8 @@ def enumerate_basis(n_vars: int, scheme: RegularizationScheme, rates,
     k_max = scheme.max_order(rates)
     if k_max < 1:
         raise BasisError("cutoff r is below lambda_1: the basis would be empty")
+    if k_max > cap:  # checked before any row is built: the basis holds the rows d e_1, d <= k_max
+        raise ResourceLimitError(f"basis of at least {k_max:.3g} entries exceeds the cap of {cap}")
 
     if scheme.rule == ORDER_RULE:
         total = math.comb(n_vars + k_max, k_max) - 1

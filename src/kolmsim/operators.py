@@ -373,7 +373,8 @@ def operator_norm_estimate(matrix, n_iter: int = 200, tol: float = 1e-10,
     """Spectral norm by plain Lanczos on M^T M from a seeded start, BLAS-free: sqrt of
     the top eigenvalue theta of its tridiagonal, a lower bound up to rounding.  It stops
     once theta moves by at most tol theta, at beta = 0 or after min(n_iter, n) steps, which
-    does not bound the error.  A non-finite matrix gives a non-finite estimate."""
+    does not bound the error.  A non-finite matrix, or one whose products overflow, gives
+    a non-finite estimate."""
     n = matrix.shape[1]
     if n == 0 or (sp.issparse(matrix) and matrix.nnz == 0):
         return 0.0
@@ -385,14 +386,14 @@ def operator_norm_estimate(matrix, n_iter: int = 200, tol: float = 1e-10,
     for k in range(min(n_iter, n)):
         w = mt @ (matrix @ v)
         alpha = float(np.sum(w * v))
-        if not math.isfinite(alpha):
-            return math.nan
-        alphas.append(alpha)
         w -= alpha * v
         w -= beta * v_prev
+        beta = math.sqrt(np.sum(w * w))
+        if not (math.isfinite(alpha) and math.isfinite(beta)):
+            return math.nan  # beta^2 overflows at smaller entries than alpha does
+        alphas.append(alpha)
         last, theta = theta, eigvalsh_tridiagonal(alphas, betas, select="i",
                                                   select_range=(k, k))[0]
-        beta = math.sqrt(np.sum(w * w))
         if abs(theta - last) <= tol * theta or beta == 0.0:
             break
         betas.append(beta)

@@ -12,7 +12,6 @@ the same convergence claim at orders 4..16, where it holds.
 """
 
 import math
-import os
 
 import numpy as np
 import pytest
@@ -57,8 +56,6 @@ from oracles import gaussian_quadrature, h_norm
 OSC_LAM, OSC_Q = 0.1, 0.02
 MC_SAMPLES = 250_000
 MC_DT = 1e-3
-# Monte Carlo estimates do not depend on the thread count, so use every core
-N_THREADS = len(os.sched_getaffinity(0))
 
 
 def report(number, label, passed, detail=""):
@@ -82,7 +79,7 @@ def oscillator_mc():
     u0 = MonomialObservable((1, 0), spec)
     times = np.linspace(0.0, 25.0, 101)
     run = simulate(spec, np.array([1.0, 0.0]), u0, times, MC_SAMPLES, MC_DT,
-                   seed=20240501, n_threads=N_THREADS)
+                   seed=20240501)
     return spec, u0, times, run
 
 
@@ -299,13 +296,13 @@ def test_criterion_8_mc_oracle_sanity():
     times = np.array([0.0, 0.5, 1.0, 2.0, 4.0])
 
     mean_run = simulate(spec, np.array([1.0]), MonomialObservable((1,), spec),
-                        times, 100_000, MC_DT, seed=31, n_threads=N_THREADS)
+                        times, 100_000, MC_DT, seed=31)
     mean_gap = np.abs(mean_run.mean - np.exp(-lam * times))
     mean_ok = bool(np.all(mean_gap <= 3 * np.maximum(mean_run.se, 1e-12)))
 
     # x0 = 0 with stationary initial noise keeps E X^2 = q/(2 lam) at all times
     var_run = simulate(spec, np.array([0.0]), MonomialObservable((2,), spec),
-                       times, 100_000, MC_DT, seed=32, n_threads=N_THREADS)
+                       times, 100_000, MC_DT, seed=32)
     var_gap = np.abs(var_run.mean - q / (2 * lam))
     var_ok = bool(np.all(var_gap <= 3 * var_run.se))
     ok = report(8, "Ornstein-Uhlenbeck mean and stationary variance vs analytic",

@@ -149,16 +149,12 @@ def test_manifest_records_blas_env(tmp_path, monkeypatch):
 def test_rerun_is_bit_identical(tmp_path):
     for cfg in (OU_CFG, OSC16_CFG, NSE_CFG):
         cfg_path = write_cfg(tmp_path, cfg)
-        out1, out2, out3 = (tmp_path / cfg["experiment"] / run for run in "abc")
+        out1, out2 = (tmp_path / cfg["experiment"] / run for run in "ab")
         assert cli.main(["run", cfg_path, "--out", str(out1)]) == 0
         assert cli.main(["run", cfg_path, "--out", str(out2)]) == 0
-        # estimates must not depend on the worker thread count either
-        assert cli.main(["run", cfg_path, "--out", str(out3), "--threads", "2"]) == 0
         for name in ("mc_curve.csv", "comparison.csv", "galerkin_curve.csv",
                      "manifest.json", "audit.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
-        for name in ("mc_curve.csv", "comparison.csv", "galerkin_curve.csv"):
-            assert (out1 / name).read_bytes() == (out3 / name).read_bytes(), name
 
 
 def test_curves_do_not_depend_on_blas_threads(tmp_path):
@@ -533,7 +529,7 @@ def test_audit_failure_exit_code(tmp_path, monkeypatch):
         return {"passed": False, "operators": {"linear": {"passed": False}}}
 
     monkeypatch.setitem(experiments.RUNNERS, "audits",
-                        lambda cfg, seed, threads: (failing_audit(), {}))
+                        lambda cfg, seed: (failing_audit(), {}))
     cfg_path = write_cfg(tmp_path, AUDITS_CFG)
     assert cli.main(["audit", cfg_path, "--out", str(tmp_path / "o")]) == cli.EXIT_AUDIT
 
@@ -541,7 +537,7 @@ def test_audit_failure_exit_code(tmp_path, monkeypatch):
 @pytest.mark.parametrize("verdict", [False, np.False_], ids=["bool", "numpy_bool"])
 def test_every_false_boolean_fails_the_run(tmp_path, monkeypatch, capsys, verdict):
     # a runner only reports its verdicts; run_experiment derives the root flag
-    monkeypatch.setitem(experiments.RUNNERS, "audits", lambda cfg, seed, threads: (
+    monkeypatch.setitem(experiments.RUNNERS, "audits", lambda cfg, seed: (
         {"passed": True, "extra": {"ok": True, "within_bound": verdict}}, {}))
     out = tmp_path / "o"
     assert cli.main(["audit", write_cfg(tmp_path, AUDITS_CFG), "--out", str(out)]) \
@@ -618,7 +614,7 @@ def test_bqp_amplitude_sees_a_planted_embedding_defect(tmp_path, monkeypatch):
 def test_bqp_nan_amplitude_gives_nan_identity_gap(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(experiments, "circuit_amplitude",
                         lambda circuit, n: 0.0 if len(circuit) % 2 else math.nan)
-    audit, _ = experiments.run_bqp_circuit(experiments.validate_config(BQP_CFG), 7, 1)
+    audit, _ = experiments.run_bqp_circuit(experiments.validate_config(BQP_CFG), 7)
     assert math.isnan(audit["bqp"]["worst_identity_gap"])
     # no artifact may hold the nan, so the run stops before writing any
     out = tmp_path / "o"
@@ -694,7 +690,7 @@ def test_oscillator_runner_adds_the_stationary_mean(tmp_path):
         "experiment": "oscillator", "system": {"kind": "ou", "lam": 0.5, "q": 0.2},
         "initial_point": [1.5], "observable": [2], "basis": {"orders": [2]},
         "times": {"t_max": 2.0, "n_points": 5}, "mc": {"samples": 100, "dt": 0.1}})
-    _, tables = experiments.run_oscillator(cfg, 0, 1)
+    _, tables = experiments.run_oscillator(cfg, 0)
     t, _, value = (np.array(c, dtype=float) for c in zip(*tables["galerkin_curve"][1]))
     np.testing.assert_allclose(value, 0.2 / (2 * 0.5) + 1.5 ** 2 * np.exp(-2 * 0.5 * t),
                                rtol=0, atol=1e-14)
@@ -798,13 +794,20 @@ def test_oscillator_null_point_and_observable_are_derived(tmp_path):
         assert float(next(csv.DictReader(fh))["value"]) == 1.0  # u0(x0) at t = 0
 
 
-@pytest.mark.parametrize("threads", ["0", "-3"])
+@pytest.mark.parametrize("threads", [0, -3, 2])
 def test_bad_threads_exit_code(tmp_path, capsys, threads):
+    # Monte Carlo runs on one thread: the CLI has no --threads, and run_experiment
+    # keeps a threads keyword that takes only 1
+    refusal = rf"threads must be an integer in \[1, 2\), got {threads}"
+    with pytest.raises(ConfigError, match=refusal):
+        experiments.run_experiment(experiments.validate_config(OU_CFG), str(tmp_path / "o"),
+                                   threads=threads)
     argv = ["run", write_cfg(tmp_path, OU_CFG), "--out", str(tmp_path / "o"),
-            "--threads", threads]
-    assert cli.main(argv) == cli.EXIT_CONFIG
-    assert error_record(capsys) == {
-        "error": "config", "detail": f"--threads must be an integer in [1, inf), got {threads}"}
+            "--threads", str(threads)]
+    with pytest.raises(SystemExit) as refused:
+        cli.main(argv)
+    assert refused.value.code == cli.EXIT_CONFIG
+    assert "unrecognized arguments: --threads" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -946,6 +949,24 @@ def small_config(name):
         return {**json.load(fh), **copy.deepcopy(SMALL_CONFIGS[name])}
 
 
+@pytest.mark.parametrize("name, block, key, value, detail", [
+    ("audits_nse.json", "system", "nu", 1e-300, "operators/nonlinear/norm_estimate is nan"),
+    ("audits_nse.json", "system", "q", 1e300, "divergence_free/radial_residual is nan"),
+    ("audits_bounded_oscillator.json", "regularization", "r_reference", 1e300,
+     "basis of at least 1e+301 entries exceeds the cap of 2000000"),
+], ids=["nse_tiny_nu", "nse_huge_q", "bounded_huge_r_reference"])
+def test_extreme_values_exit_with_a_numerical_record(tmp_path, capsys, name, block, key,
+                                                      value, detail):
+    # in range, but the norm estimate overflows (entries near 8e147 at nu = 1e-300) or
+    # the weight-rule basis would be 1e301 rows wide: exit 4, never a traceback
+    cfg = small_config(name)
+    cfg[block][key] = value
+    out = tmp_path / "o"
+    assert cli.main(["run", write_cfg(tmp_path, cfg), "--out", str(out)]) == cli.EXIT_NUMERICAL
+    assert error_record(capsys) == {"error": "numerical", "detail": detail}
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def small_runs(tmp_path_factory):
     """Each small config's exit code and output directory, from one CLI run each."""
@@ -991,7 +1012,7 @@ def test_nse_comparison_sees_the_nonlinear_operator(monkeypatch, broken):
             return dataclasses.replace(ops, nonlinear=dataclasses.replace(
                 ops.nonlinear, matrix=-ops.nonlinear.matrix))
         monkeypatch.setattr(experiments, "assemble_all", breaking)
-    _, tables = experiments.run_oscillator(cfg, cfg["seed"], 1)
+    _, tables = experiments.run_oscillator(cfg, cfg["seed"])
     header, rows = tables["comparison"]
     worst = max(row[header.index("gap_over_se")] for row in rows)
     assert (worst <= 5.0) == (broken is None), worst

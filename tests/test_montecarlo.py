@@ -2,7 +2,6 @@
 
 import hashlib
 import math
-import os
 
 import numpy as np
 import pytest
@@ -13,9 +12,6 @@ from kolmsim.montecarlo import CHUNK_SIZE, compare, simulate
 from kolmsim.operators import SystemSpec
 from kolmsim.states import MonomialObservable
 from kolmsim.systems import nse_system, oscillator_system
-
-# estimates do not depend on the thread count, so the multi-chunk runs use every core
-N_THREADS = len(os.sched_getaffinity(0))
 
 
 def ou_spec(lam=0.5, q=0.2, n_vars=1):
@@ -35,7 +31,7 @@ def test_ou_mean_matches_analytic():
     spec = ou_spec(lam=lam)
     times = np.array([0.0, 0.5, 1.0, 2.0, 4.0])
     run = simulate(spec, np.array([1.0]), x_obs(spec), times,
-                   n_samples=20000, dt=1e-3, seed=7, n_threads=N_THREADS)
+                   n_samples=20000, dt=1e-3, seed=7)
     exact = np.exp(-lam * times)
     assert np.all(np.abs(run.mean - exact) <= 3 * np.maximum(run.se, 1e-12))
 
@@ -46,8 +42,7 @@ def test_ou_variance_growth_without_initial_noise():
     spec = ou_spec(lam=lam, q=q)
     times = np.array([0.5, 1.0, 2.0, 6.0])
     run = simulate(spec, np.array([0.0]), xsq_obs(spec), times,
-                   n_samples=40000, dt=1e-3, seed=3, initial_noise=False,
-                   n_threads=N_THREADS)
+                   n_samples=40000, dt=1e-3, seed=3, initial_noise=False)
     exact = q * (1 - np.exp(-2 * lam * times)) / (2 * lam)
     assert np.all(np.abs(run.mean - exact) <= 3 * run.se)
 
@@ -58,33 +53,28 @@ def test_ou_stationary_variance_with_initial_noise():
     spec = ou_spec(lam=lam, q=q)
     times = np.array([0.0, 1.0, 3.0, 8.0])
     run = simulate(spec, np.array([1.0]), xsq_obs(spec), times,
-                   n_samples=40000, dt=1e-3, seed=11, n_threads=N_THREADS)
+                   n_samples=40000, dt=1e-3, seed=11)
     exact = q / (2 * lam) + np.exp(-2 * lam * times)
     assert np.all(np.abs(run.mean - exact) <= 3 * run.se)
 
 
-def test_seeded_determinism_and_thread_independence():
+def test_seeded_determinism():
     spec = ou_spec()
     times = np.array([0.0, 0.5, 1.0])
     kwargs = dict(n_samples=3000, dt=1e-2, seed=42)
     a = simulate(spec, np.array([1.0]), x_obs(spec), times, **kwargs)
     b = simulate(spec, np.array([1.0]), x_obs(spec), times, **kwargs)
-    c = simulate(spec, np.array([1.0]), x_obs(spec), times, n_threads=4, **kwargs)
     assert np.array_equal(a.mean, b.mean) and np.array_equal(a.se, b.se)
-    assert np.array_equal(a.mean, c.mean) and np.array_equal(a.se, c.se)
 
 
-def test_multi_chunk_estimates_independent_of_threads():
-    # two chunks, so two threads really split the work
+def test_multi_chunk_estimates_are_pinned():
+    # two chunks, each with its own stream, summed in chunk order
     spec = oscillator_system(0.1, 0.02)
     u0 = MonomialObservable((2, 1), spec)
     times = np.array([0.0, 0.1, 0.3])
-    runs = [simulate(spec, np.array([1.0, 0.5]), u0, times, CHUNK_SIZE + 500, 0.01,
-                     seed=99, n_threads=threads) for threads in (1, 2)]
-    assert np.array_equal(runs[0].mean, runs[1].mean)
-    assert np.array_equal(runs[0].se, runs[1].se)
+    run = simulate(spec, np.array([1.0, 0.5]), u0, times, CHUNK_SIZE + 500, 0.01, seed=99)
     # pinned: a change in how streams map to samples or chunks moves these
-    assert [m.hex() for m in runs[0].mean] == [
+    assert [m.hex() for m in run.mean] == [
         "0x1.1b6c1650d7c64p-1", "0x1.e15487e223044p-3", "-0x1.ba81c9dd365e8p-2"]
 
 
@@ -218,10 +208,8 @@ def test_different_seeds_differ():
 def test_se_scaling_with_sample_count():
     spec = ou_spec()
     times = np.array([1.0])
-    small = simulate(spec, np.array([1.0]), x_obs(spec), times, 10000, 1e-2, seed=5,
-                     n_threads=N_THREADS)
-    large = simulate(spec, np.array([1.0]), x_obs(spec), times, 40000, 1e-2, seed=5,
-                     n_threads=N_THREADS)
+    small = simulate(spec, np.array([1.0]), x_obs(spec), times, 10000, 1e-2, seed=5)
+    large = simulate(spec, np.array([1.0]), x_obs(spec), times, 40000, 1e-2, seed=5)
     ratio = small.se[0] / large.se[0]
     assert 2.0 * 0.8 <= ratio <= 2.0 * 1.2
 
@@ -235,8 +223,7 @@ def test_weak_first_order_convergence():
     dts = (0.2, 0.1, 0.05)
     for dt in dts:
         run = simulate(spec, np.array([1.0]), x_obs(spec), np.array([t]),
-                       n_samples=200000, dt=dt, seed=9, initial_noise=False,
-                       n_threads=N_THREADS)
+                       n_samples=200000, dt=dt, seed=9, initial_noise=False)
         biases.append(abs(run.mean[0] - math.exp(-lam * t)))
     slope = np.polyfit(np.log(dts), np.log(biases), 1)[0]
     assert 0.8 <= slope <= 1.2
@@ -300,8 +287,7 @@ def test_linear_system_within_noise_of_closed_form():
     x0[2 * 2] = 1.0  # clock register at its final slot
     times = np.array([0.0, 0.5, 1.0])
     u0 = MonomialObservable((1,) + (0,) * (spec.n_vars - 1), spec)
-    run = simulate(spec, x0, u0, times, n_samples=40000, dt=dt, seed=17,
-                   n_threads=N_THREADS)
+    run = simulate(spec, x0, u0, times, n_samples=40000, dt=dt, seed=17)
     discrete = np.array([(np.linalg.matrix_power(step, round(t / dt)) @ x0)[0]
                          for t in times])
     assert np.all(np.abs(run.mean - discrete) <= 3 * np.maximum(run.se, 1e-12))

@@ -227,6 +227,13 @@ def test_basis_cap_is_loud():
         enumerate_basis(40, RegularizationScheme.by_max_order(3, rates), rates, cap=1000)
 
 
+def test_weight_rule_row_width_is_capped_before_allocation():
+    # r / lambda_1 = 1e301 rows d e_1, refused before the (1, k_max) degree-0 row is built
+    rates = np.array([0.1, 0.2])
+    with pytest.raises(ResourceLimitError, match=r"at least 1e\+301 entries"):
+        enumerate_basis(2, RegularizationScheme.by_weight(1e300), rates)
+
+
 def test_weight_rule_requires_r_equals_R():
     with pytest.raises(BasisError):
         RegularizationScheme(r=1.0, R=2.0, rule="weight")

@@ -800,6 +800,14 @@ def test_norm_estimate_of_a_non_finite_matrix_is_non_finite():
     assert not math.isfinite(operator_norm_estimate(mat))
 
 
+def test_norm_estimate_of_an_overflowing_matrix_is_non_finite():
+    # finite entries near 1e147: alpha stays finite but beta^2 overflows, which must not
+    # reach the tridiagonal eigensolver (it raises on a non-finite entry)
+    mat = sp.random(40, 40, density=0.2, random_state=1, format="csr") * 1e147
+    assert np.all(np.isfinite(mat.data))
+    assert not math.isfinite(operator_norm_estimate(mat))
+
+
 def test_basis_spec_mismatch_rejected():
     spec = rotation_spec()
     other = SystemSpec(name="other", rates=np.array([0.2, 0.2]), noise=0.02)
