@@ -6,9 +6,9 @@ positive and B, C skew, so the squared norm can only decrease.  Runs evolve
 by exact exponential actions through `expm_multiply` (Al-Mohy & Higham, SIAM J.
 Sci. Comput. 33 (2011) 488-511): `evolve_reference` to one time, `evolve_direct_sum`
 over a time grid (one action of a direct sum of generators serves every order of a
-comparison run) and `evolve_blocks` (linear systems over one basis); `evolve_expm` by
-dense `expm` up to DENSE_EXP_LIMIT.  The splitting e^{-tau A} e^{tau B} e^{tau C}
-is audited against its analytic bound; RK45 (`evolve_rk45`) is the tests' oracle.
+comparison run) and `evolve_blocks` (every linear system of a `bqp_circuit` run in one
+action); `evolve_expm` by dense `expm` up to DENSE_EXP_LIMIT.  The splitting e^{-tau A}
+e^{tau B} e^{tau C} is audited against its bound; RK45 (`evolve_rk45`) is the tests' oracle.
 
 Readout is linear, so by duality <r, e^{tG} psi> = <e^{tG^T} r, psi>: one
 solve under `KEOperators.transpose()` from a readout state r serves every
@@ -106,14 +106,16 @@ def evolve_direct_sum(states, ops, t: float, n_points: int) -> list:
             for s, block in zip(states, np.split(ys, cuts, axis=1))]
 
 
-def evolve_blocks(dissipation: SparseOperator, linear, state: KEState, t: float) -> np.ndarray:
-    """Row k is e^{tG_k} psi, G_k = -A + B_k, B_k the k-th diagonal block of `linear` over
-    the state's basis: one action of the block-diagonal generator, whose blocks evolve as
-    they would alone up to the action's step choice, which the largest block norm sets."""
-    n = len(state.basis)
-    count = linear.shape[0] // n
-    gen = (linear - sp.diags(np.tile(dissipation.matrix.diagonal(), count))).tocsr()
-    return _action(gen, np.tile(state.coefficients, count), t).reshape(count, n)
+def evolve_blocks(groups, t: float) -> list:
+    """Entry k: the rows e^{tG} psi of group k = (linear, state), G = -A + B for each diagonal
+    block B of `linear` over the state's basis, A its weights.  One action of the block
+    diagonal of every group's generator, with the step choice its largest block norm sets."""
+    tiles = [(linear.shape[0] // len(state.basis), state) for linear, state in groups]
+    gen = sp.block_diag([linear for linear, _ in groups], format="csr") - sp.diags(
+        np.concatenate([np.tile(s.basis.weights, c) for c, s in tiles]))
+    ys = _action(gen, np.concatenate([np.tile(s.coefficients, c) for c, s in tiles]), t)
+    cuts = np.cumsum([c * len(s.basis) for c, s in tiles])[:-1]
+    return [y.reshape(c, -1) for y, (c, _) in zip(np.split(ys, cuts), tiles)]
 
 
 def solve_ivp(*args, **kwargs):

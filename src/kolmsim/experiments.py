@@ -14,7 +14,7 @@ exponential action, with one Monte Carlo run, for any system kind;
 aggregate every bound check that applies to the configured system; checks
 that need a finite drift strength J are reported as not applicable when J
 is infinite.  `bqp_circuit` gives the circuits of each register size one
-direct-sum clock drift, one linear assembly and one exponential action.
+direct-sum clock drift and one linear assembly, and all of them one exponential action.
 """
 
 from __future__ import annotations
@@ -554,26 +554,26 @@ def run_nse_taylor_green(cfg: dict, seed: int) -> tuple:
 
 
 def _clock_readouts(jobs, lam: float, q: float, t: float) -> tuple:
-    """Each (circuit, qubits n) job's clock readout at m 2^n at time t, and the first
-    job's system and operators.  Jobs of one register size, in order of first appearance,
-    share the first one's order-1 basis, initial state, dissipation and readout vectors;
-    one assembly of their direct-sum clock drift (`clock_drift`, `assemble_linear_blocks`)
-    gives every linear block, and they evolve in one action (`evolve_blocks`).  The first
-    job's system takes its drift from the leading block, so no circuit is embedded twice."""
+    """Each (circuit, qubits n) job's clock readout at m 2^n at time t, and the first job's
+    system and operators, the only ones assembled.  Jobs of one register size share the
+    first one's order-1 basis, initial state and readout vectors and one assembly of their
+    direct-sum clock drift (`clock_drift`, `assemble_linear_blocks`), whose leading block is
+    the first one's drift; every size evolves in one action (`evolve_blocks`)."""
     sizes = [(len(circuit) + 1) * 2 ** n for circuit, n in jobs]
-    values = np.empty(len(jobs))
+    groups, values = [], np.empty(len(jobs))
     for size in dict.fromkeys(sizes):
         members = [idx for idx, s in enumerate(sizes) if s == size]
         drift = clock_drift([jobs[idx] for idx in members])
         spec = clock_system(*jobs[members[0]], lam=lam, q=q, drift=drift[:size, :size])
-        ops = _order_operators(spec, 1)
-        if members[0] == 0:
-            audited = spec, ops
-        linear = assemble_linear_blocks(ops.basis, drift)
-        psi = evolve_blocks(ops.dissipation, linear,
-                            initial_state(_default_observable(spec), ops.basis), t)
+        basis = enumerate_basis(size, RegularizationScheme.by_max_order(1, spec.rates), spec.rates)
+        if not groups:  # the first job's, for the audit
+            audited = spec, assemble_all(basis, spec)
+        groups.append((members, spec, basis, assemble_linear_blocks(basis, drift)))
+    rows = evolve_blocks([(linear, initial_state(_default_observable(spec), basis))
+                          for _, spec, basis, linear in groups], t)
+    for (members, spec, basis, _), psi in zip(groups, rows):
         var = [len(jobs[idx][0]) * 2 ** jobs[idx][1] for idx in members]
-        readouts = {v: readout_state(np.eye(1, size, v)[0], ops.basis, 1, spec).coefficients
+        readouts = {v: readout_state(np.eye(1, len(basis), v)[0], basis, 1, spec).coefficients
                     for v in set(var)}
         values[members] = [readouts[v] @ row for v, row in zip(var, psi)]
     return values, audited
@@ -609,11 +609,9 @@ def run_bqp_circuit(cfg: dict, seed: int) -> tuple:
         if "file" not in circuits:
             raise
         raise ConfigError(f"circuits.file {circuits['file']!r}: {exc}") from exc
-    rows = []
-    for idx, ((circuit, n), value) in enumerate(zip(jobs, values)):
-        amplitude = circuit_amplitude(circuit, n)
-        rows.append((idx, n, len(circuit), amplitude, value,
-                     abs(amplitude - math.exp(lam * t) * value), abs(amplitude - value)))
+    amplitudes = [circuit_amplitude(circuit, n) for circuit, n in jobs]
+    rows = [(idx, n, len(circuit), a, v, abs(a - math.exp(lam * t) * v), abs(a - v))
+            for idx, ((circuit, n), a, v) in enumerate(zip(jobs, amplitudes, values))]
 
     audit = run_audits(*audited, seed=seed)
     audit["bqp"] = {

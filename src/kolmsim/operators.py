@@ -368,6 +368,7 @@ def verify_divergence_free(spec, n_points: int = 100, seed: int = 0) -> dict:
     return block
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow gives the nan returned below
 def operator_norm_estimate(matrix, n_iter: int = 200, tol: float = 1e-10,
                            seed: int = 0) -> float:
     """Spectral norm by plain Lanczos on M^T M from a seeded start, BLAS-free: sqrt of

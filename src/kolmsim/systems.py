@@ -410,13 +410,12 @@ def clock_system(circuit, n_qubits: int, lam: float = 0.1, q: float = 0.1,
 def circuit_amplitude(circuit, n_qubits: int) -> float:
     """<0^n| U_m ... U_1 |0^n>, each gate contracted (BLAS-free `einsum`) with its
     target axes of the (2,)*n state tensor; independent of `embed_gate`."""
-    state = np.zeros((2,) * n_qubits)
-    state[(0,) * n_qubits] = 1.0
+    state = np.eye(1, 2 ** n_qubits).reshape((2,) * n_qubits)  # |0^n>
     for u, targets in circuit:
-        k = len(targets)
-        front = np.moveaxis(state, targets, range(k))
-        out = np.einsum("ab,bc->ac", np.asarray(u, dtype=float), front.reshape(2 ** k, -1))
-        state = np.moveaxis(out.reshape(front.shape), range(k), targets)
+        order = list(targets) + [q for q in range(n_qubits) if q not in targets]
+        front = state.transpose(order).reshape(2 ** len(targets), -1)
+        out = np.einsum("ab,bc->ac", np.asarray(u, dtype=float), front).reshape(state.shape)
+        state = out.transpose(sorted(range(n_qubits), key=order.__getitem__))
     return float(state[(0,) * n_qubits])
 
 

@@ -12,6 +12,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -235,7 +236,7 @@ def test_taylor_green_nonzero_truth(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("cfg, run_bases", [
     ({**OSC_CFG, "basis": {"orders": [3, 2]}}, 2),
-    (BQP_CFG, None),  # one basis per register size (gates + 1) 2^qubits
+    (BQP_CFG, None),  # one basis per register size (gates + 1) 2^qubits, one assembly
     (NSE_CFG, 1),
     ({**AUDITS_CFG, "regularization": {"r_values": [0.2, 0.4], "r_reference": 0.8}}, 1),
 ], ids=["oscillator", "bqp_circuit", "nse_taylor_green", "audits"])
@@ -254,14 +255,17 @@ def test_each_basis_is_assembled_once(tmp_path, monkeypatch, cfg, run_bases):
             enumerated, module.enumerate_basis, lambda n_vars, scheme, rates: scheme))
     audit = experiments.run_experiment(experiments.validate_config(cfg), str(tmp_path))
     assert audit["passed"] is True
-    if run_bases is None:
+    run_assemblies = run_bases
+    if run_bases is None:  # only the audited first circuit's operators are assembled
         with open(tmp_path / "comparison.csv") as fh:
             sizes = {(int(r["gates"]) + 1) * 2 ** int(r["qubits"]) for r in csv.DictReader(fh)}
-        run_bases = len(sizes)
-        assert run_bases < cfg["circuits"]["count"]  # some circuits share a basis
+        run_bases, run_assemblies = len(sizes), 1
+        assert 1 < run_bases < cfg["circuits"]["count"]  # some circuits share a basis
     reference = [s for s in assembled if s.rule == "weight"]
-    assert len(assembled) == run_bases + len(reference)
-    assert [s for s in enumerated if s.rule == "order"] == assembled[:run_bases]
+    assert len(assembled) == run_assemblies + len(reference)
+    order_bases = [s for s in enumerated if s.rule == "order"]
+    assert len(order_bases) == run_bases
+    assert order_bases[:run_assemblies] == assembled[:run_assemblies]
     if cfg["experiment"] == "audits":
         assert [s.r for s in reference] == [cfg["regularization"]["r_reference"]]
         assert audit["basis_order"] == cfg["basis"]["order"]
@@ -696,14 +700,19 @@ def test_oscillator_runner_adds_the_stationary_mean(tmp_path):
                                rtol=0, atol=1e-14)
 
 
-def test_bqp_batched_readouts_match_per_circuit_solves():
+def test_bqp_batched_readouts_match_per_circuit_solves(monkeypatch):
     # sizes (gates + 1) 2^qubits collide: (1, 3), (3, 2) and (7, 1) all make
     # N = 16, so one group holds readout variables 8, 12 and 14; (2, 1) makes a
-    # group of its own, N = 6
+    # group of its own, N = 6, and (8, 3) one far larger, N = 72, whose norm sets
+    # the step choice of the one action that evolves every group
     rng = np.random.default_rng(5)
     jobs = [(random_real_circuit(rng, n, m), n)
-            for m, n in [(1, 3), (3, 2), (2, 1), (7, 1), (3, 2), (1, 3)]]
+            for m, n in [(1, 3), (3, 2), (2, 1), (7, 1), (3, 2), (8, 3), (1, 3)]]
+    actions, real_action = [], evolution.expm_multiply
+    monkeypatch.setattr(evolution, "expm_multiply",
+                        lambda *args, **kw: actions.append(args) or real_action(*args, **kw))
     values, (spec, ops) = experiments._clock_readouts(jobs, 0.1, 0.1, 1.0)
+    assert len(actions) == 1  # one action for the three register sizes
     for (circuit, n), value in zip(jobs, values):
         spec_k = clock_system(circuit, n, lam=0.1, q=0.1)
         ops_k = experiments._order_operators(spec_k, 1)
@@ -954,15 +963,25 @@ def small_config(name):
     ("audits_nse.json", "system", "q", 1e300, "divergence_free/radial_residual is nan"),
     ("audits_bounded_oscillator.json", "regularization", "r_reference", 1e300,
      "basis of at least 1e+301 entries exceeds the cap of 2000000"),
-], ids=["nse_tiny_nu", "nse_huge_q", "bounded_huge_r_reference"])
+    ("bqp_circuit.json", None, "time", 1e300,
+     "exponential action work t ||G||_1 = 5.96e+300 exceeds the cap of 1e+06"),
+    ("bqp_circuit.json", "system", "lam", 1e300,
+     "exponential action work t ||G||_1 = 1e+300 exceeds the cap of 1e+06"),
+], ids=["nse_tiny_nu", "nse_huge_q", "bounded_huge_r_reference", "bqp_huge_time",
+        "bqp_huge_lam"])
 def test_extreme_values_exit_with_a_numerical_record(tmp_path, capsys, name, block, key,
                                                       value, detail):
-    # in range, but the norm estimate overflows (entries near 8e147 at nu = 1e-300) or
-    # the weight-rule basis would be 1e301 rows wide: exit 4, never a traceback
+    # in range, but the norm estimate overflows (entries near 8e147 at nu = 1e-300), the
+    # weight-rule basis would be 1e301 rows wide or the one action of every circuit would
+    # take t ||G||_1 past its cap: exit 4 with no warning, never a traceback
     cfg = small_config(name)
-    cfg[block][key] = value
+    (cfg if block is None else cfg[block])[key] = value
     out = tmp_path / "o"
-    assert cli.main(["run", write_cfg(tmp_path, cfg), "--out", str(out)]) == cli.EXIT_NUMERICAL
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["run", write_cfg(tmp_path, cfg), "--out", str(out)])
+    assert [str(w.message) for w in caught] == []
+    assert code == cli.EXIT_NUMERICAL
     assert error_record(capsys) == {"error": "numerical", "detail": detail}
     assert not out.exists()
 
