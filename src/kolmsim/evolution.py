@@ -1,14 +1,15 @@
 """Time evolution of the projected Kolmogorov equation.
 
-Each evolver maps a `states.KEState` to the state(s) it reaches.  The
-coefficient vector obeys d psi/dt = (-A + B + C) psi with A diagonal
-positive and B, C skew, so the squared norm can only decrease.  Runs evolve
-by exact exponential actions through `expm_multiply` (Al-Mohy & Higham, SIAM J.
-Sci. Comput. 33 (2011) 488-511): `evolve_reference` to one time, `evolve_direct_sum`
-over a time grid (one action of a direct sum of generators serves every order of a
-comparison run) and `evolve_blocks` (every linear system of a `bqp_circuit` run in one
-action); `evolve_expm` by dense `expm` up to DENSE_EXP_LIMIT.  The splitting e^{-tau A}
-e^{tau B} e^{tau C} is audited against its bound; RK45 (`evolve_rk45`) is the tests' oracle.
+Each evolver maps a `states.KEState` to the state(s) it reaches, but
+`evolve_direct_sum` maps bare coefficient vectors.  The coefficient vector obeys
+d psi/dt = (-A + B + C) psi with A diagonal positive and B, C skew, so the
+squared norm can only decrease.  Runs evolve by exact exponential actions, all
+through `evolve_direct_sum`, the one caller of `expm_multiply` (Al-Mohy & Higham,
+SIAM J. Sci. Comput. 33 (2011) 488-511): the block diagonal of any number of
+generators, at one time or over a time grid, with numpy's global RNG pinned.
+`evolve_reference` is its one-block case; `evolve_expm` uses dense `expm` up to
+DENSE_EXP_LIMIT and delegates above.  The splitting e^{-tau A} e^{tau B} e^{tau C}
+is audited against its bound; RK45 (`evolve_rk45`) is the tests' oracle.
 
 Readout is linear, so by duality <r, e^{tG} psi> = <e^{tG^T} r, psi>: one
 solve under `KEOperators.transpose()` from a readout state r serves every
@@ -37,7 +38,7 @@ from .operators import (
 )
 from .states import KEState, initial_state
 
-DENSE_EXP_LIMIT = 2000  # above this, exponentials act through expm_multiply
+DENSE_EXP_LIMIT = 2000  # above this, exponentials act through evolve_direct_sum
 MAX_ACTION_WORK = 1e6   # cap on t ||G||_1 of one exponential; oscillator.json reads 455
 
 
@@ -81,41 +82,32 @@ def _check_work(gen, t: float):
                                  f"the cap of {MAX_ACTION_WORK:.3g}")
 
 
-def _action(gen, psi, t: float, n_points: int = 0):
-    """e^{tG} psi through `expm_multiply`, or with `n_points` its values on the uniform
-    grid of that many points over [0, t]; refused by `_check_work`."""
+def evolve_direct_sum(generators, vectors, t: float, n_points: int = 0) -> list:
+    """Entry k: vectors[k]'s slice of e^{tG} v, v the concatenated vectors and G the block
+    diagonal of the CSR `generators` (e^{tG_k} v_k when they pair up), or with `n_points`
+    its (n_points, n_k) rows on the uniform grid over [0, t]: one action, refused by
+    `_check_work`, whose step choice the largest block sets.  Its norm estimates
+    (`onenormest`) draw from numpy's global RNG, seeded for the call and restored after,
+    so a run's bytes do not depend on the process."""
+    gen = generators[0] if len(generators) == 1 else sp.block_diag(generators, format="csr")
     _check_work(gen, t)
-    if not n_points:
-        return expm_multiply(t * gen, psi)
-    return expm_multiply(gen, psi, start=0.0, stop=t, num=n_points, endpoint=True)
+    psi = np.concatenate(vectors)
+    caller_rng = np.random.get_state()
+    np.random.seed(0)
+    try:
+        if n_points:
+            ys = expm_multiply(gen, psi, start=0.0, stop=t, num=n_points, endpoint=True)
+        else:
+            ys = expm_multiply(t * gen, psi)
+    finally:
+        np.random.set_state(caller_rng)
+    return np.split(ys, np.cumsum([len(v) for v in vectors])[:-1], axis=-1)
 
 
 def evolve_reference(state: KEState, ops: KEOperators, t: float) -> KEState:
-    """Exact action e^{tG} psi through `expm_multiply`."""
-    return KEState(_action(ops.generator(), state.coefficients, t), state.basis, state.t + t)
-
-
-def evolve_direct_sum(states, ops, t: float, n_points: int) -> list:
-    """Entry k: states[k]'s KEStates under ops[k] on the uniform `n_points` grid over [0, t].
-    One direct-sum action evolves each block as alone, up to the largest block's steps."""
-    ys = _action(sp.block_diag([o.generator() for o in ops], format="csr"),
-                 np.concatenate([s.coefficients for s in states]), t, n_points)
-    cuts = np.cumsum([len(s.basis) for s in states])[:-1]
-    grid = np.linspace(0.0, t, n_points)
-    return [[KEState(y, s.basis, s.t + g) for g, y in zip(grid, block)]
-            for s, block in zip(states, np.split(ys, cuts, axis=1))]
-
-
-def evolve_blocks(groups, t: float) -> list:
-    """Entry k: the rows e^{tG} psi of group k = (linear, state), G = -A + B for each diagonal
-    block B of `linear` over the state's basis, A its weights.  One action of the block
-    diagonal of every group's generator, with the step choice its largest block norm sets."""
-    tiles = [(linear.shape[0] // len(state.basis), state) for linear, state in groups]
-    gen = sp.block_diag([linear for linear, _ in groups], format="csr") - sp.diags(
-        np.concatenate([np.tile(s.basis.weights, c) for c, s in tiles]))
-    ys = _action(gen, np.concatenate([np.tile(s.coefficients, c) for c, s in tiles]), t)
-    cuts = np.cumsum([c * len(s.basis) for c, s in tiles])[:-1]
-    return [y.reshape(c, -1) for y, (c, _) in zip(np.split(ys, cuts), tiles)]
+    """Exact action e^{tG} psi, one block of `evolve_direct_sum`."""
+    [psi] = evolve_direct_sum([ops.generator()], [state.coefficients], t)
+    return KEState(psi, state.basis, state.t + t)
 
 
 def solve_ivp(*args, **kwargs):
@@ -143,14 +135,13 @@ def evolve_rk45(state: KEState, ops: KEOperators, t: float,
 
 
 def _propagator(matrix, tau: float):
-    """v -> exp(tau M) v: dense `expm` up to DENSE_EXP_LIMIT, `expm_multiply` above;
+    """v -> exp(tau M) v: dense `expm` up to DENSE_EXP_LIMIT, `evolve_direct_sum` above;
     refused by `_check_work`."""
     _check_work(matrix, tau)
     if matrix.shape[0] <= DENSE_EXP_LIMIT:
         dense = expm(tau * matrix.toarray())
         return lambda v: dense @ v
-    scaled = tau * matrix
-    return lambda v: expm_multiply(scaled, v)
+    return lambda v: evolve_direct_sum([matrix], [v], tau)[0]
 
 
 def _exp_steps(matrix, vector, t: float) -> list:

@@ -174,17 +174,17 @@ def readout_state(x, basis: BasisSet, truncation: int, spec: SystemSpec) -> KESt
     return KEState(coeffs, basis, 0.0)
 
 
-def expectation(states, x, truncation: int, spec: SystemSpec) -> np.ndarray:
-    """v(t, x) = <readout(x), psi(t)> for each state of a trajectory on one basis.
+def expectation(rows, basis: BasisSet, x, truncation: int, spec: SystemSpec):
+    """v(t, x) = <readout(x), psi(t)> for each row psi(t) of a (T, n) trajectory over
+    `basis`, or the one value of an (n,) coefficient vector.
 
-    The readout acts as a sparse vector on the stacked trajectory, so each
-    value sums its terms in basis order whatever the number of states (BLAS
-    products do not).
+    The readout acts as a sparse vector on the trajectory, so each value sums its
+    terms in basis order whatever the number of rows (BLAS products do not).
     """
-    readout = readout_state(x, states[0].basis, truncation, spec).coefficients
+    readout = readout_state(x, basis, truncation, spec).coefficients
     nz = np.flatnonzero(readout)
     row = sp.csr_array((readout[nz], nz, [0, nz.size]), shape=readout.shape)
-    return row @ np.stack([s.coefficients for s in states], axis=1)
+    return row @ np.asarray(rows).T
 
 
 def readout_norm_sq(x, spec: SystemSpec, truncation: int | None = None) -> float:

@@ -93,7 +93,7 @@ def oscillator_curves(oscillator_mc):
         basis = basis_for(spec, order)
         ops = assemble_all(basis, spec)
         states = evolve_rk45(initial_state(u0, basis), ops, 25.0, t_eval=times)
-        curves[order] = expectation(states, x0, order, spec)
+        curves[order] = expectation([s.coefficients for s in states], basis, x0, order, spec)
         trajectories[order] = states
     return curves, trajectories
 
@@ -146,7 +146,7 @@ def test_criterion_2_taylor_green():
             tuple(1 if j == k else 0 for j in range(40)), spec))
             for k, c in enumerate(coefs) if abs(c) > 1e-14]
         psi = evolve_rk45(combination_state(terms, basis), ops, t_final)
-        value = expectation([psi], x0, order, spec)[0]
+        value = expectation(psi.coefficients, basis, x0, order, spec)
         truth = float(taylor_green(t_final, xi1, 0.25, nu)[0])
         errors.append(abs(value - truth))
     ok = report(2, "Taylor-Green validation (N=40, K=3, 10 probes)",
@@ -169,7 +169,7 @@ def test_criterion_3_bqp_identity():
         psi = evolve_expm(initial_state(u0, basis), ops, 1.0)
         x = np.zeros(spec.n_vars)
         x[m * 2 ** n] = 1.0
-        value = expectation([psi], x, 1, spec)[0]
+        value = expectation(psi.coefficients, basis, x, 1, spec)
         amplitude = circuit_amplitude(circuit, n)
         worst_identity = max(worst_identity, abs(amplitude - math.exp(0.1) * value))
         worst_bound = max(worst_bound, abs(amplitude - value))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.linalg import expm
+from scipy.sparse.linalg import _onenormest
 
 from kolmsim import evolution
 from kolmsim.errors import NumericalError
@@ -181,33 +182,42 @@ def test_reference_grid_matches_final_states(oscillator_setup):
     # one expm_multiply call over the uniform grid: psi(0) first, then e^{tG} psi(0)
     _, _, ops, psi0 = oscillator_setup
     times = np.linspace(0.0, 25.0, 11)
-    [states] = evolve_direct_sum([psi0], [ops], 25.0, times.size)
-    assert [s.t for s in states] == list(times)
-    np.testing.assert_array_equal(states[0].coefficients, psi0.coefficients)
+    [rows] = evolve_direct_sum([ops.generator()], [psi0.coefficients], 25.0, times.size)
+    assert rows.shape == (times.size, len(psi0.basis))
+    np.testing.assert_array_equal(rows[0], psi0.coefficients)
     oracle = evolve_rk45(psi0, ops, 25.0, t_eval=times, rtol=1e-11)
-    for state, t, rk in zip(states, times, oracle):
+    for row, t, rk in zip(rows, times, oracle):
         final = evolve_reference(psi0, ops, float(t))
-        np.testing.assert_allclose(state.coefficients, final.coefficients, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(state.coefficients, rk.coefficients, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(row, final.coefficients, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(row, rk.coefficients, rtol=0, atol=1e-8)
 
 
-@pytest.mark.parametrize("order", [16, 40])
-def test_reference_ignores_the_global_rng(order):
+@pytest.mark.parametrize("order, t, grids", [(16, 5.0, [51]), (40, 5.0, [51]),
+                                             (24, 25.0, [0, 2])], ids=["16", "40", "24"])
+def test_reference_ignores_the_global_rng(order, t, grids, monkeypatch):
     # expm_multiply picks its Taylor degree and step count through onenormest,
-    # which draws from numpy's global legacy RNG; the states must not move with
-    # it, for the order alone or in a direct sum with two smaller orders
+    # which draws from numpy's global legacy RNG; the coefficients must not move
+    # with it, for the order alone or in a direct sum with two smaller orders, at
+    # one time (grid 0) or over a grid, and the caller's RNG must be left as it was
+    estimates, real_estimate = [], _onenormest.onenormest
+    monkeypatch.setattr(_onenormest, "onenormest",
+                        lambda *args, **kw: estimates.append(1) or real_estimate(*args, **kw))
     spec = oscillator_system(0.1, 0.02)
     ops = [assemble_all(basis_for(spec, k), spec) for k in (order, 2, 5)]
-    psi0 = [initial_state(MonomialObservable((1, 0), spec), o.basis) for o in ops]
+    gens = [o.generator() for o in ops]
+    psi0 = [initial_state(MonomialObservable((1, 0), spec), o.basis).coefficients for o in ops]
     for blocks in (1, 3):
-        runs = set()
-        for seed in range(4):
-            np.random.seed(seed)
-            trajectories = evolve_direct_sum(psi0[:blocks], ops[:blocks], 5.0, 51)
-            runs.add(b"".join(np.stack([s.coefficients for s in states]).tobytes()
-                              for states in trajectories))
-            assert np.random.get_state()[2] != 624  # onenormest did draw
-        assert len(runs) == 1
+        for n_points in grids:
+            runs = set()
+            for seed in range(4):
+                np.random.seed(seed)
+                caller, drawn = np.random.get_state(), len(estimates)
+                ys = evolve_direct_sum(gens[:blocks], psi0[:blocks], t, n_points)
+                runs.add(b"".join(y.tobytes() for y in ys))
+                assert len(estimates) > drawn  # the random estimate did run
+                after = np.random.get_state()
+                assert np.array_equal(after[1], caller[1]) and after[2:] == caller[2:]
+            assert len(runs) == 1
 
 
 @pytest.mark.parametrize("system, orders", [("oscillator", [16, 2, 5]), ("nse6", [3, 1, 2])])
@@ -219,17 +229,15 @@ def test_direct_sum_slices_match_each_orders_own_solve(system, orders):
     ops = [assemble_all(basis_for(spec, k), spec) for k in orders]
     psi0 = [initial_state(u0, o.basis) for o in ops]
     t, n_points = 5.0, 11
-    trajectories = evolve_direct_sum(psi0, ops, t, n_points)
+    trajectories = evolve_direct_sum([o.generator() for o in ops],
+                                     [p.coefficients for p in psi0], t, n_points)
     assert len(trajectories) == len(orders)
-    for o, p, states in zip(ops, psi0, trajectories):
-        [alone] = evolve_direct_sum([p], [o], t, n_points)
-        assert [s.t for s in states] == [s.t for s in alone] == list(np.linspace(0.0, t, n_points))
-        assert all(s.basis is o.basis for s in states)
-        for state, own in zip(states, alone):
-            np.testing.assert_allclose(state.coefficients, own.coefficients, rtol=0, atol=1e-12)
+    for o, p, rows in zip(ops, psi0, trajectories):
+        [alone] = evolve_direct_sum([o.generator()], [p.coefficients], t, n_points)
+        assert rows.shape == alone.shape == (n_points, len(o.basis))
+        np.testing.assert_allclose(rows, alone, rtol=0, atol=1e-12)
         final = evolve_reference(p, o, t)
-        np.testing.assert_allclose(states[-1].coefficients, final.coefficients,
-                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(rows[-1], final.coefficients, rtol=0, atol=1e-12)
 
 
 def test_expm_multiply_action_matches_dense(monkeypatch):
@@ -290,7 +298,8 @@ def test_adjoint_readout_matches_forward_solves():
                  for k, c in enumerate(rng.normal(size=6))]
         psi0 = combination_state(terms, basis)
         value = adjoint @ psi0.coefficients
-        forward = expectation([evolve_rk45(psi0, ops, t, rtol=1e-11)], x0, 3, spec)[0]
+        forward = expectation(evolve_rk45(psi0, ops, t, rtol=1e-11).coefficients, basis,
+                              x0, 3, spec)
         assert value == pytest.approx(forward, rel=1e-9)
         assert value == pytest.approx(dense @ psi0.coefficients, rel=1e-9)
 

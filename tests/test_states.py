@@ -228,20 +228,21 @@ def test_expectation_time_zero_linear(spec):
     psi0 = initial_state(MonomialObservable((1, 0), spec), basis)
     for x1 in (0.7, -1.2, 0.0):
         x = np.array([x1, 0.0])
-        assert expectation([psi0], x, truncation=3, spec=spec)[0] == pytest.approx(x1, abs=1e-14)
+        assert expectation(psi0.coefficients, basis, x, truncation=3,
+                           spec=spec) == pytest.approx(x1, abs=1e-14)
 
 
 def test_expectation_zero_state(spec):
     basis = basis_for(spec, 2)
     psi = KEState(np.zeros(len(basis)), basis)
-    assert expectation([psi], np.array([0.3, 0.4]), 2, spec)[0] == 0.0
+    assert expectation(psi.coefficients, basis, np.array([0.3, 0.4]), 2, spec) == 0.0
 
 
 def test_expectation_dimension_mismatch(spec):
     basis = basis_for(spec, 2)
     psi = initial_state(MonomialObservable((1, 0), spec), basis)
     with pytest.raises(BasisError):
-        expectation([psi], np.array([1.0, 0.0, 0.0]), 2, spec)
+        expectation(psi.coefficients, basis, np.array([1.0, 0.0, 0.0]), 2, spec)
 
 
 def test_expectation_umbral_consistency(spec):
@@ -252,7 +253,7 @@ def test_expectation_umbral_consistency(spec):
         u0 = MonomialObservable(exponents, spec)
         psi0 = initial_state(u0, basis)
         x = rng.normal(size=2) * 0.5
-        got = expectation([psi0], x, truncation=4, spec=spec)[0] + u0.mean()
+        got = expectation(psi0.coefficients, basis, x, truncation=4, spec=spec) + u0.mean()
         want = gaussian_quadrature(lambda pts: u0(pts + x), spec, 64)
         assert got == pytest.approx(want, abs=1e-8)
 
@@ -272,8 +273,9 @@ def test_readout_state_norm_matches_truncated_identity(x):
 def test_expectation_reads_each_state_of_a_trajectory(spec):
     basis = basis_for(spec, 5)
     rng = np.random.default_rng(4)
-    states = [KEState(rng.normal(size=len(basis)), basis, t) for t in range(7)]
+    rows = rng.normal(size=(7, len(basis)))
     x = np.array([0.6, -0.3])
-    together = expectation(states, x, 5, spec)
-    one_by_one = np.array([expectation([s], x, 5, spec)[0] for s in states])
+    together = expectation(rows, basis, x, 5, spec)
+    assert together.shape == (7,)
+    one_by_one = np.array([expectation(row, basis, x, 5, spec) for row in rows])
     assert np.array_equal(together, one_by_one)
