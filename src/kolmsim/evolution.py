@@ -1,12 +1,12 @@
 """Time evolution of the projected Kolmogorov equation.
 
-Each evolver maps a `states.KEState` to the state(s) it reaches, but
-`evolve_direct_sum` maps bare coefficient vectors.  The coefficient vector obeys
-d psi/dt = (-A + B + C) psi with A diagonal positive and B, C skew, so the
-squared norm can only decrease.  Runs evolve by exact exponential actions, all
+Each evolver maps a coefficient vector psi, a float array over the operators'
+basis, to the vector(s) it reaches; psi obeys d psi/dt = (-A + B + C) psi with A
+diagonal positive and B, C skew, so the squared norm can only decrease.  Runs evolve by exact exponential actions, all
 through `evolve_direct_sum`, the one caller of `expm_multiply` (Al-Mohy & Higham,
 SIAM J. Sci. Comput. 33 (2011) 488-511): the block diagonal of any number of
-generators, at one time or over a time grid, with numpy's global RNG pinned.
+generators, at one time or over a time grid, with numpy's global RNG pinned; its
+result passes `states._finite`, so a run refuses a nan or infinite vector.
 `evolve_reference` is its one-block case; `evolve_expm` uses dense `expm` up to
 DENSE_EXP_LIMIT and delegates above.  The splitting e^{-tau A} e^{tau B} e^{tau C}
 is audited against its bound; RK45 (`evolve_rk45`) is the tests' oracle.
@@ -36,7 +36,7 @@ from .operators import (
     assemble_nonlinear_drift,
     operator_norm_estimate,
 )
-from .states import KEState, initial_state
+from .states import _finite, initial_state
 
 DENSE_EXP_LIMIT = 2000  # above this, exponentials act through evolve_direct_sum
 MAX_ACTION_WORK = 1e6   # cap on t ||G||_1 of one exponential; oscillator.json reads 455
@@ -101,13 +101,12 @@ def evolve_direct_sum(generators, vectors, t: float, n_points: int = 0) -> list:
             ys = expm_multiply(t * gen, psi)
     finally:
         np.random.set_state(caller_rng)
-    return np.split(ys, np.cumsum([len(v) for v in vectors])[:-1], axis=-1)
+    return np.split(_finite(ys), np.cumsum([len(v) for v in vectors])[:-1], axis=-1)
 
 
-def evolve_reference(state: KEState, ops: KEOperators, t: float) -> KEState:
+def evolve_reference(psi, ops: KEOperators, t: float) -> np.ndarray:
     """Exact action e^{tG} psi, one block of `evolve_direct_sum`."""
-    [psi] = evolve_direct_sum([ops.generator()], [state.coefficients], t)
-    return KEState(psi, state.basis, state.t + t)
+    return evolve_direct_sum([ops.generator()], [psi], t)[0]
 
 
 def solve_ivp(*args, **kwargs):
@@ -116,22 +115,19 @@ def solve_ivp(*args, **kwargs):
     return solve(*args, **kwargs)
 
 
-def evolve_rk45(state: KEState, ops: KEOperators, t: float,
-                t_eval=None, rtol: float = 1e-9):
-    """Adaptive RK 5(4) integration; local error controlled to `rtol`.
+def evolve_rk45(psi, ops: KEOperators, t: float, t_eval=None, rtol: float = 1e-9):
+    """Adaptive RK 5(4) integration over [0, t]; local error controlled to `rtol`.
 
-    Returns the final KEState, or a list of KEStates when `t_eval` is given.
+    Returns the final vector, or its (len(t_eval), n) rows when `t_eval` is given.
     """
     gen = ops.generator()
-    scale = max(np.abs(state.coefficients).max(), 1e-30)
-    sol = solve_ivp(lambda _, y: gen @ y, (state.t, state.t + t),
-                    state.coefficients, method="RK45",
+    scale = max(np.abs(psi).max(), 1e-30)
+    sol = solve_ivp(lambda _, y: gen @ y, (0.0, t), psi, method="RK45",
                     t_eval=t_eval, rtol=rtol, atol=1e-12 * scale)
     if sol.status != 0:
         raise NumericalError(
             f"RK45 integrator failed near t = {sol.t[-1]:.6g}: {sol.message}")
-    states = [KEState(y, state.basis, float(s)) for s, y in zip(sol.t, sol.y.T)]
-    return states if t_eval is not None else states[-1]
+    return sol.y.T if t_eval is not None else sol.y[:, -1]
 
 
 def _propagator(matrix, tau: float):
@@ -153,13 +149,12 @@ def _exp_steps(matrix, vector, t: float) -> list:
     return out
 
 
-def evolve_expm(state: KEState, ops: KEOperators, t: float) -> KEState:
+def evolve_expm(psi, ops: KEOperators, t: float) -> np.ndarray:
     """Exact exponential action of the full generator through `_propagator`."""
-    return KEState(_propagator(ops.generator(), t)(state.coefficients), state.basis,
-                   state.t + t)
+    return _propagator(ops.generator(), t)(psi)
 
 
-def evolve_trotter(state: KEState, ops: KEOperators, t: float, steps: int) -> KEState:
+def evolve_trotter(psi, ops: KEOperators, t: float, steps: int) -> np.ndarray:
     """First-order splitting: `steps` applications of e^{-tau A} e^{tau B} e^{tau C}."""
     if steps < 1:
         raise NumericalError("Trotter step count must be >= 1")
@@ -167,12 +162,11 @@ def evolve_trotter(state: KEState, ops: KEOperators, t: float, steps: int) -> KE
     decay = np.exp(-tau * ops.basis.weights)
     factors = [_propagator(op.matrix, tau) for op in (ops.nonlinear, ops.linear)
                if op.matrix.nnz]
-    psi = state.coefficients.copy()
     for _ in range(steps):
         for factor in factors:
             psi = factor(psi)
         psi = decay * psi
-    return KEState(psi, state.basis, state.t + t)
+    return psi
 
 
 def trotter_error_bound(scheme_R: float, max_degree: int, gamma: float,
@@ -222,7 +216,7 @@ def regularization_gap(spec, u0, t: float, r_values, r_large: float) -> dict:
                                 spec.rates)
     gen_big = assemble_all(basis_big, spec).generator()
     psi0_big = initial_state(u0, basis_big)
-    big = np.array(_exp_steps(gen_big, psi0_big.coefficients, t))
+    big = np.array(_exp_steps(gen_big, psi0_big, t))
     rows = []
     for r_small in r_values:
         basis_small = enumerate_basis(spec.n_vars, RegularizationScheme.by_weight(r_small),
@@ -232,9 +226,9 @@ def regularization_gap(spec, u0, t: float, r_values, r_large: float) -> dict:
         if np.any(idx < 0):
             raise BasisError("the small weight-cutoff basis is not nested in the large one")
         gap = big.copy()  # the small trajectory, zero-padded, subtracted from the big one
-        gap[:, idx] -= _exp_steps(gen_big[np.ix_(idx, idx)], psi0_big.coefficients[idx], t)
+        gap[:, idx] -= _exp_steps(gen_big[np.ix_(idx, idx)], psi0_big[idx], t)
         sup_sq = float((gap ** 2).sum(axis=1).max())  # nan propagates; the gap is 0 at t = 0
-        bound = 3.0 * gamma ** 2 / (2.0 * r_small) * psi0_big.norm_sq()
+        bound = 3.0 * gamma ** 2 / (2.0 * r_small) * float(psi0_big @ psi0_big)
         rows.append({"r": r_small, "measured_sup_sq": sup_sq, "bound": bound,
                      "passed": sup_sq <= bound})
     return {"r_reference": r_large, "t": t, "rows": rows,

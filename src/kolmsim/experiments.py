@@ -416,11 +416,11 @@ def run_audits(spec, ops: KEOperators, seed: int = 0,
         t_tro, steps = options["trotter"]["t"], options["trotter"]["steps"]
         exact = evolve_expm(psi0, ops, t_tro)
         split = evolve_trotter(psi0, ops, t_tro, steps)
-        measured = float(np.linalg.norm(split.coefficients - exact.coefficients))
+        measured = float(np.linalg.norm(split - exact))
         bound = trotter_error_bound(basis.scheme.R, basis.max_degree, gamma,
                                     spec.linear_strength, spec.sparsity(),
                                     float(spec.rates[-1] / spec.rates[0]),
-                                    t_tro, steps, psi0.norm())
+                                    t_tro, steps, float(np.linalg.norm(psi0)))
         report["trotter"] = {"t": t_tro, "steps": steps, "measured": measured,
                              "bound_without_constant": bound,
                              "ratio": measured / bound if bound > 0 else 0.0}
@@ -442,8 +442,9 @@ def run_audits(spec, ops: KEOperators, seed: int = 0,
         "rows": readout_rows, "passed": all(r["passed"] for r in readout_rows)}
 
     closed = u0.centered_norm_sq()
-    norm_ok = abs(psi0.norm_sq() - closed) <= 1e-12 * max(closed, 1e-300)
-    report["initial_state_norm"] = {"measured": psi0.norm_sq(), "closed_form": closed,
+    norm_sq = float(psi0 @ psi0)
+    norm_ok = abs(norm_sq - closed) <= 1e-12 * max(closed, 1e-300)
+    report["initial_state_norm"] = {"measured": norm_sq, "closed_form": closed,
                                     "passed": bool(norm_ok)}
 
     report["norm_monotonicity"] = norm_monotonicity(ops)
@@ -482,8 +483,8 @@ def run_oscillator(cfg: dict, seed: int) -> tuple:
     summary = []
     all_ops = [_order_operators(spec, order) for order in orders]
     trajectories = evolve_direct_sum([ops.generator() for ops in all_ops],
-                                     [initial_state(u0, ops.basis).coefficients
-                                      for ops in all_ops], float(times[-1]), times.size)
+                                     [initial_state(u0, ops.basis) for ops in all_ops],
+                                     float(times[-1]), times.size)
     for order, ops, rows in zip(orders, all_ops, trajectories):
         values = expectation(rows, ops.basis, x0, order, spec) + u0.mean()
         report = compare(run, values)
@@ -527,7 +528,7 @@ def run_nse_taylor_green(cfg: dict, seed: int) -> tuple:
     # adjoint readout: <r, e^{tG} psi0> = <e^{tG^T} r, psi0>, so one solve
     # from the readout state r serves every probe
     readout = evolve_reference(readout_state(x0, ops.basis, order, spec),
-                               ops.transpose(), t_final).coefficients
+                               ops.transpose(), t_final)
 
     curve_rows, comparison_rows = [], []
     for xi1 in xi1s:
@@ -536,7 +537,7 @@ def run_nse_taylor_green(cfg: dict, seed: int) -> tuple:
                   MonomialObservable(tuple(1 if j == k else 0
                                            for j in range(n_modes)), spec))
                  for k, c in enumerate(coefs) if abs(c) > 1e-14]
-        value = float(readout @ combination_state(terms, ops.basis).coefficients)
+        value = float(readout @ combination_state(terms, ops.basis))
         truth = float(taylor_green(t_final, xi1, xi2, nu)[0])
         curve_rows.append((t_final, f"u1@({xi1:.4f};{xi2:.4f})", value))
         comparison_rows.append((xi1, xi2, t_final, value, truth, abs(value - truth)))
@@ -575,13 +576,12 @@ def _clock_readouts(jobs, lam: float, q: float, t: float) -> tuple:
         groups.append((members, spec, basis))
         linears.append(assemble_linear_blocks(basis, drift))
         weights.append(np.tile(basis.weights, len(members)))
-        vectors.append(np.tile(initial_state(_default_observable(spec), basis).coefficients,
-                               len(members)))
+        vectors.append(np.tile(initial_state(_default_observable(spec), basis), len(members)))
     gen = sp.block_diag(linears, format="csr") - sp.diags(np.concatenate(weights))
     rows = evolve_direct_sum([gen], vectors, t)
     for (members, spec, basis), psi in zip(groups, rows):
         var = [len(jobs[idx][0]) * 2 ** jobs[idx][1] for idx in members]
-        readouts = {v: readout_state(np.eye(1, len(basis), v)[0], basis, 1, spec).coefficients
+        readouts = {v: readout_state(np.eye(1, len(basis), v)[0], basis, 1, spec)
                     for v in set(var)}
         values[members] = [readouts[v] @ row for v, row in zip(var, psi.reshape(len(var), -1))]
     return values, audited

@@ -1,15 +1,17 @@
 """Coefficient states: initial states, the coherent readout vector, and readout.
 
-A `KEState` is a coefficient vector over a basis at one instant; `evolution`
-maps states to states.  Everything here is expressed against the Gaussian
-measure of a `SystemSpec` (its rates, noise and scalings).  A monomial
-observable prod x_i^{d_i} expands into finitely many Hermite coefficients;
-the solver always evolves the centered part (the constant term is the
-analytic mean, which callers add to the readout).  The readout state is the
-coherent embedding of the initial point x, truncated per variable; its inner
-product with the evolved coefficient vector is the noise-averaged
-expectation v(t, x), and `expectation` takes that product with a whole
-trajectory at once.
+A state is its coefficient vector, a float array of length len(basis) over the
+basis it was built on; `evolution` maps vectors to vectors.  `_finite` refuses
+a vector with a nan or infinite entry (NumericalError): the states built here
+and every vector `evolution.evolve_direct_sum` returns pass through it.
+Everything here is expressed against the Gaussian measure of a `SystemSpec`
+(its rates, noise and scalings).  A monomial observable prod x_i^{d_i} expands
+into finitely many Hermite coefficients; the solver always evolves the centered
+part (the constant term is the analytic mean, which callers add to the readout).
+The readout state is the coherent embedding of the initial point x, truncated
+per variable; its inner product with the evolved coefficient vector is the
+noise-averaged expectation v(t, x), and `expectation` takes that product with a
+whole trajectory at once.
 """
 
 from __future__ import annotations
@@ -29,27 +31,11 @@ from .operators import SystemSpec
 DEFAULT_DEGREE_CAP = 6
 
 
-@dataclass
-class KEState:
-    """Coefficient vector over a basis at one instant."""
-
-    coefficients: np.ndarray
-    basis: BasisSet
-    t: float = 0.0
-
-    def __post_init__(self):
-        coeff = np.asarray(self.coefficients, dtype=float)
-        if coeff.shape != (len(self.basis),):
-            raise NumericalError("coefficient vector does not match the basis size")
-        if not np.all(np.isfinite(coeff)):
-            raise NumericalError("non-finite coefficients")
-        self.coefficients = coeff
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coefficients))
-
-    def norm_sq(self) -> float:
-        return float(self.coefficients @ self.coefficients)
+def _finite(coeffs):
+    """`coeffs`, or NumericalError if an entry is nan or infinite."""
+    if not np.all(np.isfinite(coeffs)):
+        raise NumericalError("non-finite coefficients")
+    return coeffs
 
 
 @dataclass(frozen=True)
@@ -123,12 +109,12 @@ def _monomial_terms(u0: MonomialObservable):
     return terms
 
 
-def initial_state(u0: MonomialObservable, basis: BasisSet) -> KEState:
+def initial_state(u0: MonomialObservable, basis: BasisSet) -> np.ndarray:
     """Coefficient vector of the centered observable u0 - mean(u0)."""
     return combination_state(((1.0, u0),), basis)
 
 
-def combination_state(terms, basis: BasisSet) -> KEState:
+def combination_state(terms, basis: BasisSet) -> np.ndarray:
     """Initial state of sum_k c_k * u0_k (by linearity), summed in term order."""
     # ranked in one `positions` call; the degree-0 terms (means) are left to callers
     pairs = [(key, weight_ * value) for weight_, u0 in terms
@@ -142,14 +128,14 @@ def combination_state(terms, basis: BasisSet) -> KEState:
             f"(degree {sum(key)} > K = {basis.max_degree}?)")
     coeffs = np.zeros(len(basis))
     np.add.at(coeffs, pos, [value for _, value in pairs])
-    return KEState(coeffs, basis, 0.0)
+    return _finite(coeffs)
 
 
 def _support(x) -> list:
     return [int(i) for i in np.nonzero(np.asarray(x))[0]]
 
 
-def readout_state(x, basis: BasisSet, truncation: int, spec: SystemSpec) -> KEState:
+def readout_state(x, basis: BasisSet, truncation: int, spec: SystemSpec) -> np.ndarray:
     """Truncated coherent embedding of x as a vector over the basis.
 
     Its entries sit on the basis rows that live on the support of x with
@@ -166,12 +152,14 @@ def readout_state(x, basis: BasisSet, truncation: int, spec: SystemSpec) -> KESt
                          & (orders <= truncation).all(axis=1))
     amps = x[support] * spec.scalings[support]
     # factors[j, p] = a_j^p / sqrt(p!); scalar pow, because numpy's array
-    # power can differ from it in the last bit
-    factors = np.array([[a ** p / math.sqrt(math.factorial(p)) for p in range(truncation + 1)]
-                        for a in amps]).reshape(len(support), truncation + 1)
-    coeffs = np.zeros(len(basis))
-    coeffs[hit] = np.prod(factors[np.arange(len(support)), orders[hit]], axis=1)
-    return KEState(coeffs, basis, 0.0)
+    # power can differ from it in the last bit; an overflow is refused below
+    with np.errstate(over="ignore"):
+        factors = np.array([[a ** p / math.sqrt(math.factorial(p))
+                             for p in range(truncation + 1)]
+                            for a in amps]).reshape(len(support), truncation + 1)
+        coeffs = np.zeros(len(basis))
+        coeffs[hit] = np.prod(factors[np.arange(len(support)), orders[hit]], axis=1)
+    return _finite(coeffs)
 
 
 def expectation(rows, basis: BasisSet, x, truncation: int, spec: SystemSpec):
@@ -181,7 +169,7 @@ def expectation(rows, basis: BasisSet, x, truncation: int, spec: SystemSpec):
     The readout acts as a sparse vector on the trajectory, so each value sums its
     terms in basis order whatever the number of rows (BLAS products do not).
     """
-    readout = readout_state(x, basis, truncation, spec).coefficients
+    readout = readout_state(x, basis, truncation, spec)
     nz = np.flatnonzero(readout)
     row = sp.csr_array((readout[nz], nz, [0, nz.size]), shape=readout.shape)
     return row @ np.asarray(rows).T

@@ -680,15 +680,19 @@ def test_bqp_total_register_cap_exit_code(tmp_path, monkeypatch, capsys):
 def test_nan_radial_residual_fails_the_divergence_audit(tmp_path, capsys):
     # at lam = 1e-300 the sample points are ~1e150 and the radial residual is nan,
     # which a Python max over the residuals dropped; no artifact may hold the nan
+    # (the drift's overflow warnings are silenced; the nan still fails the verdict)
     cfg = {**AUDITS_CFG, "system": {"kind": "oscillator", "lam": 1e-300}}
     out = tmp_path / "o"
-    assert cli.main(["audit", write_cfg(tmp_path, cfg), "--out", str(out)]) \
-        == cli.EXIT_NUMERICAL
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["audit", write_cfg(tmp_path, cfg), "--out", str(out)])
+        block = operators.verify_divergence_free(
+            experiments.build_system("oscillator", {"lam": 1e-300, "q": 0.02}))
+    assert [str(w.message) for w in caught] == []
+    assert code == cli.EXIT_NUMERICAL
     assert error_record(capsys) == {"error": "numerical",
                                     "detail": "divergence_free/radial_residual is nan"}
     assert not out.exists()
-    block = operators.verify_divergence_free(
-        experiments.build_system("oscillator", {"lam": 1e-300, "q": 0.02}))
     assert math.isnan(block["radial_residual"]) and block["passed"] is False
 
 
@@ -753,7 +757,7 @@ def test_bqp_batched_readouts_match_per_circuit_solves(monkeypatch):
                           ops_k, 1.0)
         x = np.zeros(spec_k.n_vars)
         x[len(circuit) * 2 ** n] = 1.0
-        assert abs(value - expectation(psi.coefficients, ops_k.basis, x, 1, spec_k)) <= 1e-13
+        assert abs(value - expectation(psi, ops_k.basis, x, 1, spec_k)) <= 1e-13
     # the audit gets the first circuit's system and operators
     assert (spec.linear != clock_system(*jobs[0], lam=0.1, q=0.1).linear).nnz == 0
     assert (ops.generator() != experiments._order_operators(spec, 1).generator()).nnz == 0
@@ -991,24 +995,28 @@ def small_config(name):
         return {**json.load(fh), **copy.deepcopy(SMALL_CONFIGS[name])}
 
 
-@pytest.mark.parametrize("name, block, key, value, detail", [
-    ("audits_nse.json", "system", "nu", 1e-300, "operators/nonlinear/norm_estimate is nan"),
-    ("audits_nse.json", "system", "q", 1e300, "divergence_free/radial_residual is nan"),
-    ("audits_bounded_oscillator.json", "regularization", "r_reference", 1e300,
+@pytest.mark.parametrize("name, changes, detail", [
+    ("audits_nse.json", {"system": {"nu": 1e-300}}, "operators/nonlinear/norm_estimate is nan"),
+    ("audits_nse.json", {"system": {"q": 1e300}}, "divergence_free/radial_residual is nan"),
+    ("audits_bounded_oscillator.json", {"regularization": {"r_reference": 1e300}},
      "basis of at least 1e+301 entries exceeds the cap of 2000000"),
-    ("bqp_circuit.json", None, "time", 1e300,
+    ("bqp_circuit.json", {"time": 1e300},
      "exponential action work t ||G||_1 = 5.96e+300 exceeds the cap of 1e+06"),
-    ("bqp_circuit.json", "system", "lam", 1e300,
+    ("bqp_circuit.json", {"system": {"lam": 1e300}},
      "exponential action work t ||G||_1 = 1e+300 exceeds the cap of 1e+06"),
+    ("oscillator.json", {"system": {"q": 1e-300}, "basis": {"orders": [3]}},
+     "non-finite coefficients"),
 ], ids=["nse_tiny_nu", "nse_huge_q", "bounded_huge_r_reference", "bqp_huge_time",
-        "bqp_huge_lam"])
-def test_extreme_values_exit_with_a_numerical_record(tmp_path, capsys, name, block, key,
-                                                      value, detail):
+        "bqp_huge_lam", "osc_tiny_q"])
+def test_extreme_values_exit_with_a_numerical_record(tmp_path, capsys, name, changes, detail):
     # in range, but the norm estimate overflows (entries near 8e147 at nu = 1e-300), the
-    # weight-rule basis would be 1e301 rows wide or the one action of every circuit would
-    # take t ||G||_1 past its cap: exit 4 with no warning, never a traceback
+    # weight-rule basis would be 1e301 rows wide, the one action of every circuit would
+    # take t ||G||_1 past its cap, or the readout's a^3 overflows (a = x sqrt(2 lam / q)
+    # near 4.5e149 at q = 1e-300; order 2 stays finite): exit 4 with no warning, never a
+    # traceback
     cfg = small_config(name)
-    (cfg if block is None else cfg[block])[key] = value
+    for block, value in changes.items():
+        cfg[block] = {**cfg[block], **value} if isinstance(value, dict) else value
     out = tmp_path / "o"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -1016,6 +1024,23 @@ def test_extreme_values_exit_with_a_numerical_record(tmp_path, capsys, name, blo
     assert [str(w.message) for w in caught] == []
     assert code == cli.EXIT_NUMERICAL
     assert error_record(capsys) == {"error": "numerical", "detail": detail}
+    assert not out.exists()
+
+
+def test_non_finite_evolved_vector_exits_with_a_numerical_record(tmp_path, monkeypatch,
+                                                                 capsys):
+    # every run's evolved vectors come out of one `evolve_direct_sum` action, which
+    # refuses a nan before any readout or artifact is made of it
+    real_action = evolution.expm_multiply
+    monkeypatch.setattr(evolution, "expm_multiply",
+                        lambda *args, **kw: np.full_like(real_action(*args, **kw), np.nan))
+    out = tmp_path / "o"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["run", write_cfg(tmp_path, OSC_CFG), "--out", str(out)])
+    assert [str(w.message) for w in caught] == []
+    assert code == cli.EXIT_NUMERICAL
+    assert error_record(capsys) == {"error": "numerical", "detail": "non-finite coefficients"}
     assert not out.exists()
 
 

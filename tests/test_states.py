@@ -9,7 +9,6 @@ from kolmsim.errors import BasisError
 from kolmsim.multiindex import RegularizationScheme, enumerate_basis
 from kolmsim.operators import SystemSpec
 from kolmsim.states import (
-    KEState,
     MonomialObservable,
     combination_state,
     expectation,
@@ -81,8 +80,8 @@ def test_initial_state_linear_observable(spec):
     basis = basis_for(spec, 3)
     psi = initial_state(MonomialObservable((1, 0), spec), basis)
     expected = math.sqrt(spec.noise / (2 * spec.rates[0]))
-    assert psi.coefficients[basis.position((1, 0))] == pytest.approx(expected, rel=1e-14)
-    assert np.count_nonzero(psi.coefficients) == 1
+    assert psi[basis.position((1, 0))] == pytest.approx(expected, rel=1e-14)
+    assert np.count_nonzero(psi) == 1
 
 
 def test_initial_state_square_observable(spec):
@@ -90,10 +89,10 @@ def test_initial_state_square_observable(spec):
     u0 = MonomialObservable((0, 2), spec)
     psi = initial_state(u0, basis)
     lam = spec.rates[1]
-    assert psi.coefficients[basis.position((0, 2))] == pytest.approx(
+    assert psi[basis.position((0, 2))] == pytest.approx(
         spec.noise / (math.sqrt(2) * lam), rel=1e-14)
     assert u0.mean() == pytest.approx(spec.noise / (2 * lam), rel=1e-14)
-    assert np.count_nonzero(psi.coefficients) == 1
+    assert np.count_nonzero(psi) == 1
 
 
 def test_initial_state_norm_closed_form(spec):
@@ -101,7 +100,7 @@ def test_initial_state_norm_closed_form(spec):
     for exponents in [(1, 0), (0, 2), (2, 1), (1, 3), (2, 2), (0, 4)]:
         u0 = MonomialObservable(exponents, spec)
         psi = initial_state(u0, basis)
-        assert psi.norm_sq() == pytest.approx(u0.centered_norm_sq(), rel=1e-12)
+        assert psi @ psi == pytest.approx(u0.centered_norm_sq(), rel=1e-12)
 
 
 def test_initial_state_norm_against_quadrature(spec):
@@ -141,10 +140,10 @@ def test_combination_state_linearity(spec):
     u_b = MonomialObservable((0, 1), spec)
     u_c = MonomialObservable((3, 0), spec)
     combo = combination_state([(2.0, u_a), (-0.5, u_b), (1.5, u_c)], basis)
-    manual = 2.0 * initial_state(u_a, basis).coefficients \
-        - 0.5 * initial_state(u_b, basis).coefficients \
-        + 1.5 * initial_state(u_c, basis).coefficients
-    np.testing.assert_array_equal(combo.coefficients, manual)
+    manual = 2.0 * initial_state(u_a, basis) \
+        - 0.5 * initial_state(u_b, basis) \
+        + 1.5 * initial_state(u_c, basis)
+    np.testing.assert_array_equal(combo, manual)
 
 
 def test_readout_unit_coefficient(spec):
@@ -152,7 +151,7 @@ def test_readout_unit_coefficient(spec):
     x = np.array([0.4, -0.2])
     state = readout_state(x, basis, truncation=3, spec=spec)
     expected = x[0] * math.sqrt(2 * spec.rates[0] / spec.noise)
-    assert state.coefficients[basis.position((1, 0))] == pytest.approx(expected)
+    assert state[basis.position((1, 0))] == pytest.approx(expected)
 
 
 def test_readout_state_matches_entrywise_loop(spec):
@@ -170,7 +169,7 @@ def test_readout_state_matches_entrywise_loop(spec):
                     if x[i]:
                         coeff *= (x[i] * spec.scalings[i]) ** p / math.sqrt(math.factorial(p))
                 want[pos] = coeff
-        assert np.array_equal(readout_state(x, basis, k, spec).coefficients, want)
+        assert np.array_equal(readout_state(x, basis, k, spec), want)
 
 
 def test_readout_state_of_a_dense_point_on_sixty_variables():
@@ -181,13 +180,13 @@ def test_readout_state_of_a_dense_point_on_sixty_variables():
     x = np.linspace(0.2, 1.4, 60) * np.where(np.arange(60) % 2, -1.0, 1.0)
     state = readout_state(x, basis, 1, spec)
     rows = basis.positions(np.eye(60, dtype=np.int64))
-    assert np.array_equal(state.coefficients[rows], x * spec.scalings)
+    assert np.array_equal(state[rows], x * spec.scalings)
 
 
 def test_readout_zero_point(spec):
     basis = basis_for(spec, 3)
     state = readout_state(np.zeros(2), basis, truncation=3, spec=spec)
-    assert np.all(state.coefficients == 0.0)
+    assert np.all(state == 0.0)
 
 
 def test_readout_norm_identity_value():
@@ -228,21 +227,21 @@ def test_expectation_time_zero_linear(spec):
     psi0 = initial_state(MonomialObservable((1, 0), spec), basis)
     for x1 in (0.7, -1.2, 0.0):
         x = np.array([x1, 0.0])
-        assert expectation(psi0.coefficients, basis, x, truncation=3,
+        assert expectation(psi0, basis, x, truncation=3,
                            spec=spec) == pytest.approx(x1, abs=1e-14)
 
 
 def test_expectation_zero_state(spec):
     basis = basis_for(spec, 2)
-    psi = KEState(np.zeros(len(basis)), basis)
-    assert expectation(psi.coefficients, basis, np.array([0.3, 0.4]), 2, spec) == 0.0
+    psi = np.zeros(len(basis))
+    assert expectation(psi, basis, np.array([0.3, 0.4]), 2, spec) == 0.0
 
 
 def test_expectation_dimension_mismatch(spec):
     basis = basis_for(spec, 2)
     psi = initial_state(MonomialObservable((1, 0), spec), basis)
     with pytest.raises(BasisError):
-        expectation(psi.coefficients, basis, np.array([1.0, 0.0, 0.0]), 2, spec)
+        expectation(psi, basis, np.array([1.0, 0.0, 0.0]), 2, spec)
 
 
 def test_expectation_umbral_consistency(spec):
@@ -253,7 +252,7 @@ def test_expectation_umbral_consistency(spec):
         u0 = MonomialObservable(exponents, spec)
         psi0 = initial_state(u0, basis)
         x = rng.normal(size=2) * 0.5
-        got = expectation(psi0.coefficients, basis, x, truncation=4, spec=spec) + u0.mean()
+        got = expectation(psi0, basis, x, truncation=4, spec=spec) + u0.mean()
         want = gaussian_quadrature(lambda pts: u0(pts + x), spec, 64)
         assert got == pytest.approx(want, abs=1e-8)
 
@@ -266,7 +265,8 @@ def test_readout_state_norm_matches_truncated_identity(x):
     x = np.array(x)
     for k in (1, 3, 5):
         basis = basis_for(spec, np.count_nonzero(x) * k)
-        got = readout_state(x, basis, k, spec).norm_sq() + 1.0
+        readout = readout_state(x, basis, k, spec)
+        got = readout @ readout + 1.0
         assert got == pytest.approx(readout_norm_sq(x, spec, truncation=k), rel=1e-13)
 
 

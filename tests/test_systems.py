@@ -312,7 +312,7 @@ def test_nse_galerkin_matches_monte_carlo():
 
     t_grid = np.array([0.1, 0.2])
     psi0 = initial_state(u0, basis)
-    ke = expectation([evolve_expm(psi0, ops, t).coefficients for t in t_grid], basis, x0, 4, spec)
+    ke = expectation([evolve_expm(psi0, ops, t) for t in t_grid], basis, x0, 4, spec)
     run = simulate(spec, x0, u0, t_grid, n_samples=60000, dt=0.0025, seed=12)
     assert np.abs(run.mean).min() > 6 * run.se.max()  # effect well above noise
     assert np.all(np.abs(ke - run.mean) <= 4 * run.se)
