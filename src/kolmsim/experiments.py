@@ -55,7 +55,6 @@ from .operators import (
 from .states import (
     DEFAULT_DEGREE_CAP,
     MonomialObservable,
-    combination_state,
     expectation,
     initial_state,
     readout_norm_sq,
@@ -530,14 +529,14 @@ def run_nse_taylor_green(cfg: dict, seed: int) -> tuple:
     readout = evolve_reference(readout_state(x0, ops.basis, order, spec),
                                ops.transpose(), t_final)
 
+    # probe p reads u1 = sum_k c_pk x_k = sum_k c_pk He_1(s_k x_k) / s_k, so its vector
+    # holds c_pk (1/s_k) on mode k's degree-1 row (0 where |c_pk| <= 1e-14)
+    c = probe_functional_coefficients(table, np.stack([xi1s, np.full_like(xi1s, xi2)], 1))
+    unit, probe = ops.basis.positions(np.eye(n_modes, dtype=int)), np.zeros(len(ops.basis))
     curve_rows, comparison_rows = [], []
-    for xi1 in xi1s:
-        coefs = probe_functional_coefficients(table, (xi1, xi2))
-        terms = [(float(c),
-                  MonomialObservable(tuple(1 if j == k else 0
-                                           for j in range(n_modes)), spec))
-                 for k, c in enumerate(coefs) if abs(c) > 1e-14]
-        value = float(readout @ combination_state(terms, ops.basis))
+    for xi1, c_p in zip(xi1s, np.where(abs(c) > 1e-14, c * (1.0 / spec.scalings), 0.0)):
+        probe[unit] = c_p
+        value = float(readout @ probe)
         truth = float(taylor_green(t_final, xi1, xi2, nu)[0])
         curve_rows.append((t_final, f"u1@({xi1:.4f};{xi2:.4f})", value))
         comparison_rows.append((xi1, xi2, t_final, value, truth, abs(value - truth)))

@@ -17,12 +17,12 @@ multi-indices of degree 1..K, a row sits at
     base[d] - sum_{s < d} C(N - l_s + d - s - 2, d - s),   base[d] = C(N+d, d) - 2,
 
 the combinatorial-number-system rank of its labels (Knuth, TAOCP 4A,
-7.2.1.3) after the rows of lower degree: at most K gathers per row.  An
-order-rule basis holds every multi-index of degree 1..K, so this rank is
-the position; a weight-rule basis looks the rank up among the sorted
-ranks of its rows.  `label_positions` is the package's only multi-index
-lookup (`positions` turns dense rows into labels first), and a
-multi-index's weight lambda_m is read from `BasisSet.weights`.
+7.2.1.3) after the rows of lower degree: one gather a slot.  An order-rule
+basis holds every multi-index of degree 1..K, so this rank is the position;
+a weight-rule basis looks it up among the sorted ranks of its rows.
+`label_positions` is the only multi-index lookup (`positions` turns dense
+rows into labels first), `holders` inverts the labels (the rows that hold
+a variable), and a multi-index's weight lambda_m is `BasisSet.weights`.
 """
 
 from __future__ import annotations
@@ -122,7 +122,7 @@ class BasisSet:
     def _tables(self):
         """(term, base, sorted ranks or None) for the graded label rank.
 
-        term[d, s, l] = C(N-l+d-s-2, d-s) for a slot s < d, 0 at the padding
+        term[s, d (N+1) + l] = C(N-l+d-s-2, d-s) for a slot s < d, 0 at the padding
         label N; base[d] = C(N+d, d) - 2.  Sorted ranks (weight rule only) end
         in a sentinel above every rank, so a search never runs off the end.
         """
@@ -138,8 +138,8 @@ class BasisSet:
             for j in range(1, k + 1):
                 multisets[j, 2:] = np.cumsum(multisets[j - 1, 2:])
             # C(N-l+j-2, j) at label l, 0 at the padding label N (which slots s >= d hold)
-            term = multisets[:, n::-1][np.maximum(np.arange(k + 1)[:, None] - np.arange(k), 0)]
-            self._rank_tables = (term, multisets[:, n + 2] - 2, None)
+            term = multisets[:, n::-1][np.maximum(np.arange(k + 1) - np.arange(k)[:, None], 0)]
+            self._rank_tables = (term.reshape(k, -1), multisets[:, n + 2] - 2, None)
             if self.scheme.rule == WEIGHT_RULE:  # the tables so far return bare ranks
                 ranks = np.append(self.label_positions(self.labels), total)
                 self._rank_tables = self._rank_tables[:2] + (ranks,)
@@ -152,12 +152,26 @@ class BasisSet:
         are absent.
         """
         term, base, sorted_ranks = self._tables()
-        degree = (labels < self.n_vars).sum(axis=1)
-        ranks = base[degree] - term[degree[:, None], np.arange(labels.shape[1]), labels].sum(axis=1)
+        degree = sum(slot < self.n_vars for slot in labels.T)  # one gather a slot below
+        at = degree * (self.n_vars + 1)
+        ranks = base[degree] - sum(t[at + slot] for t, slot in zip(term, labels.T))
         if sorted_ranks is None:
             return ranks
         pos = np.searchsorted(sorted_ranks, ranks)
         return np.where(sorted_ranks[pos] == ranks, pos, -1)
+
+    def holders(self, labels, among=True):
+        """Rows holding each of `labels`, among the rows where `among` is true: (owner, row,
+        slot) by owner, then row, where labels[owner] first sits in that row's `slot`."""
+        first = (self.labels < self.n_vars) & np.reshape(among, (-1, 1))
+        first[:, 1:] &= self.labels[:, 1:] != self.labels[:, :-1]
+        row, slot = np.nonzero(first)
+        held = self.labels[row, slot]
+        by_label = np.argsort(held, kind="stable")
+        starts = np.searchsorted(held, np.arange(self.n_vars + 1), sorter=by_label)
+        owner, step = _ragged(starts[labels + 1] - starts[labels])
+        at = by_label[starts[labels][owner] + step]
+        return owner, row[at], slot[at]
 
     def positions(self, rows) -> np.ndarray:
         """Basis position of each row of an (M, N) integer array; -1 where absent.
@@ -243,4 +257,6 @@ def enumerate_basis(n_vars: int, scheme: RegularizationScheme, rates,
     labels = np.vstack(blocks)
     flat = (np.arange(len(labels))[:, None] * (n_vars + 1) + labels).ravel()
     orders = np.bincount(flat, minlength=len(labels) * (n_vars + 1))
-    return BasisSet(orders.reshape(-1, n_vars + 1)[:, :n_vars], rates, scheme, labels)
+    # int32 here frees the int64 counts before BasisSet casts the orders to float for weights
+    orders = orders.reshape(-1, n_vars + 1)[:, :n_vars].astype(np.int32)
+    return BasisSet(orders, rates, scheme, labels)

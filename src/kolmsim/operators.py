@@ -10,9 +10,9 @@ here integrates non-polynomial drifts of N <= 3 systems with a
 sum-factorised Gauss-Hermite rule, one grid axis at a time.  The NSE
 matrix is R - R^T from its raising block R, so its raw asymmetry is
 exactly 0, and the radial residual of `verify_divergence_free` checks the
-energy conservation of its triples.  The linear
-and NSE assemblers move quanta on sorted variable labels and rank each
-target with at most K gathers (`_ladder_hits`); the oscillator and
+energy conservation of its triples.  The linear and NSE assemblers find
+the rows holding a variable with `BasisSet.holders`, move quanta on their
+labels and rank each target slot by slot (`_ladder_hits`); the oscillator and
 quadrature routes rank dense rows with `BasisSet.positions`.  The linear
 assembler (`assemble_linear_blocks`, whose one-block call is
 `assemble_linear_drift`) takes a direct sum of drifts over one basis, pairs
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigvalsh_tridiagonal
+from scipy.linalg.lapack import dstebz
 
 from .errors import BasisError, DriftError
 from .hermite import gauss_hermite_rule, he_table
@@ -243,11 +243,10 @@ def assemble_linear_blocks(basis: BasisSet, b) -> sp.csr_matrix:
     live = beta != 0.0
     block, i_e = np.divmod(i_e[live], n_vars)
     j_e, b_e = j_e[live] % n_vars, beta[live]
-    # (column, b-entry) candidates in column-major order; i == j never
-    # occurs: beta is exactly skew, so its diagonal is 0.  The move
-    # relabels one slot holding i as j.
-    cols, e = np.nonzero(basis.orders[:, i_e] > 0)
-    slot = np.argmax(basis.labels[cols] == i_e[e, None], axis=1)
+    # (b-entry, column) candidates: each column holding i, with the first of its
+    # slots that holds i; i == j never occurs: beta is exactly skew, so its
+    # diagonal is 0.  The move relabels that slot as j.
+    e, cols, slot = basis.holders(i_e)
     rows, hit = _ladder_hits(basis, cols, [(slot, j_e[e])])
     cols, e = cols[hit], e[hit]
     vals = b_e[e] * np.sqrt(basis.orders[cols, i_e[e]] * (basis.orders[cols, j_e[e]] + 1))
@@ -372,11 +371,11 @@ def verify_divergence_free(spec, n_points: int = 100, seed: int = 0) -> dict:
 @np.errstate(over="ignore", invalid="ignore")  # an overflow gives the nan returned below
 def operator_norm_estimate(matrix, n_iter: int = 200, tol: float = 1e-10,
                            seed: int = 0) -> float:
-    """Spectral norm by plain Lanczos on M^T M from a seeded start, BLAS-free: sqrt of
-    the top eigenvalue theta of its tridiagonal, a lower bound up to rounding.  It stops
-    once theta moves by at most tol theta, at beta = 0 or after min(n_iter, n) steps, which
-    does not bound the error.  A non-finite matrix, or one whose products overflow, gives
-    a non-finite estimate."""
+    """Spectral norm by plain Lanczos on M^T M from a seeded start, BLAS-free: sqrt of the
+    top eigenvalue theta of its tridiagonal (eigenvalue k + 1 at step k, by LAPACK bisection
+    `dstebz`), a lower bound up to rounding.  It stops once theta moves by at most tol theta,
+    at beta = 0 or after min(n_iter, n) steps, which does not bound the error.  A non-finite
+    matrix, or one whose products overflow, gives a non-finite estimate."""
     n = matrix.shape[1]
     if n == 0 or (sp.issparse(matrix) and matrix.nnz == 0):
         return 0.0
@@ -394,8 +393,12 @@ def operator_norm_estimate(matrix, n_iter: int = 200, tol: float = 1e-10,
         if not (math.isfinite(alpha) and math.isfinite(beta)):
             return math.nan  # beta^2 overflows at smaller entries than alpha does
         alphas.append(alpha)
-        last, theta = theta, eigvalsh_tridiagonal(alphas, betas, select="i",
-                                                  select_range=(k, k))[0]
+        last, theta = theta, alpha
+        if k > 0:
+            found, top, _, _, info = dstebz(alphas, betas, 2, 0.0, 1.0, k + 1, k + 1, 0.0, "E")
+            if info != 0 or found != 1:
+                return math.nan  # the bisection failed to find eigenvalue k + 1
+            theta = top[0]
         if abs(theta - last) <= tol * theta or beta == 0.0:
             break
         betas.append(beta)

@@ -198,7 +198,9 @@ class SpectralAdvectionDrift:
         norm_sq = [(v * v).sum(axis=1).astype(float) for v in (ivec, kvec, jvec)]
         geo = sign * geom / (np.sqrt(norm_sq[0]) * np.sqrt(norm_sq[1]) * norm_sq[2])
         self._k, self._i, self._j, self._geo = (a[live] for a in (k_idx, i_idx, j_idx, geo))
-        self.triples = list(zip(*(a.tolist() for a in (self._k, self._i, self._j, self._geo))))
+        # (k, i, j, the triple's coefficient -0.5 sqrt(2 lambda_j) geo in c_k), for `value`
+        coeff = -0.5 * np.sqrt(2.0 * self.lam_raw[self._j]) * self._geo
+        self.triples = list(zip(*(a.tolist() for a in (self._k, self._i, self._j, coeff))))
         # the support size of c_k is the number of modes in its triples
         pairs = np.unique(np.concatenate([self._k * n + self._i, self._k * n + self._j]))
         self.sparsity = int(np.bincount(pairs // n).max(initial=0))
@@ -209,8 +211,7 @@ class SpectralAdvectionDrift:
         out = np.empty(x.shape) if out is None else out
         out.fill(0.0)
         term = np.empty(x.shape[:-1])
-        for k_idx, i_idx, j_idx, geo in self.triples:
-            coeff = -0.5 * math.sqrt(2.0 * self.lam_raw[j_idx]) * geo
+        for k_idx, i_idx, j_idx, coeff in self.triples:
             np.multiply(x[..., i_idx], coeff, out=term)
             term *= x[..., j_idx]
             out[..., k_idx] += term
@@ -223,27 +224,28 @@ class SpectralAdvectionDrift:
 
     def assemble(self, basis: BasisSet, spec) -> sp.csr_matrix:
         shape = (len(basis),) * 2
-        if not self.triples:
-            return sp.csr_matrix(shape)
         top, lam, q_eff = basis.max_degree, self.lam_raw, self.q / self.nu
-        rows, cols, vals = [], [], []
-        for k_idx in np.unique(self._k):
-            # each triple of k lowers k and raises i and j, on columns with m_k > 0, |m| < K
-            col = np.nonzero((basis.orders[:, k_idx] > 0) & (basis.degrees < top))[0]
-            own = np.nonzero(self._k == k_idx)[0]
-            c, t = np.repeat(col, own.size), np.tile(own, col.size)
+        # each triple of k lowers k and raises i and j, on columns with m_k > 0, |m| < K:
+        # each such column holding k (k ascending, then columns) meets k's triples in turn
+        k_e, col, slot = basis.holders(np.arange(len(self.table)), basis.degrees < top)
+        # the triples of each k, in their order, at own[first[k]:][:count[k]]
+        own, count = np.argsort(self._k, kind="stable"), np.bincount(self._k, minlength=len(lam))
+        first, parts = np.cumsum(count) - count, []
+        # in slabs of about len(basis) / 4 candidates, which bound the working arrays
+        for part in np.array_split(np.arange(k_e.size), max(1, 4 * count[k_e].sum() // len(basis))):
+            reps = count[k_e[part]]  # holder e meets each triple of its k in turn
+            e = np.repeat(part, reps)
+            t = own[np.repeat(first[k_e[part]] - np.cumsum(reps) + reps, reps) + np.arange(e.size)]
+            c = col[e]
             # k's first slot takes i; the last slot, padding as |m| < K, takes j
-            edits = [(np.argmax(basis.labels[c] == k_idx, axis=1), self._i[t]),
-                     (np.full(c.size, top - 1), self._j[t])]
+            edits = [(slot[e], self._i[t]), (np.full(c.size, top - 1), self._j[t])]
             target, hit = _ladder_hits(basis, c, edits)
             c, t = c[hit], t[hit]
-            i_t, j_t = self._i[t], self._j[t]
-            n_k, n_i, n_j = (basis.orders[c, v] for v in (k_idx, i_t, j_t))
-            base = -0.5 * np.sqrt(n_k * q_eff * lam[k_idx] / lam[i_t]) * self._geo[t]
-            rows.append(target)
-            cols.append(c)
-            vals.append(base * np.sqrt((n_i + 1) * (n_j + 1)))
-        rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
+            k_t, i_t, j_t = self._k[t], self._i[t], self._j[t]
+            n_k, n_i, n_j = (basis.orders[c, v] for v in (k_t, i_t, j_t))
+            base = -0.5 * np.sqrt(n_k * q_eff * lam[k_t] / lam[i_t]) * self._geo[t]
+            parts.append((base * np.sqrt((n_i + 1) * (n_j + 1)), target, c))
+        vals, rows, cols = map(np.concatenate, zip(*parts))
         # an entry sums at most the orderings (i, j) and (j, i) of one pair, and a
         # two-term sum does not depend on order
         raising = sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
@@ -288,17 +290,14 @@ def taylor_green_mode_coefficients(table: np.ndarray, t: float, nu: float) -> np
     return coeffs
 
 
-def velocity_mode(table: np.ndarray, idx: int, xi) -> np.ndarray:
-    """Eigenfunction e_k at a point: sqrt(2) (k_perp/|k|) sin(2 pi k . xi)."""
-    k = np.asarray(table)[idx]
-    xi = np.asarray(xi, dtype=float)
-    phase = math.sqrt(2) * np.sin(2 * math.pi * float(k @ xi))
-    return np.array([k[1], -k[0]]) / math.sqrt(float(k @ k)) * phase
-
-
 def probe_functional_coefficients(table: np.ndarray, xi) -> np.ndarray:
-    """Coefficients of u0(x) = sum_k x_k (E1 . e_k(xi)) for a spatial probe."""
-    return np.array([velocity_mode(table, idx, xi)[0] for idx in range(len(table))])
+    """Coefficients of u0(x) = sum_k x_k (E1 . e_k(xi)) for a spatial probe xi, or a row
+    of them for each point of an (..., 2) array: E1 . e_k(xi) = sqrt(2) k_2/|k| sin(2 pi k . xi)
+    for the eigenfunction e_k(xi) = sqrt(2) (k_perp/|k|) sin(2 pi k . xi)."""
+    xi = np.asarray(xi, dtype=float)[..., None, :, None]
+    # each k . xi a dot product of its own (matmul of 1 x 2 by 2 x 1), as `k @ xi` rounds
+    phase = math.sqrt(2) * np.sin(2 * math.pi * np.matmul(table[:, None, :], xi)[..., 0, 0])
+    return table[:, 1] / np.sqrt((table * table).sum(axis=1)) * phase
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ integrates against a system's Gaussian measure on a tensor grid, and
 `linear_drift_oracle` assembles the linear Galerkin matrix with scipy's
 duplicate-summing COO builds and a dict of the basis rows.  `csr_digest`
 hashes a CSR matrix's raw arrays, for pins of the assemblers' bytes.
+`velocity_mode` evaluates one NSE eigenfunction at a point, mode by mode,
+the oracle of the probe functional.
 """
 
 from __future__ import annotations
@@ -132,3 +134,11 @@ def csr_digest(mat) -> str:
     for arr in (mat.data, mat.indices, mat.indptr):
         digest.update(np.ascontiguousarray(arr).tobytes())
     return digest.hexdigest()
+
+
+def velocity_mode(table: np.ndarray, idx: int, xi) -> np.ndarray:
+    """Eigenfunction e_k at a point: sqrt(2) (k_perp/|k|) sin(2 pi k . xi)."""
+    k = np.asarray(table)[idx]
+    xi = np.asarray(xi, dtype=float)
+    phase = math.sqrt(2) * np.sin(2 * math.pi * float(k @ xi))
+    return np.array([k[1], -k[0]]) / math.sqrt(float(k @ k)) * phase

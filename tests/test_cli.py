@@ -24,8 +24,10 @@ from kolmsim import cli, evolution, experiments, operators, systems
 from kolmsim.errors import ConfigError, NumericalError
 from kolmsim.evolution import assemble_all, evolve_expm
 from kolmsim.operators import SystemSpec
-from kolmsim.states import expectation, initial_state
+from kolmsim.states import MonomialObservable, combination_state, expectation, initial_state
 from kolmsim.systems import clock_system, random_real_circuit
+
+from oracles import velocity_mode
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 SRC_DIR = os.path.dirname(os.path.dirname(kolmsim.__file__))
@@ -189,6 +191,35 @@ def test_one_exponential_action_per_run(monkeypatch, cfg):
     cfg = experiments.validate_config(cfg)
     experiments.RUNNERS[cfg["experiment"]](cfg, 0)
     assert len(actions) == 1
+
+
+@pytest.mark.parametrize("xi2", [0.25, 0.1])
+def test_probe_vectors_are_combination_states_of_their_modes(monkeypatch, xi2):
+    # each probe reads the adjoint readout through a vector filled on the degree-1 rows;
+    # bit for bit, it is the combination state of the probe's terms c_k x_k, with each
+    # c_k from the mode-by-mode oracle (terms with |c_k| <= 1e-14 left out)
+    probes = []
+
+    class Recording(np.ndarray):
+        def __matmul__(self, other):
+            probes.append(np.array(other))
+            return np.asarray(self) @ other
+
+    monkeypatch.setattr(experiments, "evolve_reference",
+                        lambda psi, ops, t: np.zeros_like(psi).view(Recording))
+    cfg = experiments.validate_config({**NSE_CFG, "system": {"modes": 12, "nu": 0.1, "q": 1e-5},
+                                       "probe": {"count": 5, "xi2": xi2,
+                                                 "xi1_range": [0.05, 0.95]}})
+    experiments.run_nse_taylor_green(cfg, 0)
+    spec = experiments.build_system("nse", cfg["system"])
+    basis = experiments._order_operators(spec, 2).basis
+    table, unit = spec.nonlinear.table, np.eye(12, dtype=int)
+    assert len(probes) == 5
+    for xi1, probe in zip(np.linspace(0.05, 0.95, 5), probes):
+        coefs = [velocity_mode(table, k, (xi1, xi2))[0] for k in range(12)]
+        terms = [(float(c), MonomialObservable(tuple(unit[k]), spec))
+                 for k, c in enumerate(coefs) if abs(c) > 1e-14]
+        assert probe.tobytes() == combination_state(terms, basis).tobytes()
 
 
 def test_curves_do_not_depend_on_blas_threads(tmp_path):

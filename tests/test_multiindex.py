@@ -164,6 +164,52 @@ def test_positions_match_brute_force_lookup(n_vars, k, by_weight, data):
     np.testing.assert_array_equal(basis.positions(np.array(rows)), expected)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 7), st.integers(1, 4), st.booleans(), st.data())
+def test_label_positions_match_brute_force_rank(n_vars, k, by_weight, data):
+    # the slot-wise rank against a dict of each basis row's labels: random sorted
+    # label rows (the padding label N included), a padding-only row, and, through
+    # `positions`, dense rows of degree above K, whose labels are padding only
+    if by_weight:
+        basis = weight_basis(n_vars, 0.3 * k + 0.05)
+    else:
+        rates = np.ones(n_vars)
+        basis = enumerate_basis(n_vars, RegularizationScheme.by_max_order(k, rates), rates)
+    width = basis.max_degree
+    rank = {tuple(row): i for i, row in enumerate(basis.labels.tolist())}
+    rows = data.draw(st.lists(st.lists(st.integers(0, n_vars), min_size=width,
+                                       max_size=width), min_size=1, max_size=40))
+    labels = np.sort(np.array(rows + [[n_vars] * width]), axis=1)
+    np.testing.assert_array_equal(basis.label_positions(labels),
+                                  [rank.get(tuple(row), -1) for row in labels.tolist()])
+    above = np.array(data.draw(st.lists(st.lists(st.integers(0, width + 1), min_size=n_vars,
+                                                 max_size=n_vars), min_size=1, max_size=10)))
+    above[:, 0] += width + 1 - above.sum(axis=1).clip(max=width + 1)  # degree > K
+    assert (above.sum(axis=1) > width).all()
+    np.testing.assert_array_equal(basis.positions(above), -1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 4), st.booleans(), st.data())
+def test_holders_match_a_dense_scan(n_vars, k, by_weight, data):
+    # the inverted label index against a scan of every row for each wanted label:
+    # owner by owner, rows ascending, and the first slot that holds the label
+    if by_weight:
+        basis = weight_basis(n_vars, 0.3 * k + 0.05)
+    else:
+        rates = np.ones(n_vars)
+        basis = enumerate_basis(n_vars, RegularizationScheme.by_max_order(k, rates), rates)
+    wanted = np.array(data.draw(st.lists(st.integers(0, n_vars - 1), max_size=8)), dtype=int)
+    among = np.array(data.draw(st.lists(st.booleans(), min_size=len(basis),
+                                        max_size=len(basis))))
+    expected = [(o, r, list(basis.labels[r]).index(v)) for o, v in enumerate(wanted)
+                for r in range(len(basis)) if basis.orders[r, v] > 0 and among[r]]
+    owner, row, slot = basis.holders(wanted, among)
+    assert list(zip(owner.tolist(), row.tolist(), slot.tolist())) == expected
+    assert basis.holders(wanted)[1].size == sum(np.count_nonzero(basis.orders[:, v])
+                                                for v in wanted)
+
+
 def legacy_enumeration(n_vars, rates, scheme):
     """Every multiset of each degree in combinations_with_replacement order, filtered."""
     rows = []

@@ -408,6 +408,20 @@ def test_linear_blocks_are_the_stack_of_per_circuit_operators(K):
         np.testing.assert_array_equal(getattr(block, name), getattr(stack, name))
 
 
+def test_linear_blocks_match_coo_oracle_where_a_variable_holds_two_quanta():
+    # a row such as (2, 1, 0) holds label 0 in two slots: the label index lists the row
+    # once for 0, at its first slot, so each move of a quantum of 0 is made once
+    spec = unequal_rate_spec()
+    basis = basis_for(spec, 3)
+    assert (basis.orders == [2, 1, 0]).all(axis=1).any()
+    oracle = linear_drift_oracle(basis, spec)
+    assert csr_digest(assemble_linear_blocks(basis, spec.linear)) == csr_digest(oracle)
+    pair = assemble_linear_blocks(basis, sp.block_diag([spec.linear] * 2, format="csr"))
+    stack = sp.block_diag([oracle] * 2, format="csr")
+    for name in ("data", "indices", "indptr"):
+        np.testing.assert_array_equal(getattr(pair, name), getattr(stack, name))
+
+
 def test_linear_blocks_check_each_block_against_its_own_scale():
     # residual 0.5e-10 against 1e-12 * 1 * 0.5 in the small block; beside a block of
     # entries 1e6 a scale shared by the whole sum would let it pass
@@ -806,6 +820,19 @@ def test_norm_estimate_of_an_overflowing_matrix_is_non_finite():
     mat = sp.random(40, 40, density=0.2, random_state=1, format="csr") * 1e147
     assert np.all(np.isfinite(mat.data))
     assert not math.isfinite(operator_norm_estimate(mat))
+
+
+@pytest.mark.parametrize("found, info", [(1, 2), (0, 0)])
+def test_norm_estimate_is_non_finite_when_the_bisection_fails(monkeypatch, found, info):
+    # a nonzero info (no convergence) or no eigenvalue found from dstebz gives nan,
+    # not an unchecked Ritz value
+    def failing(d, e, *args):
+        return found, np.full(len(d), 5.0), np.ones(len(d), np.int32), np.ones(len(d), np.int32), info
+
+    monkeypatch.setattr(operators, "dstebz", failing)
+    mat = sp.random(40, 40, density=0.2, random_state=1, format="csr")
+    assert math.isfinite(operator_norm_estimate(mat, n_iter=1))  # step 0 reads alpha_0
+    assert math.isnan(operator_norm_estimate(mat))
 
 
 def test_basis_spec_mismatch_rejected():

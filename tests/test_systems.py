@@ -25,11 +25,10 @@ from kolmsim.systems import (
     rotation_gate,
     taylor_green,
     taylor_green_mode_coefficients,
-    velocity_mode,
     wavenumber_table,
 )
 
-from oracles import csr_digest
+from oracles import csr_digest, velocity_mode
 
 
 def basis_for(spec, K):
@@ -357,11 +356,17 @@ def test_taylor_green_projection_coefficients():
 
 
 def test_probe_functional_is_first_velocity_component():
-    table = wavenumber_table(12)
-    xi = (0.21, 0.6)
-    coefs = probe_functional_coefficients(table, xi)
-    for k in range(12):
-        assert coefs[k] == pytest.approx(velocity_mode(table, k, xi)[0])
+    # the array expression rounds as the mode-by-mode oracle does, at one point and
+    # row by row over an (..., 2) array of points
+    points = np.array([(0.21, 0.6), (0.05, 0.25), (0.95, 0.1), (0.5, 0.1), (-0.3, 1.7)])
+    for n_modes in (12, 40):
+        table = wavenumber_table(n_modes)
+        rows = probe_functional_coefficients(table, points)
+        assert rows.shape == (len(points), n_modes)
+        for xi, row in zip(points, rows):
+            oracle = np.array([velocity_mode(table, k, xi)[0] for k in range(n_modes)])
+            assert np.array_equal(probe_functional_coefficients(table, tuple(xi)), oracle)
+            assert np.array_equal(row, oracle)
 
 
 def test_taylor_green_rejects_negative_time():
