@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import tempfile
 
@@ -52,7 +53,12 @@ def main(argv=None) -> int:
         if args.command == "audit" and cfg["experiment"] != "audits":
             raise ConfigError("the audit command needs an 'audits' experiment config")
         out_dir = args.out or tempfile.mkdtemp(prefix="kolmsim-audit-")
-        audit = run_experiment(cfg, out_dir, seed=args.seed)
+        try:
+            audit = run_experiment(cfg, out_dir, seed=args.seed)
+        except KolmsimError:
+            if not args.out:
+                os.rmdir(out_dir)  # still empty: a failed run writes no file
+            raise
         if failures := failed_checks(audit):
             _error_record("audit", "failed checks: " + "; ".join(failures))
             return EXIT_AUDIT

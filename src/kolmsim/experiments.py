@@ -172,7 +172,7 @@ EXPERIMENTS = {
         # n_vars entries each; null: x1 = 1 and the others 0, and u0 = x1
         "initial_point": Key([Key(float)], None),
         "observable": Key([_count(low=0)], None),
-        "basis": Key({"orders": Key([_count()])}),
+        "basis": Key({"orders": Key([_count(high=171)])}),  # p! overflows a float from 171
         "times": Key({"t_max": _positive(), "n_points": _count(low=2)}),
         # max_gap_over_se: the verdict that the highest order's curve lies within
         # that many standard errors of the Monte Carlo mean at every time

@@ -172,6 +172,9 @@ class QuadratureDrift:
         n_vars = basis.n_vars
         if n_vars > 3:
             raise DriftError("quadrature assembly is limited to N <= 3")
+        if basis.max_degree > 170:  # d! overflows a float from d = 171
+            raise DriftError(f"quadrature assembly is limited to degree <= 170, got "
+                             f"{basis.max_degree}")
         rates, q = spec.rates, spec.noise
         y, w = gauss_hermite_rule(self.n_nodes)
         axes = [y / s for s in spec.scalings]

@@ -9,6 +9,7 @@ import json
 import math
 import os
 import resource
+import runpy
 import subprocess
 import sys
 import tempfile
@@ -31,6 +32,7 @@ from oracles import velocity_mode
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 SRC_DIR = os.path.dirname(os.path.dirname(kolmsim.__file__))
+WORKLOADS_PY = os.path.join(os.path.dirname(__file__), os.pardir, "benchmark", "workloads.py")
 
 # x1^2 of the OU system, whose Galerkin curve is exact at any order >= 2
 OU_CFG = {
@@ -92,10 +94,20 @@ CIRCUIT_FILES = {"ry_abc.txt": "H 0\nRY(abc) 0\n", "foo.txt": "FOO 0\n",
                  "repeated_target.txt": "CNOT 0 1\nCNOT 1 1\nCNOT 0 1\n"}
 
 
+def shipped(name):
+    with open(os.path.join(CONFIG_DIR, name)) as fh:
+        return json.load(fh)
+
+
 def write_cfg(tmp_path, cfg, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+def with_block(cfg, block, **values):
+    """`cfg` with `values` set in its `block` sub-object."""
+    return {**cfg, block: {**cfg.get(block, {}), **values}}
 
 
 def error_record(capsys) -> dict:
@@ -222,16 +234,75 @@ def test_probe_vectors_are_combination_states_of_their_modes(monkeypatch, xi2):
         assert probe.tobytes() == combination_state(terms, basis).tobytes()
 
 
-def test_curves_do_not_depend_on_blas_threads(tmp_path):
-    # expm_multiply's sparse products round the same on any BLAS thread
-    # count; dense expm steps of the order-16 generator would not
-    cfg_path = write_cfg(tmp_path, OSC16_CFG)
-    outs = {threads: tmp_path / f"blas{threads}" for threads in ("1", "2")}
-    for threads, out in outs.items():
-        run_python(["-m", "kolmsim.cli", "run", cfg_path, "--out", str(out)],
-                   OPENBLAS_NUM_THREADS=threads)
-    for name in ("mc_curve.csv", "comparison.csv", "galerkin_curve.csv"):
-        assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes(), name
+def benchmark_config(workload, seed):
+    # run_path compiles the module without writing bytecode under benchmark/
+    return runpy.run_path(WORKLOADS_PY)["make_config"](workload, seed)
+
+
+# The reproducibility contract: each row writes the same bytes at one and two BLAS
+# threads, each in a fresh process (`blas_runs`). Curves and `bqp_circuit`'s readouts
+# are one `expm_multiply` action, operator norms are Lanczos iterations with numpy-sum
+# inner products and a LAPACK bisection, and Monte Carlo calls no BLAS.
+REPRODUCIBLE_RUNS = {
+    # the shipped configs but `oscillator`, whose 250,000-sample Monte Carlo takes 45 s
+    **{name: shipped(f"{name}.json") for name in (
+        "audits_bounded_oscillator", "audits_nse", "bqp_circuit", "nse_taylor_green", "nse_mc",
+        "ou_sanity")},
+    # the shipped probes lie on xi2 = 0.25, where u1 is 0 and the galerkin column is noise
+    "nse_taylor_green_xi2_0.1": with_block(shipped("nse_taylor_green.json"), "probe", xi2=0.1),
+    # up to 3 qubits and 8 gates a circuit: 18 register sizes in one action
+    "bqp_many_1": benchmark_config("bqp_many", 1),
+    "bqp_many_424242": benchmark_config("bqp_many", 424242),
+    # the cubic drift at orders 2..6 and 16, and a two-chunk cubic Monte Carlo run
+    "osc_mc_1": benchmark_config("osc_mc", 1),
+    "onenormest": ONENORMEST_CFG,
+    # dense expm steps of the order-16 generator would round by thread count
+    "osc16": OSC16_CFG,
+}
+
+
+@pytest.fixture(scope="module")
+def blas_runs(tmp_path_factory):
+    """{threads: ({row: exit code}, output root)}: every row of REPRODUCIBLE_RUNS run by
+    `cli.main` in one fresh process per thread count, one thread in table order and two
+    in reverse order, so that a row that depends on the rows run before it differs."""
+    root = tmp_path_factory.mktemp("blas")
+    for name, cfg in REPRODUCIBLE_RUNS.items():
+        write_cfg(root, cfg, f"{name}.json")
+    script = ("import json, sys\n"
+              "from kolmsim import cli\n"
+              "runs = json.loads(sys.argv[1])\n"
+              "print(json.dumps({name: cli.main(['run', cfg, '--out', out])\n"
+              "                  for name, cfg, out in runs}))\n")
+    runs, names = {}, list(REPRODUCIBLE_RUNS)
+    for threads, order in (("1", names), ("2", names[::-1])):
+        out = root / f"blas{threads}"
+        jobs = [(name, str(root / f"{name}.json"), str(out / name)) for name in order]
+        proc = run_python(["-c", script, json.dumps(jobs)], OPENBLAS_NUM_THREADS=threads)
+        runs[threads] = json.loads(proc.stdout.splitlines()[-1]), out
+    return runs
+
+
+@pytest.mark.parametrize("name", REPRODUCIBLE_RUNS)
+def test_runs_do_not_depend_on_blas_threads_or_process(blas_runs, name):
+    (codes1, root1), (codes2, root2) = blas_runs["1"], blas_runs["2"]
+    assert codes1[name] == codes2[name] == cli.EXIT_OK
+    files = sorted(os.listdir(root1 / name))
+    assert files == sorted(os.listdir(root2 / name))
+    for file in files:
+        one, two = ((root / name / file).read_bytes() for root in (root1, root2))
+        if file == "manifest.json":  # blas_env records the thread count
+            one, two = json.loads(one), json.loads(two)
+            assert one.pop("blas_env")["OPENBLAS_NUM_THREADS"] == "1"
+            assert two.pop("blas_env")["OPENBLAS_NUM_THREADS"] == "2"
+        elif file == "audit.json" and name == "audits_bounded_oscillator":
+            # dense expm products of the regularization generator round by thread count:
+            # 0.04251204684397956 at one thread, 0.042512046843979565 at two
+            one, two = json.loads(one), json.loads(two)
+            for row1, row2 in zip(one["regularization"]["rows"], two["regularization"]["rows"]):
+                assert row1.pop("measured_sup_sq") == pytest.approx(row2.pop("measured_sup_sq"),
+                                                                    rel=1e-12, abs=0)
+        assert one == two, file
 
 
 def test_runs_do_not_import_scipy_integrate(tmp_path):
@@ -437,6 +508,21 @@ def test_norm_certificate_feeds_exit_code(tmp_path, monkeypatch, capsys):
 def test_audit_command_requires_audits_experiment(tmp_path):
     cfg_path = write_cfg(tmp_path, OU_CFG)
     assert cli.main(["audit", cfg_path]) == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("block, values, code", [
+    ("regularization", {"r_values": [0.05]}, cli.EXIT_CONFIG),  # below the first rate 0.1
+    ("basis", {"order": 171}, cli.EXIT_NUMERICAL)], ids=["config", "numerical"])
+def test_failed_audit_leaves_no_temporary_directory(tmp_path, monkeypatch, block, values, code):
+    # without --out the audit writes to a new temporary directory, kept only on success
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    (tmp_path / "tmp").mkdir()
+    failing = write_cfg(tmp_path, with_block(AUDITS_CFG, block, **values), "failing.json")
+    assert cli.main(["audit", failing]) == code
+    assert os.listdir(tmp_path / "tmp") == []
+    assert cli.main(["audit", write_cfg(tmp_path, AUDITS_CFG)]) == cli.EXIT_OK
+    [kept] = os.listdir(tmp_path / "tmp")
+    assert (tmp_path / "tmp" / kept / "audit.json").exists()
 
 
 def test_config_error_exit_code(tmp_path):
@@ -888,11 +974,6 @@ def test_bad_threads_exit_code(tmp_path, capsys, threads):
     assert not (tmp_path / "o").exists()
 
 
-def with_block(cfg, block, **values):
-    """`cfg` with `values` set in its `block` sub-object."""
-    return {**cfg, block: {**cfg.get(block, {}), **values}}
-
-
 @pytest.mark.parametrize("cfg, detail", [
     ({**BQP_CFG, "circuits": {"file": "no_such_circuit.txt", "qubits": 1}}, "circuits.file"),
     ({**BQP_CFG, "circuits": {"file": "no_such_circuit.txt"}}, "qubits"),
@@ -948,7 +1029,10 @@ def with_block(cfg, block, **values):
     ({**BQP_CFG, "circuits": {"file": "repeated_target.txt", "qubits": 2}},
      "circuits.file 'repeated_target.txt': bad target qubit list"),
     # each order is one block of the direct sum, and one set of comparison rows
-    (with_block(OSC_CFG, "basis", orders=[3, 2, 3]), "config.basis.orders [3, 2, 3] repeats")])
+    (with_block(OSC_CFG, "basis", orders=[3, 2, 3]), "config.basis.orders [3, 2, 3] repeats"),
+    # the readout's factors a^p / sqrt(p!) need p! as a float, which overflows from 171
+    (with_block(OSC_CFG, "basis", orders=[2, 171]),
+     "config.basis.orders[1] must be an integer in [1, 171), got 171")])
 def test_malformed_value_exit_code(tmp_path, monkeypatch, capsys, cfg, detail):
     monkeypatch.chdir(tmp_path)
     for name, text in CIRCUIT_FILES.items():
@@ -1022,8 +1106,7 @@ def key_paths(cfg, prefix=()):
 
 
 def small_config(name):
-    with open(os.path.join(CONFIG_DIR, name)) as fh:
-        return {**json.load(fh), **copy.deepcopy(SMALL_CONFIGS[name])}
+    return {**shipped(name), **copy.deepcopy(SMALL_CONFIGS[name])}
 
 
 @pytest.mark.parametrize("name, changes, detail", [
@@ -1037,14 +1120,18 @@ def small_config(name):
      "exponential action work t ||G||_1 = 1e+300 exceeds the cap of 1e+06"),
     ("oscillator.json", {"system": {"q": 1e-300}, "basis": {"orders": [3]}},
      "non-finite coefficients"),
+    ("audits_bounded_oscillator.json", {"basis": {"order": 171}},
+     "quadrature assembly is limited to degree <= 170, got 171"),
+    ("audits_bounded_oscillator.json", {"regularization": {"r_reference": 20}},
+     "quadrature assembly is limited to degree <= 170, got 200"),
 ], ids=["nse_tiny_nu", "nse_huge_q", "bounded_huge_r_reference", "bqp_huge_time",
-        "bqp_huge_lam", "osc_tiny_q"])
+        "bqp_huge_lam", "osc_tiny_q", "bounded_order_171", "bounded_r_reference_20"])
 def test_extreme_values_exit_with_a_numerical_record(tmp_path, capsys, name, changes, detail):
     # in range, but the norm estimate overflows (entries near 8e147 at nu = 1e-300), the
     # weight-rule basis would be 1e301 rows wide, the one action of every circuit would
     # take t ||G||_1 past its cap, or the readout's a^3 overflows (a = x sqrt(2 lam / q)
-    # near 4.5e149 at q = 1e-300; order 2 stays finite): exit 4 with no warning, never a
-    # traceback
+    # near 4.5e149 at q = 1e-300; order 2 stays finite), or the quadrature would need d!
+    # as a float past d = 170: exit 4 with no warning, never a traceback
     cfg = small_config(name)
     for block, value in changes.items():
         cfg[block] = {**cfg[block], **value} if isinstance(value, dict) else value
